@@ -186,19 +186,8 @@ class DeltaContext:
         rows = B.shape[0]
         if rows == 0:
             return B.copy()
-        t = self.t
-        blocks = B.reshape(rows, -1, t)
-        fq = self.field_q
-        if fq.m == 1:
-            out = (blocks @ G) % fq.p
-        else:
-            out = np.zeros_like(blocks)
-            for c in range(t):
-                acc = np.zeros(blocks.shape[:2], dtype=np.int64)
-                for d in range(t):
-                    acc = fq.vadd(acc, fq.vmul(blocks[:, :, d], np.int64(G[d, c])))
-                out[:, :, c] = acc
-        return out.reshape(rows, -1)
+        blocks = B.reshape(-1, self.t)
+        return linalg.matmul(self.field_q, blocks, G).reshape(rows, -1)
 
     def gram_apply_t(self, B_exp: np.ndarray) -> np.ndarray:
         """Like gram_apply but with the transposed block (the reversed-argument form)."""

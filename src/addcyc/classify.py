@@ -178,10 +178,11 @@ def subcode_options(i: int, mode: str, ctx: DeltaContext,
 # transposed pairs: orthogonal partners by exact linear algebra
 # ---------------------------------------------------------------------------
 
-def _partner_subspace(rows_j: np.ndarray, mu_i: int, ctx: DeltaContext) -> np.ndarray:
-    """Basis rows of {v in J_mu : [c, v] = 0 = [v, c] for all c in the span of rows_j}."""
-    atlas = ctx.atlas
-    full_mu = _reduced_component(SubcodeChoice(mu_i, "full"), ctx)
+def _partner_subspace(rows_j: np.ndarray, full_mu: np.ndarray, ctx: DeltaContext) -> np.ndarray:
+    """Basis rows of {v in J_mu : [c, v] = 0 = [v, c] for all c in the span of rows_j}.
+
+    ``full_mu`` is the reduced basis of the whole component J_mu.
+    """
     if rows_j.shape[0] == 0:
         return full_mu
     fq = ctx.field_q
@@ -217,7 +218,7 @@ def pair_options(j: int, mode: str, ctx: DeltaContext):
         elif cj.kind == "full":
             targets = [zero_mu]
         else:
-            partner = _partner_subspace(rows_j, mu_j, ctx)
+            partner = _partner_subspace(rows_j, mu_rows[id(full_mu)], ctx)
             assert partner.shape[0] == d_fq, \
                 "orthogonal partner of a 1-dim component must be 1-dim over K"
             key = (partner.shape, partner.tobytes())
@@ -255,12 +256,14 @@ def enumerate_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
         blocks.append([(c,) for c in subcode_options(i, mode, ctx, complete)])
     for j in tab.paired:
         blocks.append(pair_options(j, mode, ctx))
+    # a component's rows depend only on its choice: reduce each once
+    choices = dict.fromkeys(c for block in blocks for group in block for c in group)
+    reduced = {c: _reduced_component(c, ctx) for c in choices}
+    empty = np.zeros((0, n * 2), dtype=np.int64)
     seen = set()
     for profile in itertools.product(*blocks):
-        rows = [component_rows(c, ctx)
-                for group in profile for c in group]
-        code = AdditiveCode.from_expansion(ctx, np.concatenate(rows, axis=0)
-                                           if rows else np.zeros((0, n * 2), dtype=np.int64))
+        rows = [reduced[c] for group in profile for c in group]
+        code = AdditiveCode.from_expansion(ctx, np.concatenate([empty] + rows, axis=0))
         ok = (codes_mod.is_self_dual(code, ctx) if mode == "sd"
               else codes_mod.is_self_orthogonal(code, ctx))
         assert ok, "assembled profile failed the direct orthogonality check"

@@ -231,7 +231,12 @@ def _prime_generator_digits(code: AdditiveCode) -> np.ndarray:
     p = ctx.p
     met = fqt.m
     digs = np.stack([(stacked // p ** i) % p for i in range(met)], axis=2)
-    return digs.reshape(stacked.shape[0], -1).astype(np.uint8)
+    return digs.reshape(stacked.shape[0], -1).astype(_digit_dtype(p))
+
+
+def _digit_dtype(p: int) -> np.dtype:
+    """Smallest unsigned dtype that holds the sum of two digits mod p, 2(p-1)."""
+    return np.min_scalar_type(2 * (p - 1))
 
 
 def _weights(block: np.ndarray, n: int, met: int) -> np.ndarray:
@@ -243,7 +248,7 @@ def _weights(block: np.ndarray, n: int, met: int) -> np.ndarray:
 
 def _span_table(rows_fp: np.ndarray, p: int) -> np.ndarray:
     """All p^k combinations of the given digit rows (mod p)."""
-    table = np.zeros((1, rows_fp.shape[1]), dtype=np.uint8)
+    table = np.zeros((1, rows_fp.shape[1]), dtype=rows_fp.dtype)
     for row in rows_fp:
         stacked = [table]
         cur = table
@@ -285,17 +290,17 @@ def min_distance(code: AdditiveCode, *, budget: int = EXHAUSTIVE_BUDGET,
                 best = min(best, int(nz.min()))
         return best, True
     rng = np.random.default_rng(seed)
+    # float64 holds every dot product exactly: (p-1)^2 * k_p < 2^53 for each p
+    # the field tables admit
+    gen = rows_fp.astype(np.float64)
     best = n + 1
     chunk = 1 << 18
     done = 0
-    # float32 matmul is exact here: entries < p <= 19 and k_p <= 64 keep all
-    # products and sums well under 2^24
-    gen32 = rows_fp.astype(np.float32)
     while done < samples:
         take = min(chunk, samples - done)
-        coeffs = rng.integers(0, p, size=(take, k_p), dtype=np.uint8)
-        words = coeffs.astype(np.float32) @ gen32
-        w = _weights((words.astype(np.int32) % p).astype(np.uint8), n, met)
+        coeffs = rng.integers(0, p, size=(take, k_p), dtype=rows_fp.dtype)
+        words = (coeffs.astype(np.float64) @ gen).astype(np.int64) % p
+        w = _weights(words, n, met)
         nz = w[w > 0]
         if nz.size:
             best = min(best, int(nz.min()))

@@ -399,35 +399,41 @@ class Field:
         self._exp = exp
         self._log = log
 
-    def vadd(self, a, b) -> np.ndarray:
+    def _digitwise(self, a, b, sign: int) -> np.ndarray:
+        """a + sign*b in one pass over the m base-p digits."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.m == 1:
-            return (a + b) % self.p
         p = self.p
+        if self.m == 1:
+            return (a + sign * b) % p
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         mult = 1
         for _ in range(self.m):
-            out += ((a + b) % p) * mult
+            out += ((a + sign * b) % p) * mult
             a, b = a // p, b // p
             mult *= p
         return out
 
-    def vneg(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if self.m == 1:
-            return (-a) % self.p
-        p = self.p
-        out = np.zeros(a.shape, dtype=np.int64)
-        mult = 1
-        for _ in range(self.m):
-            out += ((-a) % p) * mult
-            a = a // p
-            mult *= p
-        return out
+    def vadd(self, a, b) -> np.ndarray:
+        return self._digitwise(a, b, 1)
 
     def vsub(self, a, b) -> np.ndarray:
-        return self.vadd(a, self.vneg(b))
+        return self._digitwise(a, b, -1)
+
+    def vneg(self, a) -> np.ndarray:
+        return self._digitwise(0, a, -1)
+
+    def vsum(self, a, axis: int = 0) -> np.ndarray:
+        """Field sum along ``axis``: the base-p digits are summed as integers
+        and reduced mod p once, so a sum of any length is one reduction."""
+        a = np.asarray(a, dtype=np.int64)
+        p = self.p
+        if self.m == 1:
+            return a.sum(axis=axis) % p
+        axis = axis % a.ndim  # the digit axis is appended last
+        pows = p ** np.arange(self.m, dtype=np.int64)
+        digits = (a[..., None] // pows) % p
+        return ((digits.sum(axis=axis) % p) * pows).sum(axis=-1)
 
     def vmul(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)

@@ -3,7 +3,10 @@
 Matrices are 2-D int64 arrays of field encodings.  Row reduction, null
 spaces and membership tests all go through the field's table-backed vector
 operations, so the same code path serves prime fields and small extension
-fields.
+fields.  Over a prime field a product is an integer matmul reduced mod p;
+over GF(p^m), m > 1, it is one broadcast field product followed by a
+digit-space sum (the base-p digits of the terms are added as integers and
+reduced mod p once), not a chain of field additions.
 """
 
 from __future__ import annotations
@@ -84,16 +87,27 @@ def in_row_space(f: Field, R: np.ndarray, pivots, v) -> bool:
     return not reduce_vector(f, R, pivots, v).any()
 
 
+#: elements of one broadcast product in :func:`matmul` (2 MB of int64; the
+#: digit-space sum holds m times as many)
+MATMUL_CHUNK = 1 << 18
+
+
 def matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact A @ B over the field."""
+    """Exact A @ B over the field.
+
+    Over an extension field the products A[r, k] * B[k, c] are formed by one
+    broadcast ``vmul`` and summed over k by one ``vsum`` (digit-space
+    reduction mod p), a block of rows at a time.
+    """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if f.m == 1:
         # entries < p <= 2^20 and desk-scale shapes keep int64 exact
         return (A @ B) % f.p
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for k in range(A.shape[1]):
-        out = f.vadd(out, f.vmul(A[:, k, None], B[None, k, :].reshape(1, -1)))
+    out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
+    step = max(1, MATMUL_CHUNK // max(B.size, 1))
+    for s in range(0, A.shape[0], step):
+        out[s:s + step] = f.vsum(f.vmul(A[s:s + step, :, None], B[None, :, :]), axis=1)
     return out
 
 

@@ -4,6 +4,11 @@ Elements carry a fixed-length coefficient tuple (a_0, ..., a_{n-1}) of field
 encodings and are read interchangeably as the vector (a_0, ..., a_{n-1}) in
 F^n and the polynomial a(X).  Multiplication is cyclic convolution; the
 shift sigma corresponds to multiplication by X.
+
+The convolution is computed without a loop over positions: one vectorised
+field product fills the n x n matrix a_i * b_{(k-i) mod n}, and
+:meth:`gf.Field.vsum` reduces its columns in digit space (the base-p digits
+of all n terms are summed as integers and reduced mod p once).
 """
 
 from __future__ import annotations
@@ -94,21 +99,20 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(self.ring, tuple(f.vneg(np.array(self.coeffs)).tolist()))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        f = self.ring.field
+        return GroupAlgebraElement(
+            self.ring, tuple(f.vsub(np.array(self.coeffs), np.array(other.coeffs)).tolist()))
 
     def __mul__(self, other):
         self._check(other)
         f = self.ring.field
-        n = self.ring.n
         a = np.array(self.coeffs, dtype=np.int64)
         b = np.array(other.coeffs, dtype=np.int64)
-        # out[k] = sum_i a_i * b_{(k - i) mod n}
-        brot = b[self.ring._rot]  # brot[i, k] = b[(k-i) % n]
-        prods = f.vmul(a[:, None], brot)
-        acc = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            acc = f.vadd(acc, prods[i])
-        return GroupAlgebraElement(self.ring, tuple(int(v) for v in acc))
+        # out[k] = sum_i a_i * b_{(k - i) mod n}: one product over the
+        # rotated matrix brot[i, k] = b[(k-i) % n], then one column sum
+        prods = f.vmul(a[:, None], b[self.ring._rot])
+        return GroupAlgebraElement(self.ring, tuple(f.vsum(prods, axis=0).tolist()))
 
     def scale(self, c: int) -> "GroupAlgebraElement":
         f = self.ring.field

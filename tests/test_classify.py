@@ -252,3 +252,24 @@ def test_oracle_7_5():
     sd, _ = classify.brute_force_oracle(7, 5, "sd", ctx)
     assert so == classify.count_codes(7, 5, "so", ctx, complete=True)
     assert sd == classify.count_codes(7, 5, "sd", ctx, complete=True)
+
+
+@pytest.mark.parametrize("n,q", [(7, 4), (5, 9)])
+def test_component_rows_built_once_per_choice(n, q, monkeypatch):
+    """Each component's rows are built at most twice per enumeration: once
+    when pair_options matches partners, once for the profile loop."""
+    ctx = context(n, q, 2)
+    calls = {}
+    raw = classify.component_rows
+
+    def counted(choice, ctx):
+        vec = None if choice.vector is None else choice.vector.coeffs
+        key = (choice.index, choice.kind, vec)
+        calls[key] = calls.get(key, 0) + 1
+        return raw(choice, ctx)
+
+    monkeypatch.setattr(classify, "component_rows", counted)
+    keys = {c.key() for c in classify.enumerate_codes(n, q, "so", ctx, complete=True)}
+    assert calls and max(calls.values()) <= 2
+    count, oracle_keys = classify.brute_force_oracle(n, q, "so", ctx)
+    assert keys == oracle_keys and count == len(keys)

@@ -155,6 +155,27 @@ def test_min_distance_sampled_vs_exact():
         assert d_bound >= d_exact
 
 
+def brute_force_distance(code):
+    """Minimum weight over every nonzero F_q-combination of the basis (prime q)."""
+    ctx = code.ctx
+    q, k = ctx.q, code.k
+    coeffs = np.indices((q,) * k).reshape(k, -1).T[1:]
+    words = (coeffs @ code.basis_exp) % q
+    return int(words.reshape(len(words), ctx.n, ctx.t).any(axis=2).sum(axis=1).min())
+
+
+@pytest.mark.parametrize("q", [131, 257])
+def test_min_distance_wide_prime_matches_brute_force(q):
+    # digit sums reach 2(q-1) > 255 here, beyond a uint8 digit
+    ctx = context(3, q, 2)
+    rng = np.random.default_rng(q)
+    for _ in range(12):
+        C = codes.code_from_vectors(rng.integers(0, q * q, size=(2, 3)).tolist(), ctx)
+        want = brute_force_distance(C)
+        assert min_distance(C) == (want, True)
+        assert min_distance(C, budget=1, samples=1 << 17, seed=1) == (want, False)
+
+
 def test_min_distance_empty():
     with pytest.raises(EmptyCodeError):
         min_distance(AdditiveCode.zero(CTX73))

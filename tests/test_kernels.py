@@ -1,0 +1,142 @@
+"""Vectorised field kernels against scalar references.
+
+``Field.vsum``, ``Field.vsub``, ``linalg.matmul``, ``DeltaContext.gram_apply``
+and the group-algebra product are checked element by element against
+``Field.add`` / ``Field.mul`` and a schoolbook cyclic convolution, over
+prime fields and extension fields of each digit count up to four.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from addcyc import gf, linalg
+from addcyc.bilinear import DeltaContext
+from addcyc.ring import cyclic_ring
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (3, 4), (5, 4)]
+IDS = [f"GF({p ** m})" for p, m in FIELDS]
+
+KERNEL = settings(max_examples=15, deadline=None)
+
+
+def elems(f, shape):
+    """Strategy for int64 arrays of elements of ``f`` with the given shape."""
+    size = int(np.prod(shape))
+    return st.lists(st.integers(0, f.order - 1), min_size=size, max_size=size).map(
+        lambda v: np.array(v, dtype=np.int64).reshape(shape))
+
+
+def shapes(max_rows=5, max_cols=5):
+    return st.tuples(st.integers(0, max_rows), st.integers(1, max_cols))
+
+
+def scalar_sum(f, values):
+    acc = 0
+    for v in values:
+        acc = f.add(acc, int(v))
+    return acc
+
+
+def scalar_matmul(f, A, B):
+    return np.array([[scalar_sum(f, (f.mul(int(A[i, k]), int(B[k, j]))
+                                     for k in range(A.shape[1])))
+                      for j in range(B.shape[1])] for i in range(A.shape[0])],
+                    dtype=np.int64).reshape(A.shape[0], B.shape[1])
+
+
+@pytest.mark.parametrize("p, m", FIELDS, ids=IDS)
+@KERNEL
+@given(data=st.data())
+def test_vsum_matches_chained_add(p, m, data):
+    f = gf.field(p, m)
+    a = data.draw(elems(f, data.draw(shapes(max_rows=6))))
+    axis = data.draw(st.sampled_from([0, 1, -1, -2]))
+    got = f.vsum(a, axis=axis)
+    ref = a if axis in (0, -2) else a.T
+    assert got.tolist() == [scalar_sum(f, ref[:, j]) for j in range(ref.shape[1])]
+
+
+@pytest.mark.parametrize("p, m", FIELDS, ids=IDS)
+@KERNEL
+@given(data=st.data())
+def test_vsub_inverts_add(p, m, data):
+    f = gf.field(p, m)
+    shape = data.draw(shapes())
+    a, b = data.draw(elems(f, shape)), data.draw(elems(f, shape))
+    d = f.vsub(a, b)
+    assert d.shape == a.shape
+    assert all(f.add(int(x), int(y)) == int(z)
+               for x, y, z in zip(d.ravel(), b.ravel(), a.ravel()))
+    assert f.vneg(a).tolist() == f.vsub(np.zeros_like(a), a).tolist()
+
+
+@pytest.mark.parametrize("p, m", FIELDS, ids=IDS)
+@KERNEL
+@given(data=st.data())
+def test_matmul_matches_scalar(p, m, data):
+    f = gf.field(p, m)
+    rows, inner = data.draw(shapes())
+    A = data.draw(elems(f, (rows, inner)))
+    B = data.draw(elems(f, (inner, data.draw(st.integers(1, 5)))))
+    assert linalg.matmul(f, A, B).tolist() == scalar_matmul(f, A, B).tolist()
+
+
+def test_matmul_chunks_rows(monkeypatch):
+    """A product split into many row blocks equals the scalar product."""
+    f = gf.field(3, 2)
+    rng = np.random.default_rng(5)
+    A = rng.integers(0, f.order, size=(7, 4))
+    B = rng.integers(0, f.order, size=(4, 3))
+    monkeypatch.setattr(linalg, "MATMUL_CHUNK", 12)
+    assert linalg.matmul(f, A, B).tolist() == scalar_matmul(f, A, B).tolist()
+
+
+def gram_host(f, t):
+    # gram_apply reads only the field and t; skipping the coordinate tables
+    # keeps GF(625)^2 (390,625 elements) cheap
+    ctx = DeltaContext.__new__(DeltaContext)
+    ctx.field_q, ctx.t = f, t
+    return ctx
+
+
+@pytest.mark.parametrize("p, m", FIELDS, ids=IDS)
+@KERNEL
+@given(data=st.data())
+def test_gram_apply_matches_scalar(p, m, data):
+    f = gf.field(p, m)
+    t = data.draw(st.sampled_from([2, 4]))
+    npos = data.draw(st.integers(1, 3))
+    G = data.draw(elems(f, (t, t)))
+    rows = data.draw(st.integers(0, 4))
+    B = data.draw(elems(f, (rows, npos * t)))
+    got = gram_host(f, t).gram_apply(B, G)
+    assert got.shape == B.shape
+    for r in range(rows):
+        for j in range(npos):
+            block = B[r, j * t:(j + 1) * t].reshape(1, t)
+            assert got[r, j * t:(j + 1) * t].tolist() == scalar_matmul(f, block, G)[0].tolist()
+
+
+def test_gram_apply_on_a_context_uses_its_gram_block():
+    ctx = DeltaContext(3, 4, 2)
+    A = np.random.default_rng(2).integers(0, 4, size=(3, 6))
+    for got, G in ((ctx.gram_apply(A), ctx.gram_block), (ctx.gram_apply_t(A), ctx.gram_block.T)):
+        want = scalar_matmul(ctx.field_q, A.reshape(-1, 2), G).reshape(3, 6)
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p, m", FIELDS, ids=IDS)
+@KERNEL
+@given(data=st.data())
+def test_ring_product_matches_schoolbook(p, m, data):
+    f = gf.field(p, m)
+    n = data.draw(st.integers(1, 7))
+    R = cyclic_ring(f, n)
+    a = data.draw(elems(f, (n,))).tolist()
+    b = data.draw(elems(f, (n,))).tolist()
+    want = [scalar_sum(f, (f.mul(a[i], b[(k - i) % n]) for i in range(n))) for k in range(n)]
+    assert list((R.element(a) * R.element(b)).coeffs) == want
+    diff = R.element(a) - R.element(b)
+    assert [f.add(x, y) for x, y in zip(diff.coeffs, b)] == a
