@@ -62,7 +62,6 @@ from .structure import (
     build_atlas,
     build_coset_table,
     cyclotomic_cosets,
-    mu_permutation,
     tau_ideal_image,
 )
 from .verify import run_reference_checks
@@ -110,7 +109,6 @@ __all__ = [
     "min_distance",
     "minimal_poly",
     "module_law_check",
-    "mu_permutation",
     "pair_options",
     "parse_element",
     "parse_field_spec",

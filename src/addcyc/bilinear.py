@@ -20,18 +20,13 @@ operations the code layers run on.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
 from . import gf, linalg
-from .errors import (
-    FieldMismatchError,
-    InvalidParameterError,
-    LengthMismatchError,
-    NotCoprimeError,
-)
+from .errors import CoercionError, FieldMismatchError, LengthMismatchError
 from .ring import GroupAlgebraElement, cyclic_ring
+from .structure import build_atlas, check_parameters
 
 
 class DeltaContext:
@@ -44,19 +39,8 @@ class DeltaContext:
 
     def __init__(self, n: int, q: int, t: int = 2, *, paper: bool = False,
                  rho_exponents=None):
-        if math.gcd(n, q) != 1:
-            raise NotCoprimeError(
-                f"requires gcd(n, q) = 1 (semisimple group algebra); got n={n}, q={q}")
-        import sympy
-        fac = sympy.factorint(q)
-        if len(fac) != 1:
-            raise InvalidParameterError(f"q = {q} is not a prime power")
-        (p, e), = fac.items()
-        if t % 2 != 0 or t < 2:
-            raise InvalidParameterError(f"t = {t} must be an even integer >= 2")
-        if t % p == 1:
-            raise InvalidParameterError(
-                f"t = {t} with t = 1 (mod p = {p}) is outside the supported range")
+        p, e = check_parameters(n, q, t)
+        gf._check_t(t, p)
         self.n, self.q, self.t = n, q, t
         self.p, self.e = p, e
         self.paper = paper
@@ -76,7 +60,6 @@ class DeltaContext:
     @property
     def atlas(self):
         if self._atlas is None:
-            from .structure import build_atlas
             self._atlas = build_atlas(self.n, self.q, self.t, paper=self.paper,
                                       rho_exponents=self._rho_exponents)
         return self._atlas
@@ -89,12 +72,13 @@ class DeltaContext:
         p, e, t = self.p, self.e, self.t
         met = fqt.m
         basis = [fqt.pow(fqt.generator, s) for s in range(t)]
+        fp = gf.field(p)
         M = self._basis_matrix(basis)
-        if _rank_mod_p(M, p) != met:
+        if linalg.rank(fp, M) != met:
             basis = self._greedy_basis()
             M = self._basis_matrix(basis)
         self.fq_basis = basis
-        Minv = gf._invert_mod_p(M, p)
+        Minv = linalg.inverse(fp, M)
         assert Minv is not None
         # all-element digit matrix (Q_t x met) -> F_q coordinates (Q_t x t)
         vals = np.arange(fqt.order, dtype=np.int64)
@@ -105,10 +89,9 @@ class DeltaContext:
         for s in range(t):
             expand[:, s] = coords_p[:, s * e:(s + 1) * e] @ powers
         self.expand_table = expand
-        compress = {}
-        for v in range(fqt.order):
-            compress[tuple(int(c) for c in expand[v])] = v
-        self._compress_map = compress
+        # inverse of expand: element indexed by its coordinates read base q
+        self._compress_index = np.empty(fqt.order, dtype=np.int64)
+        self._compress_index[expand @ self._coord_weights()] = vals
 
     def _basis_matrix(self, basis) -> np.ndarray:
         """Columns are vec_p(embed(w_u) * x_s) for the F_p basis w_u of F_q."""
@@ -123,13 +106,12 @@ class DeltaContext:
 
     def _greedy_basis(self):
         fqt = self.field_qt
-        p = self.p
-        met = fqt.m
+        fp = gf.field(self.p)
         basis: list[int] = []
         for cand in range(1, fqt.order):
             trial = basis + [cand]
             M = self._basis_matrix(trial)
-            if _rank_mod_p(M, p) == len(trial) * self.e:
+            if linalg.rank(fp, M) == len(trial) * self.e:
                 basis.append(cand)
                 if len(basis) == self.t:
                     return basis
@@ -141,13 +123,16 @@ class DeltaContext:
         out = self.expand_table[arr]          # (..., n, t)
         return out.reshape(arr.shape[:-1] + (arr.shape[-1] * self.t,))
 
+    def _coord_weights(self) -> np.ndarray:
+        return self.q ** np.arange(self.t, dtype=np.int64)
+
     def compress(self, coords) -> np.ndarray:
+        """F_q coordinate array (..., n*t) -> GF(q^t) symbol array (..., n)."""
         arr = np.asarray(coords, dtype=np.int64)
+        if arr.size and (arr.min() < 0 or arr.max() >= self.q):
+            raise CoercionError(f"F_q coordinates must lie in [0, {self.q})")
         shape = arr.shape[:-1] + (arr.shape[-1] // self.t,)
-        flat = arr.reshape(-1, self.t)
-        out = np.fromiter((self._compress_map[tuple(int(c) for c in row)] for row in flat),
-                          dtype=np.int64, count=flat.shape[0])
-        return out.reshape(shape)
+        return self._compress_index[arr.reshape(-1, self.t) @ self._coord_weights()].reshape(shape)
 
     def retract_scalar(self, y: int) -> int:
         return self._embed_q.retract(y)
@@ -196,11 +181,6 @@ class DeltaContext:
     def pair_matrix(self, A_exp: np.ndarray, B_exp: np.ndarray) -> np.ndarray:
         """Matrix of form values between the rows of two F_q-expanded matrices."""
         return linalg.matmul(self.field_q, self.gram_apply(A_exp), np.asarray(B_exp).T)
-
-
-def _rank_mod_p(M: np.ndarray, p: int) -> int:
-    from . import linalg as la
-    return la.rank(gf.field(p, 1), M % p)
 
 
 def _coerce_vector(v, ctx: DeltaContext) -> tuple[int, ...]:

@@ -15,20 +15,10 @@ import argparse
 import json
 import sys
 
-import sympy
-
 from . import classify, codes, gf, polyring, structure, verify
 from .bilinear import DeltaContext
 from .codes import EXHAUSTIVE_BUDGET, SAMPLE_COUNT, SAMPLE_SEED
 from .errors import InvalidParameterError
-
-
-def _field_for(q: int, paper: bool) -> gf.Field:
-    fac = sympy.factorint(q)
-    if len(fac) != 1:
-        raise InvalidParameterError(f"q = {q} is not a prime power")
-    (p, e), = fac.items()
-    return gf.field(p, e, paper=paper)
 
 
 def _context(args) -> DeltaContext:
@@ -44,7 +34,7 @@ def _emit(args, payload, text: str):
 
 
 def cmd_factor(args):
-    f = _field_for(args.q, args.paper_fields)
+    f = gf.field_of_order(args.q, paper=args.paper_fields)
     factors = polyring.factor_xn_minus_1(args.n, f, paper=args.paper_fields)
     payload = [{"factor": str(p), "coset": list(c)} for p, c in factors]
     text = "\n".join(f"m[{i}] = {p}   <-> coset {list(c)}"

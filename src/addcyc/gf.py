@@ -22,7 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 
+from . import linalg
 from .errors import (
     CoercionError,
     FieldMismatchError,
@@ -53,92 +56,13 @@ EAGER_TABLE_LIMIT = 1 << 12
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial arithmetic over F_p (coefficient tuples, low-to-high)
+# the modulus search (sympy's dense F_p[x] arithmetic; coefficient tuples here
+# are low-to-high, sympy's lists high-to-low)
 # ---------------------------------------------------------------------------
-
-def _pp_trim(c: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
-def _pp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pp_trim(tuple(out))
-
-
-def _pp_mod(a, mod, p):
-    # mod is monic
-    a = list(a)
-    dm = len(mod) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            a[i] = 0
-            for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    return _pp_trim(tuple(a))
-
-
-def _pp_powmod(a, e, mod, p):
-    result = (1,)
-    base = _pp_mod(a, mod, p)
-    while e > 0:
-        if e & 1:
-            result = _pp_mod(_pp_mul(result, base, p), mod, p)
-        base = _pp_mod(_pp_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _pp_monic(a, p):
-    if not a:
-        return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    inv = pow(lead, -1, p)
-    return tuple((c * inv) % p for c in a)
-
-
-def _pp_gcd(a, b, p):
-    a, b = _pp_trim(tuple(x % p for x in a)), _pp_trim(tuple(x % p for x in b))
-    while b:
-        a, b = b, _pp_mod(a, _pp_monic(b, p), p)
-        # _pp_mod requires monic divisor, so normalise as we go
-    return _pp_monic(a, p)
-
-
-def _pp_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _pp_trim(tuple(out))
-
 
 def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     """Rabin's test for a monic polynomial over F_p."""
-    m = len(mod) - 1
-    if m <= 0:
-        return False
-    x = (0, 1)
-    if _pp_powmod(x, p ** m, mod, p) != _pp_mod(x, mod, p):
-        return False
-    for r in sympy.primefactors(m):
-        h = _pp_sub(_pp_powmod(x, p ** (m // r), mod, p), _pp_mod(x, mod, p), p)
-        if _pp_gcd(h, mod, p) != (1,):
-            return False
-    return True
+    return len(mod) > 1 and gf_irreducible_p(list(reversed(mod)), p, ZZ)
 
 
 @functools.lru_cache(maxsize=None)
@@ -147,13 +71,9 @@ def _order_factors(q_minus_1: int) -> tuple[int, ...]:
 
 
 def _x_is_primitive(mod: tuple[int, ...], p: int) -> bool:
-    m = len(mod) - 1
-    q1 = p ** m - 1
-    x = (0, 1)
-    for r in _order_factors(q1):
-        if _pp_powmod(x, q1 // r, mod, p) == (1,):
-            return False
-    return True
+    q1 = p ** (len(mod) - 1) - 1
+    f = list(reversed(mod))
+    return all(gf_pow_mod([1, 0], q1 // r, f, p, ZZ) != [1] for r in _order_factors(q1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -495,12 +415,17 @@ def field(p: int, m: int = 1, *, modulus=None, generator=None, paper: bool = Fal
     return _field_cached(p, m, modulus, generator)
 
 
-def field_of_order(q: int, *, paper: bool = False) -> Field:
-    fac = sympy.factorint(q)
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e; InvalidParameterError unless q is a prime power."""
+    fac = sympy.factorint(q) if q >= 2 else {}
     if len(fac) != 1:
-        raise InvalidParameterError(f"{q} is not a prime power")
-    (p, m), = fac.items()
-    return field(p, m, paper=paper)
+        raise InvalidParameterError(f"q = {q} is not a prime power")
+    (p, e), = fac.items()
+    return p, e
+
+
+def field_of_order(q: int, *, paper: bool = False) -> Field:
+    return field(*prime_power(q), paper=paper)
 
 
 def parse_field_spec(spec: str) -> Field:
@@ -549,27 +474,18 @@ def trace(b: int, params: TraceParams) -> int:
 # the twist element and the conjugate-sum bijection
 # ---------------------------------------------------------------------------
 
-def _even_part_split(t: int) -> tuple[int, int]:
-    """t = 2^a * m_odd with a >= 1; returns (a, m_odd)."""
-    a = 0
-    m_odd = t
-    while m_odd % 2 == 0:
-        a += 1
-        m_odd //= 2
-    if a < 1:
-        raise InvalidParameterError(f"degree t={t} must be even")
-    return a, m_odd
+def _two_adic_valuation(t: int) -> int:
+    """The a in t = 2^a * m_odd (t >= 1)."""
+    return (t & -t).bit_length() - 1
 
 
-def _check_t(field_qt: Field, q: int, t: int):
+def _check_t(t: int, p: int):
+    """The form-degree rule: t even and t != 1 (mod p), so psi is a bijection."""
     if t < 2 or t % 2 != 0:
         raise InvalidParameterError(f"degree t={t} must be an even integer >= 2")
-    if field_qt.order != q ** t:
+    if t % p == 1:
         raise InvalidParameterError(
-            f"field of order {field_qt.order} is not GF({q}^{t})")
-    if t % field_qt.p == 1:
-        raise InvalidParameterError(
-            f"t={t} with t = 1 (mod {field_qt.p}) is outside the supported range")
+            f"t={t} with t = 1 (mod {p}) is outside the supported range")
 
 
 def find_gamma(field_qt: Field, q: int) -> int:
@@ -582,8 +498,8 @@ def find_gamma(field_qt: Field, q: int) -> int:
     GF(q)*, so any deterministic choice works.
     """
     t = _degree_over(field_qt, q)
-    _check_t(field_qt, q, t)
-    a, _ = _even_part_split(t)
+    _check_t(t, field_qt.p)
+    a = _two_adic_valuation(t)
     sub_order = q ** (2 ** a)
     qA = q ** (2 ** (a - 1))
     step = (field_qt.order - 1) // (sub_order - 1)
@@ -613,7 +529,7 @@ def psi(alpha: int, field_qt: Field, q: int) -> int:
     even and t != 1 (mod p).  For t = 2 it is simply the q-power Frobenius.
     """
     t = _degree_over(field_qt, q)
-    _check_t(field_qt, q, t)
+    _check_t(t, field_qt.p)
     tr = field_qt.trace_map(alpha, q, t)
     return field_qt.sub(tr, alpha)
 
@@ -627,37 +543,16 @@ def _psi_inverse_matrix(field_qt: Field, q: int) -> np.ndarray:
         img = psi(field_qt.encode([0] * i + [1]), field_qt, q)
         cols.append(field_qt.decode(img))
     mat = np.array(cols, dtype=np.int64).T % p  # psi as m x m matrix over F_p
-    inv = _invert_mod_p(mat, p)
+    inv = linalg.inverse(field(p), mat)
     if inv is None:
         raise AssertionError("conjugate-sum map is singular; hypotheses violated")
     return inv
 
 
-def _invert_mod_p(mat: np.ndarray, p: int) -> np.ndarray | None:
-    n = mat.shape[0]
-    aug = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if aug[r, col] % p:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[[row, piv]] = aug[[piv, row]]
-        aug[row] = (aug[row] * pow(int(aug[row, col]), -1, p)) % p
-        for r in range(n):
-            if r != row and aug[r, col]:
-                aug[r] = (aug[r] - aug[r, col] * aug[row]) % p
-        row += 1
-    return aug[:, n:]
-
-
 def psi_inverse(beta: int, field_qt: Field, q: int) -> int:
     """Inverse of :func:`psi`; for t = 2 this is again the Frobenius."""
     t = _degree_over(field_qt, q)
-    _check_t(field_qt, q, t)
+    _check_t(t, field_qt.p)
     if t == 2:
         return field_qt.pow(beta, q)
     inv = _psi_inverse_matrix(field_qt, q)
@@ -704,10 +599,9 @@ class SubfieldMap:
             powers.append(src.decode(cur))
             cur = src.mul(cur, src.generator)
         A = np.array(powers[:-1], dtype=np.int64).T  # m x m, columns g^0..g^(m-1)
-        b = np.array(powers[-1], dtype=np.int64)
-        inv = _invert_mod_p(A, src.p)
-        assert inv is not None, "powers of a primitive element must be independent"
-        coeffs = (inv @ b) % src.p  # g^m = sum coeffs[i] g^i
+        # g^m = sum coeffs[i] g^i
+        coeffs = linalg.solve(field(src.p), A, np.array(powers[-1], dtype=np.int64))
+        assert coeffs is not None, "powers of a primitive element must be independent"
         return tuple(int((-c) % src.p) for c in coeffs) + (1,)
 
     def _find_image_generator(self) -> int:

@@ -11,9 +11,14 @@ reduced mod p once), not a chain of field additions.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .gf import Field
+from .errors import InvalidParameterError
+
+if TYPE_CHECKING:
+    from .gf import Field
 
 
 def rref(f: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -109,6 +114,18 @@ def matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for s in range(0, A.shape[0], step):
         out[s:s + step] = f.vsum(f.vmul(A[s:s + step, :, None], B[None, :, :]), axis=1)
     return out
+
+
+def inverse(f: Field, A: np.ndarray) -> np.ndarray | None:
+    """A^(-1) for a square A, read off the RREF of [A | I]; None when A is singular."""
+    A = np.asarray(A, dtype=np.int64)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise InvalidParameterError(f"inverse of a non-square {A.shape} matrix")
+    R, pivots = rref(f, np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1))
+    if pivots != list(range(n)):
+        return None
+    return R[:, n:]
 
 
 def solve(f: Field, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:

@@ -35,11 +35,30 @@ from .polyring import Poly, minimal_poly, splitting_data
 from .ring import GroupAlgebraElement, cyclic_ring
 
 
-def cyclotomic_cosets(n: int, base: int) -> list[tuple[int, ...]]:
-    """All base-cyclotomic cosets mod n, sorted by least representative."""
+def _check_length(n: int, base: int):
+    if n < 1:
+        raise InvalidParameterError(f"length n = {n} must be >= 1")
     if math.gcd(n, base) != 1:
         raise NotCoprimeError(
             f"requires gcd(n, base) = 1 (semisimple group algebra); got n={n}, base={base}")
+
+
+def check_parameters(n: int, q: int, t: int) -> tuple[int, int]:
+    """Validate the standing hypotheses on (n, q, t); returns (p, e) with q = p^e.
+
+    Requires n >= 1, t >= 1, q a prime power and gcd(n, q) = 1.  The trace
+    form additionally needs t even and t != 1 (mod p), see ``gf._check_t``.
+    """
+    if t < 1:
+        raise InvalidParameterError(f"degree t = {t} must be >= 1")
+    p, e = gf.prime_power(q)
+    _check_length(n, q)
+    return p, e
+
+
+def cyclotomic_cosets(n: int, base: int) -> list[tuple[int, ...]]:
+    """All base-cyclotomic cosets mod n, sorted by least representative."""
+    _check_length(n, base)
     seen = [False] * n
     cosets = []
     for l in range(n):
@@ -140,11 +159,6 @@ def build_coset_table(n: int, q: int, t: int) -> CosetTable:
                       tuple(subcosets), tuple(mu), i_sharp, fixed, paired)
 
 
-def mu_permutation(table: CosetTable):
-    """(mu, i_sharp, fixed points excluding {0, i#}, transposition reps)."""
-    return table.mu, table.i_sharp, table.fixed, table.paired
-
-
 def tau_ideal_image(table: CosetTable, w: int, u: int, ij: tuple[int, int]) -> tuple[int, int]:
     """Index of tau_{q^w,u}(I_{i,j}), computed purely from coset arithmetic."""
     n, q = table.n, table.q
@@ -160,11 +174,7 @@ class IdealAtlas:
     """Ideal decomposition data for R_n over F_q and F_{q^t}; built by build_atlas."""
 
     def __init__(self, n, q, t, field_q, field_qt, *, paper=False, rho_exponents=None):
-        if t < 1:
-            raise InvalidParameterError("t must be >= 1")
-        if math.gcd(n, q) != 1:
-            raise NotCoprimeError(
-                f"requires gcd(n, q) = 1 (semisimple group algebra); got n={n}, q={q}")
+        check_parameters(n, q, t)
         self.n, self.q, self.t = n, q, t
         self.paper = paper
         self.field_q = field_q
@@ -420,10 +430,7 @@ class IdealAtlas:
 def build_atlas(n: int, q: int, t: int = 2, *, paper: bool = False,
                 rho_exponents=None) -> IdealAtlas:
     """Construct the full ideal atlas for R_n over F_q and F_{q^t}."""
-    fac = sympy.factorint(q)
-    if len(fac) != 1:
-        raise InvalidParameterError(f"q = {q} is not a prime power")
-    (p, e), = fac.items()
+    p, e = check_parameters(n, q, t)
     field_q = gf.field(p, e, paper=paper)
     field_qt = gf.field(p, e * t, paper=paper)
     return IdealAtlas(n, q, t, field_q, field_qt, paper=paper, rho_exponents=rho_exponents)

@@ -8,7 +8,12 @@ import pytest
 from addcyc import gf, linalg
 from addcyc.bilinear import DeltaContext, context, delta_form, delta_inner, \
     module_law_check, component_split_check
-from addcyc.errors import InvalidParameterError, LengthMismatchError, NotCoprimeError
+from addcyc.errors import (
+    CoercionError,
+    InvalidParameterError,
+    LengthMismatchError,
+    NotCoprimeError,
+)
 
 
 CTX73 = context(7, 3, 2, paper=True)
@@ -40,6 +45,9 @@ def test_context_validation():
         DeltaContext(7, 3, 4)   # t = 1 mod p
     with pytest.raises(InvalidParameterError):
         DeltaContext(5, 6, 2)   # q not a prime power
+    for n, t in [(-7, 2), (7, 0), (7, -2)]:
+        with pytest.raises(InvalidParameterError):
+            DeltaContext(n, 3, t)
 
 
 def test_zero_and_scalar_laws():
@@ -227,3 +235,19 @@ def test_expand_compress_roundtrip():
     rng = random.Random(5)
     sym = np.array([[rng.randrange(9) for _ in range(7)] for _ in range(10)])
     assert (CTX73.compress(CTX73.expand(sym)) == sym).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 25])
+def test_expand_compress_roundtrip_whole_field(q):
+    ctx = context(7, q, 2)
+    sym = np.arange(ctx.field_qt.order, dtype=np.int64).reshape(-1, 1)
+    coords = ctx.expand(sym)
+    assert coords.shape == (q * q, 2) and coords.min() >= 0 and coords.max() < q
+    assert (ctx.compress(coords) == sym).all()
+    assert (ctx.compress(ctx.expand(sym.reshape(1, -1))) == sym.reshape(1, -1)).all()
+
+
+def test_compress_rejects_out_of_range_coordinates():
+    for bad in ([[0, 3]], [[-1, 0]], [[1, 2, 9, 0]]):
+        with pytest.raises(CoercionError):
+            CTX73.compress(np.array(bad))

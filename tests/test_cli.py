@@ -85,6 +85,15 @@ def test_error_exit_code(capsys):
     assert code == 2
     code, _, err = run(capsys, "mindist", "-n", "7", "-q", "3")
     assert code == 2  # neither --gen nor --row
+    for argv, hypothesis in [(("atlas", "-n", "7", "-q", "3", "-t", "0"), "t = 0 must be >= 1"),
+                             (("atlas", "-n", "7", "-q", "3", "-t", "-2"), "t = -2 must be >= 1"),
+                             (("atlas", "-n", "-7", "-q", "3"), "n = -7 must be >= 1"),
+                             (("factor", "-n", "-7", "-q", "3"), "n = -7 must be >= 1"),
+                             (("cosets", "-n", "-7", "-q", "3"), "n = -7 must be >= 1")]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: ") and hypothesis in err, argv
+    code, out, _ = run(capsys, "atlas", "-n", "7", "-q", "3", "-t", "3")
+    assert code == 0 and out.startswith("n=7 q=3 t=3")
 
 
 def test_deterministic_json(capsys):

@@ -11,6 +11,7 @@ from addcyc.errors import (
     InvalidParameterError,
     NotASubfieldError,
 )
+from addcyc.polyring import Poly
 
 F9 = gf.field(3, 2, paper=True)
 W = F9.generator
@@ -226,6 +227,47 @@ def test_least_primitive_modulus():
     x = sympy.symbols("x")
     poly = sum(int(c) * x ** i for i, c in enumerate(mod))
     assert sympy.Poly(poly, x, modulus=3).is_irreducible
+
+
+def _least_primitive_by_trial_division(p, m):
+    """The first candidate, in least_primitive_modulus's order, with no monic
+    factor of degree <= m/2 over GF(p) and in which x has order p^m - 1."""
+    fp = gf.field(p, 1)
+    X = Poly.x(fp)
+    monic = [[Poly(fp, tuple((c // p ** i) % p for i in range(d)) + (1,))
+              for c in range(p ** d)] for d in range(m // 2 + 1)]
+    for c in range(1, p ** m):
+        coeffs = tuple((c // p ** i) % p for i in range(m)) + (1,)
+        f = Poly(fp, coeffs)
+        if any((f % g).is_zero() for d in range(1, m // 2 + 1) for g in monic[d]):
+            continue
+        order, cur = 1, X % f
+        while cur != Poly.one(fp):
+            cur, order = (cur * X) % f, order + 1
+        if order == p ** m - 1:
+            return coeffs
+    raise AssertionError("no primitive polynomial found")
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7, 11, 13)
+                                 for m in range(2, 8) if p ** m <= 3 ** 5])
+def test_least_primitive_modulus_brute_force(p, m):
+    assert gf.least_primitive_modulus(p, m) == _least_primitive_by_trial_division(p, m)
+
+
+#: least_primitive_modulus values for splitting-field degrees, as computed by
+#: the schoolbook F_p[x] search that preceded the sympy-backed one
+RECORDED_MODULI = {
+    (3, 18): (2, 2, 2, 0, 0, 1) + (0,) * 12 + (1,),
+    (3, 28): (2, 2, 0, 0, 1, 1) + (0,) * 22 + (1,),
+    (2, 23): (1, 0, 0, 0, 0, 1) + (0,) * 17 + (1,),
+    (5, 20): (3, 2, 1) + (0,) * 17 + (1,),
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(RECORDED_MODULI))
+def test_least_primitive_modulus_recorded(p, m):
+    assert gf.least_primitive_modulus(p, m) == RECORDED_MODULI[(p, m)]
 
 
 def test_field_validation():

@@ -3,8 +3,11 @@
 ``Field.vsum``, ``Field.vsub``, ``linalg.matmul``, ``DeltaContext.gram_apply``
 and the group-algebra product are checked element by element against
 ``Field.add`` / ``Field.mul`` and a schoolbook cyclic convolution, over
-prime fields and extension fields of each digit count up to four.
+prime fields and extension fields of each digit count up to four;
+``linalg.inverse`` is checked against a brute-force kernel search.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from addcyc import gf, linalg
 from addcyc.bilinear import DeltaContext
+from addcyc.errors import InvalidParameterError
 from addcyc.ring import cyclic_ring
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (3, 4), (5, 4)]
@@ -91,6 +95,38 @@ def test_matmul_chunks_rows(monkeypatch):
     B = rng.integers(0, f.order, size=(4, 3))
     monkeypatch.setattr(linalg, "MATMUL_CHUNK", 12)
     assert linalg.matmul(f, A, B).tolist() == scalar_matmul(f, A, B).tolist()
+
+
+def has_kernel_vector(f, A):
+    """Brute force over F^n: is A x = 0 for some nonzero x?"""
+    n = A.shape[1]
+    return any(any(x) and not scalar_matmul(f, A, np.array(x).reshape(n, 1)).any()
+               for x in itertools.product(range(f.order), repeat=n))
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (3, 2)],
+                         ids=["GF(2)", "GF(3)", "GF(4)", "GF(9)"])
+@KERNEL
+@given(data=st.data())
+def test_inverse_matches_brute_force(p, m, data):
+    f = gf.field(p, m)
+    n = data.draw(st.integers(1, 3))
+    A = data.draw(elems(f, (n, n)))
+    if n > 1 and data.draw(st.booleans()):
+        # force a singular matrix: the last row a combination of the others
+        A[-1] = scalar_matmul(f, data.draw(elems(f, (1, n - 1))), A[:-1])[0]
+    inv = linalg.inverse(f, A)
+    if has_kernel_vector(f, A):
+        assert inv is None
+    else:
+        identity = np.eye(n, dtype=np.int64).tolist()
+        assert linalg.matmul(f, A, inv).tolist() == identity
+        assert linalg.matmul(f, inv, A).tolist() == identity
+
+
+def test_inverse_rejects_non_square():
+    with pytest.raises(InvalidParameterError):
+        linalg.inverse(gf.field(3), np.ones((2, 3), dtype=np.int64))
 
 
 def gram_host(f, t):

@@ -5,8 +5,8 @@ import random
 import pytest
 import sympy
 
-from addcyc import gf, structure
-from addcyc.errors import NotCoprimeError, NotInIdealError
+from addcyc import gf
+from addcyc.errors import InvalidParameterError, NotCoprimeError, NotInIdealError
 from addcyc.structure import build_atlas, build_coset_table, cyclotomic_cosets, tau_ideal_image
 
 
@@ -48,9 +48,8 @@ def test_coset_split():
 
 def test_mu_permutation():
     tab = build_coset_table(7, 3, 2)
-    mu, i_sharp, fixed, paired = structure.mu_permutation(tab)
-    assert mu == (0, 1) and i_sharp is None
-    assert fixed == (1,) and paired == ()
+    assert tab.mu == (0, 1) and tab.i_sharp is None
+    assert tab.fixed == (1,) and tab.paired == ()
     tab32 = build_coset_table(3, 2, 2)
     assert tab32.mu == (0, 1)
     # a transposition: n = 7, q = 2 swaps the two big cosets
@@ -196,6 +195,10 @@ def test_atlas_builds_and_validates(n, q):
 def test_atlas_requires_coprime():
     with pytest.raises(NotCoprimeError):
         build_atlas(6, 3, 2)
+    for n, t in [(-7, 2), (7, 0), (7, -2)]:
+        with pytest.raises(InvalidParameterError):
+            build_atlas(n, 3, t)
+    assert build_atlas(7, 3, 3).table.t == 3  # the atlas accepts odd t
 
 
 def test_atlas_to_dict(atlas73):
