@@ -28,10 +28,12 @@ from .classify import (
 from .codes import (
     AdditiveCode,
     CodeDecomposition,
+    DistanceCertificate,
     code_from_vectors,
     code_record,
     cyclic_span,
     decompose,
+    distance_certificate,
     dual_delta,
     generator_matrix_text,
     is_cyclic,
@@ -72,6 +74,7 @@ __all__ = [
     "CosetTable",
     "CyclicRing",
     "DeltaContext",
+    "DistanceCertificate",
     "Field",
     "GroupAlgebraElement",
     "IdealAtlas",
@@ -93,6 +96,7 @@ __all__ = [
     "decompose",
     "delta_form",
     "delta_inner",
+    "distance_certificate",
     "dual_delta",
     "embed",
     "enumerate_codes",

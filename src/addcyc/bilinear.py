@@ -120,6 +120,10 @@ class DeltaContext:
     def expand(self, symbols) -> np.ndarray:
         """GF(q^t) symbol array (..., n) -> F_q coordinate array (..., n*t)."""
         arr = np.asarray(symbols, dtype=np.int64)
+        order = self.field_qt.order
+        if arr.ndim == 0 or (arr.size and (arr.min() < 0 or arr.max() >= order)):
+            raise CoercionError(f"symbols must be an array of GF({order}) "
+                                f"elements in [0, {order})")
         out = self.expand_table[arr]          # (..., n, t)
         return out.reshape(arr.shape[:-1] + (arr.shape[-1] * self.t,))
 
@@ -131,6 +135,9 @@ class DeltaContext:
         arr = np.asarray(coords, dtype=np.int64)
         if arr.size and (arr.min() < 0 or arr.max() >= self.q):
             raise CoercionError(f"F_q coordinates must lie in [0, {self.q})")
+        if arr.ndim == 0 or arr.shape[-1] % self.t:
+            raise CoercionError(f"the last axis must hold t = {self.t} coordinates "
+                                f"per symbol; got shape {arr.shape}")
         shape = arr.shape[:-1] + (arr.shape[-1] // self.t,)
         return self._compress_index[arr.reshape(-1, self.t) @ self._coord_weights()].reshape(shape)
 

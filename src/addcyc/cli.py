@@ -94,11 +94,17 @@ def cmd_dual(args):
 def cmd_mindist(args):
     ctx = _context(args)
     C = _code_from_args(args, ctx)
-    d, exact = codes.min_distance(C, budget=args.mindist_budget,
-                                  samples=args.samples, seed=args.seed)
-    payload = codes.code_record(C, d=d, d_exact=exact)
+    cert = codes.distance_certificate(C, budget=args.mindist_budget,
+                                      samples=args.samples, seed=args.seed)
+    payload = codes.code_record(C, d=cert.ub, d_exact=cert.exact)
+    witness = (None if cert.witness is None
+               else [gf.format_element(ctx.field_qt, c) for c in cert.witness])
+    payload.update(lb=cert.lb, ub=cert.ub, method=cert.method,
+                   words_examined=cert.words_examined, witness=witness)
+    kind = "exact" if cert.exact else "sampled upper bound"
     _emit(args, payload,
-          f"d {'=' if exact else '<='} {d} ({'exact' if exact else 'sampled upper bound'})")
+          f"d {'=' if cert.exact else '<='} {cert.ub} "
+          f"({kind}, {cert.method}, {cert.words_examined} words)")
 
 
 def cmd_enumerate(args):
@@ -171,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def mindist_opts(p):
         p.add_argument("--mindist-budget", type=int, default=EXHAUSTIVE_BUDGET,
-                       help="max codewords for the exhaustive scan")
+                       help="max codewords for an exact distance (information-set "
+                            "enumeration); larger codes are sampled")
         p.add_argument("--samples", type=int, default=SAMPLE_COUNT,
                        help="random draws for the sampled upper bound")
         p.add_argument("--seed", type=int, default=SAMPLE_SEED)

@@ -200,11 +200,18 @@ class SplittingData:
     eta_prime: int
 
 
+def require_coprime(n: int, base: int) -> None:
+    """The standing hypothesis gcd(n, base) = 1: the group algebra is semisimple."""
+    if math.gcd(n, base) != 1:
+        raise NotCoprimeError(
+            f"requires gcd(n, base) = 1 (semisimple group algebra); got n={n}, base={base}")
+
+
 def multiplicative_order(q: int, n: int) -> int:
+    # without coprimality the powers of q never reach 1 mod n
+    require_coprime(n, q)
     if n == 1:
         return 1
-    if math.gcd(q, n) != 1:
-        raise NotCoprimeError(f"gcd({q}, {n}) != 1")
     e, cur = 1, q % n
     while cur != 1:
         cur = (cur * q) % n
@@ -213,11 +220,7 @@ def multiplicative_order(q: int, n: int) -> int:
 
 
 def splitting_data(n: int, base_field: gf.Field, *, paper: bool = False) -> SplittingData:
-    q = base_field.order
-    if math.gcd(n, q) != 1:
-        raise NotCoprimeError(
-            f"requires gcd(n, q) = 1 (semisimple group algebra); got n={n}, q={q}")
-    ord_ = multiplicative_order(q, n)
+    ord_ = multiplicative_order(base_field.order, n)
     split = gf.field(base_field.p, base_field.m * ord_, paper=paper)
     eta_prime = split.pow(split.generator, (split.order - 1) // n)
     return SplittingData(n, base_field, ord_, split, eta_prime)

@@ -31,16 +31,14 @@ from .errors import (
     NotInIdealError,
     TooLargeError,
 )
-from .polyring import Poly, minimal_poly, splitting_data
+from .polyring import Poly, minimal_poly, require_coprime, splitting_data
 from .ring import GroupAlgebraElement, cyclic_ring
 
 
 def _check_length(n: int, base: int):
     if n < 1:
         raise InvalidParameterError(f"length n = {n} must be >= 1")
-    if math.gcd(n, base) != 1:
-        raise NotCoprimeError(
-            f"requires gcd(n, base) = 1 (semisimple group algebra); got n={n}, base={base}")
+    require_coprime(n, base)
 
 
 def check_parameters(n: int, q: int, t: int) -> tuple[int, int]:

@@ -6,8 +6,9 @@ per item.  The CLI's verify-paper command renders these results; the
 acceptance test suite asserts them.
 
 Budgets: "small" skips the table rows whose codeword count exceeds the
-exhaustive budget, "default" verifies them with seeded random sampling, and
-"extended" additionally runs the 3^18-word row exhaustively.
+exact budget, "default" bounds them with seeded random sampling, and
+"extended" additionally certifies the 3^18-word row exactly.  Exact rows are
+certified by information-set enumeration (``codes.distance_certificate``).
 """
 
 from __future__ import annotations

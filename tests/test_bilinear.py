@@ -251,3 +251,17 @@ def test_compress_rejects_out_of_range_coordinates():
     for bad in ([[0, 3]], [[-1, 0]], [[1, 2, 9, 0]]):
         with pytest.raises(CoercionError):
             CTX73.compress(np.array(bad))
+
+
+def test_expand_rejects_symbols_outside_the_field():
+    # -1 would index element 8 from the end, 9 past the end of GF(9)
+    for bad in ([[-1]], [[9]], [[0, 1, 2, 3, 4, 5, 81]], 3):
+        with pytest.raises(CoercionError):
+            CTX73.expand(np.array(bad))
+    assert CTX73.expand(np.zeros((0, 7), dtype=np.int64)).shape == (0, 14)
+
+
+def test_compress_rejects_a_partial_symbol():
+    for bad in ([[0, 1, 2]], [0], 1):
+        with pytest.raises(CoercionError):
+            CTX73.compress(np.array(bad))

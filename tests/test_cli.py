@@ -59,7 +59,16 @@ def test_form_and_mindist(capsys):
     assert "(a,b)   = 0" in out
     code, out, _ = run(capsys, "mindist", "-n", "7", "-q", "3", "--paper-fields",
                        "--gen", gen)
-    assert code == 0 and "d = 5 (exact)" in out
+    assert code == 0 and "d = 5 (exact, information sets, 12 words)" in out
+    code, out, _ = run(capsys, "mindist", "-n", "7", "-q", "3", "--paper-fields",
+                       "--gen", gen, "--json")
+    data = json.loads(out)
+    assert (data["d"], data["d_exact"], data["lb"], data["ub"]) == (5, True, 5, 5)
+    assert data["method"] == "information sets" and data["words_examined"] == 12
+    assert len(data["witness"]) == 7 and sum(tok != "0" for tok in data["witness"]) == 5
+    code, out, _ = run(capsys, "mindist", "-n", "7", "-q", "3", "--paper-fields",
+                       "--gen", gen, "--mindist-budget", "1", "--samples", "1000")
+    assert code == 0 and out.startswith("d <= ") and "(sampled upper bound, random sampling, 1000 words)" in out
 
 
 def test_dual(capsys):

@@ -1,0 +1,128 @@
+"""Minimum distance certificates against an independent brute force.
+
+The brute force lists every nonzero F_q-combination of the canonical basis
+(``linalg.matmul`` over F_q, so non-prime q is covered) and reads a GF(q^t)
+symbol as nonzero when any of its t coordinates is.  It shares nothing with
+the information-set enumeration, which works on base-p digits of the F_p
+generator.  Cyclic codes are spans of a(X) * (X^n - 1) / m(X) for a small
+product m of F_q-factors; non-cyclic codes are spans of sparse random rows.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from addcyc import codes, linalg, polyring, refdata
+from addcyc.bilinear import context
+from addcyc.errors import TooLargeError
+
+PRIMES = [2, 3, 5, 7, 131, 257]
+PRIME_POWERS = [4, 8, 9, 25]
+#: most codewords the brute force lists (prime q, then non-prime q)
+WORDS = {True: 70_000, False: 5_000}
+
+
+def lengths(q):
+    cands = (2, 3) if q > 100 else (2, 3, 4, 5, 6, 7, 9)
+    return [n for n in cands if math.gcd(n, q) == 1]
+
+
+def brute_force_weights(code):
+    """Weights of every nonzero codeword, from the F_q basis."""
+    ctx = code.ctx
+    k = code.k
+    coeffs = np.indices((ctx.q,) * k).reshape(k, -1).T[1:]
+    words = linalg.matmul(ctx.field_q, coeffs, code.basis_exp)
+    return words.reshape(len(words), ctx.n, ctx.t).any(axis=2).sum(axis=1)
+
+
+def weight(symbols):
+    return sum(1 for s in symbols if s)
+
+
+def cyclic_case(ctx, rng, limit):
+    """Cyclic span of a(X) * (X^n - 1) / m(X), q^(t deg m) <= limit."""
+    factors = [f for f, _ in polyring.factor_xn_minus_1(ctx.n, ctx.field_q)]
+    rng.shuffle(factors)
+    m_deg, rest = 0, []
+    for f in factors:
+        if ctx.q ** (ctx.t * (m_deg + f.degree)) <= limit:
+            m_deg += f.degree
+        else:
+            rest.append(f)
+    h = polyring.Poly.one(ctx.field_q)
+    for f in rest:
+        h = h * f
+    lifted = ctx.lift_to_big_ring(ctx.ring_q.element(
+        list(h.coeffs) + [0] * (ctx.n - len(h.coeffs))))
+    a = ctx.ring.element(rng.integers(0, ctx.field_qt.order, size=ctx.n).tolist())
+    return codes.cyclic_span(a * lifted, ctx)
+
+
+def random_case(ctx, rng, limit):
+    """F_q-span of sparse random rows; at most log_q(limit) rows."""
+    rows = max(1, min(int(math.log(limit, ctx.q)), rng.integers(1, 2 * ctx.n)))
+    mat = rng.integers(0, ctx.field_qt.order, size=(rows, ctx.n))
+    mat[rng.random(mat.shape) < 0.4] = 0
+    return codes.code_from_vectors(mat.tolist(), ctx)
+
+
+@settings(max_examples=120, deadline=None)
+@given(q=st.sampled_from(PRIMES + PRIME_POWERS), cyclic=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_certificate_matches_brute_force(q, cyclic, seed, data):
+    n = data.draw(st.sampled_from(lengths(q)))
+    ctx = context(n, q, 2)
+    rng = np.random.default_rng(seed)
+    limit = WORDS[ctx.e == 1]
+    C = (cyclic_case if cyclic else random_case)(ctx, rng, limit)
+    if C.k == 0:
+        return
+    weights = brute_force_weights(C)
+    d = int(weights.min())
+    cert = codes.distance_certificate(C, budget=q ** C.k)
+    assert (cert.ub, cert.exact) == (d, True)
+    assert cert.lb <= d <= cert.ub
+    assert cert.method == codes.INFO_SETS
+    assert C.contains(list(cert.witness)) and weight(cert.witness) == d
+    # one word per F_p* class at most
+    assert 0 < cert.words_examined <= len(weights) // (ctx.p - 1)
+    assert codes.min_distance(C) == (d, True)
+    # the sampled path bounds d from above and keeps its witness
+    sampled = codes.distance_certificate(C, budget=1, samples=500, seed=seed)
+    assert not sampled.exact and sampled.method == codes.SAMPLING
+    assert sampled.lb <= d <= sampled.ub
+    if sampled.witness is not None:
+        assert C.contains(list(sampled.witness))
+        assert weight(sampled.witness) == sampled.ub
+
+
+@pytest.mark.parametrize("q, n", [(2, 19), (3, 7)])
+def test_non_cyclic_code_is_enumerated_without_the_shift_bound(q, n):
+    # permuting the columns of a table code breaks cyclicity but keeps d
+    row = refdata.row_for(q, n)
+    ctx = context(n, q, 2, paper=True)
+    C = codes.cyclic_span(row.generator, ctx)
+    perm = np.random.default_rng(1).permutation(n)
+    P = codes.code_from_vectors(C.basis_symbols()[:, perm], ctx)
+    assert not codes.is_cyclic(P)
+    cyc, non = codes.distance_certificate(C), codes.distance_certificate(P)
+    assert (cyc.ub, non.ub, cyc.exact, non.exact) == (row.d, row.d, True, True)
+    assert non.words_examined > cyc.words_examined
+    assert P.contains(list(non.witness)) and weight(non.witness) == row.d
+
+
+def test_level_too_large_for_int64_counts_is_refused_only_when_needed(monkeypatch):
+    monkeypatch.setattr(codes, "MAX_SUPPORT_WORDS", 1000)
+    # (17, 7) stops after information weight 1 (18 words per support)
+    row = refdata.row_for(17, 7)
+    C = codes.cyclic_span(row.generator, context(7, 17, 2, paper=True))
+    assert codes.min_distance(C) == (row.d, True)
+    # (13, 11) needs weight 2: 14 * 168 words per support
+    row = refdata.row_for(13, 11)
+    C = codes.cyclic_span(row.generator, context(11, 13, 2, paper=True))
+    with pytest.raises(TooLargeError):
+        codes.distance_certificate(C, budget=13 ** C.k)

@@ -66,6 +66,11 @@ def test_splitting_data_cases():
 def test_splitting_requires_coprime():
     with pytest.raises(NotCoprimeError):
         polyring.splitting_data(6, F3)
+    # the one coprimality rule, shared with structure.check_parameters
+    with pytest.raises(NotCoprimeError, match=r"gcd\(n, base\) = 1.*n=6, base=3"):
+        polyring.splitting_data(6, gf.field(3, 1))
+    with pytest.raises(NotCoprimeError, match=r"gcd\(n, base\) = 1.*n=6, base=3"):
+        polyring.multiplicative_order(3, 6)
     with pytest.raises(NotCoprimeError):
         polyring.factor_xn_minus_1(9, F3)
 
