@@ -13,14 +13,25 @@ classes).  This module enumerates the component choices:
   exact linear algebra and validated by a direct orthogonality check.
 
 The closed-form counting formulas are kept alongside, and an independent
-brute-force oracle enumerates every cyclic code by choosing arbitrary
-K_i-subspaces per component and testing orthogonality directly, which is the
-ground truth the formulas and the enumeration are compared against.
+brute-force oracle covers every cyclic code, as a direct sum of arbitrary
+K_i-subspaces of the J_i, with a direct orthogonality test; it is the ground
+truth the formulas and the enumeration are compared against.  The oracle's
+Gram matrix of a combination is the block matrix of the pairwise blocks
+[rows_i(a), rows_j(b)] of its components, so it computes each block once: one
+product per ordered class pair i != j (all choices of class i against all of
+class j), and each choice's own block.  A combination is accepted when all of
+its blocks vanish, a broadcast AND over the grid of combinations.
+
+The component subspaces of a class are built and row-reduced as stacks
+(:func:`component_stack`, :func:`linalg.rref_batch`), and assembled codes are
+put in canonical form a stack per dimension, with their Gram matrices from
+one batched product.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,28 +63,70 @@ def _require_t2(ctx: DeltaContext):
         raise InvalidParameterError("classification is implemented for t = 2 only")
 
 
+def _check_mode(mode: str) -> str:
+    """The classification mode, lowercased: "so" or "sd"."""
+    low = mode.lower() if isinstance(mode, str) else mode
+    if low not in ("so", "sd"):
+        raise InvalidParameterError(f"mode must be 'so' or 'sd', got {mode!r}")
+    return low
+
+
 # ---------------------------------------------------------------------------
 # component subspaces as row blocks
 # ---------------------------------------------------------------------------
 
 def component_rows(choice: SubcodeChoice, ctx: DeltaContext) -> np.ndarray:
     """F_q-expanded basis rows of the chosen component subspace."""
-    atlas = ctx.atlas
     i = choice.index
     if choice.kind == "zero":
         return np.zeros((0, ctx.n * ctx.t), dtype=np.int64)
-    if choice.kind == "full":
-        span = atlas.j_spanning(i)
-        rows = [v.scale(x) for v in span for x in ctx.fq_basis]
-    else:
-        rows = [kappa * choice.vector for kappa in atlas.k_basis(i)]
-    sym = np.array([r.coeffs for r in rows], dtype=np.int64)
+    if choice.kind == "dim1":
+        return component_stack([choice], ctx)[0]
+    span = ctx.atlas.j_spanning(i)
+    rows = [v.scale(x) for v in span for x in ctx.fq_basis]
+    return ctx.expand(np.array([r.coeffs for r in rows], dtype=np.int64))
+
+
+def component_stack(choices: list[SubcodeChoice], ctx: DeltaContext) -> np.ndarray:
+    """F_q-expanded rows of 1-dimensional choices of one class, as an
+    (N, d_i, n*t) stack: entry a holds kappa * v_a for the F_q-basis kappa of
+    K_i.  All N * d_i products are one vectorised cyclic convolution (the
+    ``vmul`` + ``vsum`` digit path of the group-algebra product).
+    """
+    i = choices[0].index
+    f = ctx.field_qt
+    n = ctx.n
+    K = np.array([k.coeffs for k in ctx.atlas.k_basis(i)], dtype=np.int64)
+    V = np.array([c.vector.coeffs for c in choices], dtype=np.int64)
+    rot = ctx.ring._rot  # rot[j, k] = (k - j) mod n
+    sym = np.empty((len(choices), K.shape[0], n), dtype=np.int64)
+    step = max(1, linalg.MATMUL_CHUNK // K.size // n)
+    for s in range(0, len(choices), step):
+        # sym[a, r, k] = sum_j K[r, j] * V[a, (k - j) mod n]
+        prods = f.vmul(K[None, :, :, None], V[s:s + step, None][:, :, rot])
+        sym[s:s + step] = f.vsum(prods, axis=2)
     return ctx.expand(sym)
 
 
-def _reduced_component(choice: SubcodeChoice, ctx: DeltaContext) -> np.ndarray:
-    R, piv = linalg.rref(ctx.field_q, component_rows(choice, ctx))
-    return R[: len(piv)]
+def _reduce_choices(choices: list[SubcodeChoice], ctx: DeltaContext) -> dict:
+    """Reduced basis rows (RREF, zero rows dropped) of each choice of one
+    class, in order.
+
+    The 1-dimensional choices are built by :func:`component_stack` and
+    reduced by one :func:`linalg.rref_batch`; the zero and full choices by
+    :func:`linalg.rref`.
+    """
+    fq = ctx.field_q
+    out = {}
+    dim1 = [c for c in choices if c.kind == "dim1"]
+    if dim1:
+        R, ranks = linalg.rref_batch(fq, component_stack(dim1, ctx))
+        out.update((c, Rc[:k]) for c, Rc, k in zip(dim1, R, ranks))
+    for c in choices:
+        if c.kind != "dim1":
+            R, piv = linalg.rref(fq, component_rows(c, ctx))
+            out[c] = R[: len(piv)]
+    return {c: out[c] for c in choices}
 
 
 def one_dim_subspaces(i: int, ctx: DeltaContext):
@@ -133,9 +186,7 @@ def subcode_options(i: int, mode: str, ctx: DeltaContext,
     default reproduces the published classification.
     """
     _require_t2(ctx)
-    mode = mode.lower()
-    if mode not in ("so", "sd"):
-        raise InvalidParameterError(f"mode must be 'so' or 'sd', got {mode!r}")
+    mode = _check_mode(mode)
     atlas = ctx.atlas
     tab = atlas.table
     q = ctx.q
@@ -194,38 +245,42 @@ def _partner_subspace(rows_j: np.ndarray, full_mu: np.ndarray, ctx: DeltaContext
     return linalg.row_space(fq, linalg.matmul(fq, N, full_mu))
 
 
-def pair_options(j: int, mode: str, ctx: DeltaContext):
+def pair_options(j: int, mode: str, ctx: DeltaContext, *, reduced: dict | None = None):
     """Admissible (C_j, C_mu(j)) pairs for a transposed class pair.
 
     Every pair is backed by an exact orthogonality computation; for "sd" the
-    K-dimensions must additionally sum to 2.
+    K-dimensions must additionally sum to 2.  The reduced basis rows of
+    every choice on both sides are stored in ``reduced`` when it is given,
+    so a caller assembling codes from the pairs reuses them.
     """
     _require_t2(ctx)
+    mode = _check_mode(mode)
     atlas = ctx.atlas
     tab = atlas.table
     mu_j = tab.mu[j]
     d_fq = tab.d[j]  # F_q-dimension of a 1-dim K-subspace
     side_j = all_subspace_choices(j, ctx)
     side_mu = all_subspace_choices(mu_j, ctx)
-    mu_rows = {id(c): _reduced_component(c, ctx) for c in side_mu}
+    rows = _reduce_choices(side_j, ctx) | _reduce_choices(side_mu, ctx)
+    if reduced is not None:
+        reduced.update(rows)
+    by_key = {(rows[c].shape, rows[c].tobytes()): c for c in side_mu}
+    assert len(by_key) == len(side_mu), "listed subspaces must be distinct"
     pairs = []
     zero_mu = side_mu[0]
     full_mu = side_mu[1]
     for cj in side_j:
-        rows_j = _reduced_component(cj, ctx)
         if cj.kind == "zero":
             targets = side_mu if mode == "so" else [full_mu]
         elif cj.kind == "full":
             targets = [zero_mu]
         else:
-            partner = _partner_subspace(rows_j, mu_rows[id(full_mu)], ctx)
+            partner = _partner_subspace(rows[cj], rows[full_mu], ctx)
             assert partner.shape[0] == d_fq, \
                 "orthogonal partner of a 1-dim component must be 1-dim over K"
-            key = (partner.shape, partner.tobytes())
-            match = [c for c in side_mu
-                     if (mu_rows[id(c)].shape, mu_rows[id(c)].tobytes()) == key]
-            assert len(match) == 1, "partner subspace must be one of the listed subspaces"
-            targets = ([zero_mu, match[0]] if mode == "so" else [match[0]])
+            match = by_key.get((partner.shape, partner.tobytes()))
+            assert match is not None, "partner subspace must be one of the listed subspaces"
+            targets = ([zero_mu, match] if mode == "so" else [match])
         pairs.extend((cj, t) for t in targets)
     return pairs
 
@@ -233,6 +288,47 @@ def pair_options(j: int, mode: str, ctx: DeltaContext):
 # ---------------------------------------------------------------------------
 # enumeration, counting, oracle
 # ---------------------------------------------------------------------------
+
+def _canonical_stacks(ctx: DeltaContext, dims: np.ndarray, blocks_of):
+    """Canonical forms of direct sums of row blocks, a stack per dimension.
+
+    Code k is the sum of the reduced blocks ``blocks_of(k)``, of total
+    dimension ``dims[k]``.  Yields (idx, R): R[b] is the RREF of the
+    concatenated blocks of code idx[b], all of one dimension, in stacks of at
+    most ``MATMUL_CHUNK`` elements.  The sum is checked to be direct
+    (rank == dimension).
+    """
+    width = ctx.n * ctx.t
+    for dim in sorted(set(dims.tolist())):
+        idx = np.flatnonzero(dims == dim)
+        step = max(1, linalg.MATMUL_CHUNK // max(dim * width, 1))
+        for s in range(0, len(idx), step):
+            part = idx[s:s + step]
+            stack = np.empty((len(part), dim, width), dtype=np.int64)
+            for b, k in enumerate(part):
+                np.concatenate(blocks_of(k), axis=0, out=stack[b])
+            R, ranks = linalg.rref_batch(ctx.field_q, stack)
+            assert (ranks == dim).all(), "component sum must be direct"
+            yield part, R
+
+
+def _assemble(ctx: DeltaContext, row_lists: list[list[np.ndarray]], mode: str):
+    """The codes spanned by the block lists, in order, each checked to be
+    self-orthogonal (and self-dual for "sd") by its Gram matrix."""
+    out = [None] * len(row_lists)
+    dims = np.array([sum(b.shape[0] for b in blocks) for blocks in row_lists])
+    for idx, R in _canonical_stacks(ctx, dims, row_lists.__getitem__):
+        _, dim, width = R.shape
+        assert mode == "so" or 2 * dim == width, "self-dual codes have dimension t*n/2"
+        if dim:
+            G = ctx.gram_apply(R.reshape(-1, width)).reshape(R.shape)
+            M = linalg.matmul(ctx.field_q, G, R.transpose(0, 2, 1))
+            assert not M.any(), "assembled profile failed the direct orthogonality check"
+        pivots = (R != 0).argmax(axis=2).tolist()
+        for b, k in enumerate(idx):
+            out[k] = AdditiveCode(ctx, R[b], pivots[b])
+    return out
+
 
 def enumerate_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
                     complete: bool = False):
@@ -243,34 +339,33 @@ def enumerate_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
     double emission (it must never fire).  ``complete`` is forwarded to
     :func:`subcode_options` (see there: the default follows the published
     case lists, complete=True adds the verified omitted identity-class
-    option for odd q).
+    option for odd q).  Profiles are taken in product order a bounded chunk
+    at a time, so the generator stays lazy per chunk.
     """
     ctx = ctx or context(n, q, 2)
     _require_t2(ctx)
-    mode = mode.lower()
-    atlas = ctx.atlas
-    tab = atlas.table
+    mode = _check_mode(mode)
+    tab = ctx.atlas.table
     blocks: list[list[tuple[SubcodeChoice, ...]]] = []
+    reduced: dict = {}  # a component's rows depend only on its choice
     singles = [0] + ([tab.i_sharp] if tab.i_sharp is not None else []) + list(tab.fixed)
     for i in sorted(singles):
-        blocks.append([(c,) for c in subcode_options(i, mode, ctx, complete)])
+        opts = subcode_options(i, mode, ctx, complete)
+        reduced.update(_reduce_choices(opts, ctx))
+        blocks.append([(c,) for c in opts])
     for j in tab.paired:
-        blocks.append(pair_options(j, mode, ctx))
-    # a component's rows depend only on its choice: reduce each once
-    choices = dict.fromkeys(c for block in blocks for group in block for c in group)
-    reduced = {c: _reduced_component(c, ctx) for c in choices}
-    empty = np.zeros((0, n * 2), dtype=np.int64)
+        blocks.append(pair_options(j, mode, ctx, reduced=reduced))
+    profiles = itertools.product(*blocks)
+    # profiles per batch: as many n*t x n*t matrices as fit in MATMUL_CHUNK
+    chunk = max(1, linalg.MATMUL_CHUNK // (n * 2) ** 2)
     seen = set()
-    for profile in itertools.product(*blocks):
-        rows = [reduced[c] for group in profile for c in group]
-        code = AdditiveCode.from_expansion(ctx, np.concatenate([empty] + rows, axis=0))
-        ok = (codes_mod.is_self_dual(code, ctx) if mode == "sd"
-              else codes_mod.is_self_orthogonal(code, ctx))
-        assert ok, "assembled profile failed the direct orthogonality check"
-        key = code.key()
-        assert key not in seen, "profile enumeration emitted a duplicate subspace"
-        seen.add(key)
-        yield code
+    while batch := list(itertools.islice(profiles, chunk)):
+        row_lists = [[reduced[c] for group in profile for c in group] for profile in batch]
+        for code in _assemble(ctx, row_lists, mode):
+            key = code.key()
+            assert key not in seen, "profile enumeration emitted a duplicate subspace"
+            seen.add(key)
+            yield code
 
 
 def count_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
@@ -288,7 +383,7 @@ def count_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
     """
     ctx = ctx or context(n, q, 2)
     _require_t2(ctx)
-    mode = mode.lower()
+    mode = _check_mode(mode)
     tab = ctx.atlas.table
     n_identity = 1 + (1 if tab.i_sharp is not None else 0)
     if mode == "so":
@@ -300,64 +395,104 @@ def count_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
             b = 6 if (complete or tab.d[j] % 2) else 2
             total *= 3 * q ** tab.d[j] + b
         return total
-    if mode == "sd":
-        per_identity = 2 if (complete and q % 2 == 1) else 1
-        total = per_identity ** n_identity
-        for i in tab.fixed:
-            total *= q ** (tab.d[i] // 2) + 1
-        for j in tab.paired:
-            b = 3 if (complete or tab.d[j] % 2) else 1
-            total *= q ** tab.d[j] + b
-        return total
-    raise InvalidParameterError(f"mode must be 'so' or 'sd', got {mode!r}")
+    per_identity = 2 if (complete and q % 2 == 1) else 1
+    total = per_identity ** n_identity
+    for i in tab.fixed:
+        total *= q ** (tab.d[i] // 2) + 1
+    for j in tab.paired:
+        b = 3 if (complete or tab.d[j] % 2) else 1
+        total *= q ** tab.d[j] + b
+    return total
+
+
+def _block_nonzero(M: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """bad[a, b]: M has a nonzero entry in row block a and column block b.
+
+    The blocks are consecutive, of sizes ``rows_a`` and ``rows_b``; an empty
+    block gives False.
+    """
+    bad = np.zeros((len(rows_a), len(rows_b)), dtype=bool)
+    nz_a, nz_b = rows_a > 0, rows_b > 0
+    if nz_a.any() and nz_b.any():
+        red = np.logical_or.reduceat(M != 0, (np.cumsum(rows_a) - rows_a)[nz_a], axis=0)
+        red = np.logical_or.reduceat(red, (np.cumsum(rows_b) - rows_b)[nz_b], axis=1)
+        bad[np.ix_(nz_a, nz_b)] = red
+    return bad
+
+
+def _class_rows(i: int, ctx: DeltaContext) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced rows of every K_i-subspace of J_i stacked in one matrix,
+    and the number of rows of each."""
+    rows = list(_reduce_choices(all_subspace_choices(i, ctx), ctx).values())
+    return np.concatenate(rows, axis=0), np.array([b.shape[0] for b in rows])
 
 
 def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
                        *, limit: int = 1_000_000):
-    """Independent check: scan ALL cyclic codes and test orthogonality directly.
+    """Independent check: test ALL cyclic codes for orthogonality directly.
 
-    Every cyclic code is a direct sum of arbitrary K_i-subspaces of the J_i;
-    the scan assembles each combination and applies the Gram-matrix
-    orthogonality test, independent of the classification case lists.  Returns
-    (count, set of canonical keys).
+    Every cyclic code is a direct sum of arbitrary K_i-subspaces of the J_i,
+    one choice per class.  The Gram matrix of such a combination is the
+    block matrix of the pairwise blocks [rows_i(a), rows_j(b)], so each block
+    is computed once: for every ordered class pair i != j one product of all
+    class-i Gram rows with all class-j rows, reduced to a table over (a, b),
+    and for i = j each choice's own block, batched by row count.  A
+    combination is accepted when all its blocks are zero (for "sd" also when
+    its dimension is t*n/2): a broadcast AND over the grid of combinations.
+    No mu-pairing or case list is used; every class pair is tested.  Every
+    accepted combination is checked to be a direct sum and put in canonical
+    form.  Returns (count, set of canonical keys).
     """
     ctx = ctx or context(n, q, 2)
     _require_t2(ctx)
-    mode = mode.lower()
+    mode = _check_mode(mode)
     tab = ctx.atlas.table
     sizes = [q ** d + 3 for d in tab.d]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > limit:
-        raise TooLargeError(f"{total} cyclic codes exceed the oracle limit {limit}")
-    per_class = [[_reduced_component(c, ctx) for c in all_subspace_choices(i, ctx)]
-                 for i in range(tab.num_classes)]
-    per_gram = [[ctx.gram_apply(rows) for rows in cls] for cls in per_class]
+    if math.prod(sizes) > limit:
+        raise TooLargeError(f"{math.prod(sizes)} cyclic codes exceed the oracle limit {limit}")
     fq = ctx.field_q
-    prime = fq.m == 1
+    k = tab.num_classes
+    # class i: choice a has the rows starts[i][a] : starts[i][a] + dims[i][a]
+    # of flat[i]
+    flat, dims = zip(*(_class_rows(i, ctx) for i in range(k)))
+    starts = [np.cumsum(d) - d for d in dims]
+    gram = [ctx.gram_apply(rows) for rows in flat]
+
+    def on_axes(table, *axes):
+        shape = [1] * k
+        for ax, size in zip(axes, table.shape):
+            shape[ax] = size
+        return table.reshape(shape)
+
+    ok = np.ones(sizes, dtype=bool)
+    for i in range(k):
+        self_bad = np.zeros(sizes[i], dtype=bool)
+        for r in sorted(set(dims[i].tolist()) - {0}):
+            idx = np.flatnonzero(dims[i] == r)
+            at = starts[i][idx, None] + np.arange(r)   # the rows of each choice
+            M = linalg.matmul(fq, gram[i][at], flat[i][at].transpose(0, 2, 1))
+            self_bad[idx] = M.any(axis=(1, 2))
+        ok &= on_axes(~self_bad, i)
+        for j in range(k):
+            if j != i:
+                P = linalg.matmul(fq, gram[i], flat[j].T)
+                bad = _block_nonzero(P, dims[i], dims[j])   # axes (i, j)
+                ok &= on_axes(~bad, i, j) if i < j else on_axes(~bad.T, j, i)
+    if mode == "sd":
+        total_dim = sum(on_axes(d, i) for i, d in enumerate(dims))
+        ok &= total_dim == n  # t*n/2, with t = 2
+    combos = np.argwhere(ok)
+    code_dim = sum(dims[i][combos[:, i]] for i in range(k))
+    combos = combos.tolist()
     matched = set()
-    count = 0
-    target_dim = n  # t*n/2, with t = 2
-    checked_direct_sum = 0
-    ranges = [range(len(cls)) for cls in per_class]
-    for combo in itertools.product(*ranges):
-        blocks = [per_class[i][c] for i, c in enumerate(combo)]
-        dim = sum(b.shape[0] for b in blocks)
-        if mode == "sd" and dim != target_dim:
-            continue
-        rows = np.concatenate(blocks, axis=0)
-        grows = np.concatenate([per_gram[i][c] for i, c in enumerate(combo)], axis=0)
-        M = (grows @ rows.T) % fq.p if prime else linalg.matmul(fq, grows, rows.T)
-        if M.any():
-            continue
-        code = AdditiveCode.from_expansion(ctx, rows)
-        if checked_direct_sum < 64:
-            assert code.k == dim, "component sum must be direct"
-            checked_direct_sum += 1
-        count += 1
-        matched.add(code.key())
-    return count, matched
+
+    def blocks_of(c):
+        return [flat[i][starts[i][a]:starts[i][a] + dims[i][a]] for i, a in enumerate(combos[c])]
+
+    for _, R in _canonical_stacks(ctx, code_dim, blocks_of):
+        shape = R.shape[1:]
+        matched.update((shape, R[b].tobytes()) for b in range(R.shape[0]))
+    return len(combos), matched
 
 
 def good_code_report(n: int, q: int, ctx: DeltaContext | None = None, *,

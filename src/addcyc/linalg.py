@@ -3,10 +3,13 @@
 Matrices are 2-D int64 arrays of field encodings.  Row reduction, null
 spaces and membership tests all go through the field's table-backed vector
 operations, so the same code path serves prime fields and small extension
-fields.  Over a prime field a product is an integer matmul reduced mod p;
-over GF(p^m), m > 1, it is one broadcast field product followed by a
-digit-space sum (the base-p digits of the terms are added as integers and
-reduced mod p once), not a chain of field additions.
+fields.  :func:`rref` reduces one matrix; :func:`rref_batch` reduces a stack
+of same-shape matrices with one vectorised elimination per column, and is
+the routine for callers that hold many matrices at once.  Over a prime
+field a product is an integer matmul reduced mod p; over GF(p^m), m > 1, it
+is one broadcast field product followed by a digit-space sum (the base-p
+digits of the terms are added as integers and reduced mod p once), not a
+chain of field additions.
 """
 
 from __future__ import annotations
@@ -92,28 +95,86 @@ def in_row_space(f: Field, R: np.ndarray, pivots, v) -> bool:
     return not reduce_vector(f, R, pivots, v).any()
 
 
-#: elements of one broadcast product in :func:`matmul` (2 MB of int64; the
-#: digit-space sum holds m times as many)
-MATMUL_CHUNK = 1 << 18
+#: elements of one broadcast product in :func:`matmul` and of one block of
+#: :func:`rref_batch` (128 KB of int64; the digit-space sum holds m times as
+#: many).  Each step makes several temporaries of this size: at 2^18 they
+#: raised the peak memory of the batched classification by 7-10 %.
+MATMUL_CHUNK = 1 << 14
 
 
 def matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact A @ B over the field.
+    """Exact A @ B over the field, for two matrices or for two stacks of m
+    matrices, (m, r, k) and (m, k, c), multiplied pairwise.
 
     Over an extension field the products A[r, k] * B[k, c] are formed by one
     broadcast ``vmul`` and summed over k by one ``vsum`` (digit-space
-    reduction mod p), a block of rows at a time.
+    reduction mod p), a block of rows (or of stacked matrices) at a time.
     """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if f.m == 1:
         # entries < p <= 2^20 and desk-scale shapes keep int64 exact
         return (A @ B) % f.p
-    out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
-    step = max(1, MATMUL_CHUNK // max(B.size, 1))
-    for s in range(0, A.shape[0], step):
-        out[s:s + step] = f.vsum(f.vmul(A[s:s + step, :, None], B[None, :, :]), axis=1)
+    if A.ndim == 2:
+        # each row of A is a one-row matrix against the shared B
+        stacked_B = np.broadcast_to(B, (A.shape[0],) + B.shape)
+        return matmul(f, A[:, None, :], stacked_B)[:, 0, :]
+    m, r, k = A.shape
+    c = B.shape[2]
+    out = np.empty((m, r, c), dtype=np.int64)
+    step = max(1, MATMUL_CHUNK // max(r * k * c, 1))
+    for s in range(0, m, step):
+        out[s:s + step] = f.vsum(f.vmul(A[s:s + step, :, :, None],
+                                        B[s:s + step, None, :, :]), axis=2)
     return out
+
+
+def rref_batch(f: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every matrix of an (m, r, c) stack.
+
+    Returns (R, ranks): R[b] is byte-identical to ``rref(f, stack[b])[0]``
+    (zero rows at the bottom) and ranks[b] is its number of pivots.  Each
+    column is eliminated in all matrices at once, with a pivot row per
+    matrix; the stack is reduced in blocks of at most ``MATMUL_CHUNK``
+    elements.  The field must be table-backed (pivots are inverted through
+    ``Field.vpow``).
+    """
+    R = np.array(stack, dtype=np.int64)
+    m, r, c = R.shape
+    ranks = np.zeros(m, dtype=np.int64)
+    if R.size == 0:
+        return R, ranks
+    step = max(1, MATMUL_CHUNK // (r * c))
+    for s in range(0, m, step):
+        ranks[s:s + step] = _rref_block(f, R[s:s + step])
+    return R, ranks
+
+
+def _rref_block(f: Field, R: np.ndarray) -> np.ndarray:
+    """Row-reduce the (m, r, c) block R in place; returns the ranks."""
+    m, r, c = R.shape
+    row = np.zeros(m, dtype=np.int64)      # next pivot row of each matrix
+    below = np.arange(r)[None, :]
+    for col in range(c):
+        cand = (R[:, :, col] != 0) & (below >= row[:, None])
+        b = np.flatnonzero(cand.any(axis=1))
+        if b.size == 0:
+            if (row >= r).all():
+                break
+            continue
+        # the matrices with a pivot in this column; a view when that is all
+        sub = R if b.size == m else R[b]
+        at = np.arange(b.size)
+        rb, pb = row[b], cand[b].argmax(axis=1)
+        pivot = sub[at, pb]
+        sub[at, pb] = sub[at, rb]
+        pivot = f.vmul(f.vpow(pivot[:, col], -1)[:, None], pivot)
+        sub[at, rb] = pivot
+        coef = sub[:, :, col].copy()
+        coef[at, rb] = 0
+        R[b] = f.vsub(sub, f.vmul(coef[:, :, None], pivot[:, None, :]))
+        row[b] += 1
+    return row
 
 
 def inverse(f: Field, A: np.ndarray) -> np.ndarray | None:

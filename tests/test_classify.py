@@ -1,18 +1,16 @@
 """The t = 2 classification: option lists, counts, enumeration, oracle."""
 
-import os
+import itertools
 
 import numpy as np
 import pytest
 
-from addcyc import classify, codes
+from addcyc import classify, codes, linalg
 from addcyc.bilinear import context
 from addcyc.errors import InvalidParameterError, TooLargeError
 
 
 CTX73 = context(7, 3, 2, paper=True)
-
-RUN_SLOW = os.environ.get("ADDCYC_SLOW") == "1"
 
 #: instances whose published option lists are complete as printed
 #: (even base cardinality, and any transposed pair has odd d_j)
@@ -245,7 +243,6 @@ def test_prime_power_base_cardinality(n, q):
         assert sum(k * ctx.atlas.table.d[i] for i, k in enumerate(dec.k_over_K)) == C.k
 
 
-@pytest.mark.skipif(not RUN_SLOW, reason="large oracle; set ADDCYC_SLOW=1")
 def test_oracle_7_5():
     ctx = context(7, 5, 2, paper=True)
     so, _ = classify.brute_force_oracle(7, 5, "so", ctx)
@@ -256,20 +253,99 @@ def test_oracle_7_5():
 
 @pytest.mark.parametrize("n,q", [(7, 4), (5, 9)])
 def test_component_rows_built_once_per_choice(n, q, monkeypatch):
-    """Each component's rows are built at most twice per enumeration: once
-    when pair_options matches partners, once for the profile loop."""
+    """Each component's rows are built exactly once per enumeration, singly
+    (zero, full) or in a class stack (1-dimensional choices): pair_options
+    and the profile loop share the reductions."""
     ctx = context(n, q, 2)
     calls = {}
-    raw = classify.component_rows
 
-    def counted(choice, ctx):
+    def count(choice):
         vec = None if choice.vector is None else choice.vector.coeffs
         key = (choice.index, choice.kind, vec)
         calls[key] = calls.get(key, 0) + 1
-        return raw(choice, ctx)
 
-    monkeypatch.setattr(classify, "component_rows", counted)
+    raw_rows, raw_stack = classify.component_rows, classify.component_stack
+
+    def counted_rows(choice, ctx):
+        count(choice)
+        return raw_rows(choice, ctx)
+
+    def counted_stack(choices, ctx):
+        for choice in choices:
+            count(choice)
+        return raw_stack(choices, ctx)
+
+    monkeypatch.setattr(classify, "component_rows", counted_rows)
+    monkeypatch.setattr(classify, "component_stack", counted_stack)
     keys = {c.key() for c in classify.enumerate_codes(n, q, "so", ctx, complete=True)}
-    assert calls and max(calls.values()) <= 2
+    assert calls and set(calls.values()) == {1}
     count, oracle_keys = classify.brute_force_oracle(n, q, "so", ctx)
     assert keys == oracle_keys and count == len(keys)
+
+
+@pytest.mark.parametrize("mode", ["foo", "", "s0", None])
+def test_mode_is_checked_everywhere(mode):
+    with pytest.raises(InvalidParameterError):
+        classify.brute_force_oracle(7, 3, mode, CTX73)
+    with pytest.raises(InvalidParameterError):
+        classify.pair_options(1, mode, CTX73)
+    with pytest.raises(InvalidParameterError):
+        classify.subcode_options(0, mode, CTX73)
+    with pytest.raises(InvalidParameterError):
+        next(classify.enumerate_codes(7, 3, mode, CTX73))
+    with pytest.raises(InvalidParameterError):
+        classify.count_codes(7, 3, mode, CTX73)
+
+
+def test_mode_is_case_insensitive():
+    ctx72 = context(7, 2, 2, paper=True)
+    pairs = classify.pair_options(1, "SD", ctx72)
+    assert pairs == classify.pair_options(1, "sd", ctx72)
+    assert len(pairs) == 2 ** 3 + 3 and len(classify.pair_options(1, "So", ctx72)) == 3 * 2 ** 3 + 6
+    assert classify.brute_force_oracle(7, 3, "SD", CTX73)[0] == 56
+    assert classify.count_codes(7, 3, "Sd", CTX73) == 28
+
+
+def reference_oracle(n, q, mode, ctx):
+    """The per-combination scan: every combination of one K_i-subspace per
+    class is assembled, its full Gram matrix formed and tested, and each
+    accepted code row-reduced on its own.  Component rows come from ring
+    products, one matrix at a time."""
+    tab = ctx.atlas.table
+    fq = ctx.field_q
+    per_class = []
+    for i in range(tab.num_classes):
+        rows = []
+        for c in classify.all_subspace_choices(i, ctx):
+            if c.kind == "dim1":
+                sym = np.array([(kappa * c.vector).coeffs for kappa in ctx.atlas.k_basis(i)])
+                raw = ctx.expand(sym)
+            else:
+                raw = classify.component_rows(c, ctx)
+            rows.append(linalg.row_space(fq, raw) if len(raw) else raw)
+        per_class.append(rows)
+    per_gram = [[ctx.gram_apply(rows) for rows in cls] for cls in per_class]
+    count, matched = 0, set()
+    for combo in itertools.product(*(range(len(cls)) for cls in per_class)):
+        blocks = [per_class[i][c] for i, c in enumerate(combo)]
+        dim = sum(b.shape[0] for b in blocks)
+        if mode == "sd" and dim != n:
+            continue
+        rows = np.concatenate(blocks, axis=0)
+        grows = np.concatenate([per_gram[i][c] for i, c in enumerate(combo)], axis=0)
+        if linalg.matmul(fq, grows, rows.T).any():
+            continue
+        code = codes.AdditiveCode.from_expansion(ctx, rows)
+        assert code.k == dim
+        count += 1
+        matched.add(code.key())
+    return count, matched
+
+
+@pytest.mark.parametrize("n,q", [(7, 3), (9, 2), (15, 2), (5, 7), (7, 4), (3, 5)])
+def test_oracle_matches_reference_scan(n, q):
+    """The blockwise oracle accepts exactly the combinations the full
+    per-combination Gram test accepts, with the same canonical keys."""
+    ctx = context(n, q, 2)
+    for mode in ("so", "sd"):
+        assert classify.brute_force_oracle(n, q, mode, ctx) == reference_oracle(n, q, mode, ctx)

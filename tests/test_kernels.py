@@ -1,10 +1,11 @@
 """Vectorised field kernels against scalar references.
 
-``Field.vsum``, ``Field.vsub``, ``linalg.matmul``, ``DeltaContext.gram_apply``
-and the group-algebra product are checked element by element against
-``Field.add`` / ``Field.mul`` and a schoolbook cyclic convolution, over
-prime fields and extension fields of each digit count up to four;
-``linalg.inverse`` is checked against a brute-force kernel search.
+``Field.vsum``, ``Field.vsub``, ``linalg.matmul`` (of matrices and of
+stacks), ``DeltaContext.gram_apply`` and the group-algebra product are
+checked element by element against ``Field.add`` / ``Field.mul`` and a
+schoolbook cyclic convolution, over prime fields and extension fields of
+each digit count up to four; ``linalg.inverse`` is checked against a
+brute-force kernel search, and ``linalg.rref_batch`` against ``linalg.rref``.
 """
 
 import itertools
@@ -85,6 +86,13 @@ def test_matmul_matches_scalar(p, m, data):
     A = data.draw(elems(f, (rows, inner)))
     B = data.draw(elems(f, (inner, data.draw(st.integers(1, 5)))))
     assert linalg.matmul(f, A, B).tolist() == scalar_matmul(f, A, B).tolist()
+    # a stack of pairs multiplies pairwise
+    stack = data.draw(st.integers(0, 3))
+    As = data.draw(elems(f, (stack,) + A.shape))
+    Bs = data.draw(elems(f, (stack,) + B.shape))
+    got = linalg.matmul(f, As, Bs)
+    assert got.shape == (stack, A.shape[0], B.shape[1])
+    assert [g.tolist() for g in got] == [scalar_matmul(f, a, b).tolist() for a, b in zip(As, Bs)]
 
 
 def test_matmul_chunks_rows(monkeypatch):
@@ -95,6 +103,46 @@ def test_matmul_chunks_rows(monkeypatch):
     B = rng.integers(0, f.order, size=(4, 3))
     monkeypatch.setattr(linalg, "MATMUL_CHUNK", 12)
     assert linalg.matmul(f, A, B).tolist() == scalar_matmul(f, A, B).tolist()
+
+
+RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (131, 1)]
+
+
+@st.composite
+def rref_stacks(draw, f):
+    """(m, r, c) stacks with rank-deficient members and zero columns."""
+    m = draw(st.integers(0, 4))
+    r = draw(st.integers(1, 5))
+    c = draw(st.integers(1, 5))
+    S = draw(elems(f, (m, r, c)))
+    for b in range(m):
+        if r > 1 and draw(st.booleans()):
+            # the last row a combination of the others
+            S[b, -1] = scalar_matmul(f, draw(elems(f, (1, r - 1))), S[b, :-1])[0]
+        if draw(st.booleans()):
+            S[b, :, draw(st.integers(0, c - 1))] = 0
+    return S
+
+
+@pytest.mark.parametrize("p, m", RREF_FIELDS, ids=[f"GF({p ** m})" for p, m in RREF_FIELDS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rref_batch_matches_rref(p, m, data):
+    """Each reduced matrix is byte-identical to the single-matrix RREF, with
+    its rank; a small chunk splits the stack into many blocks."""
+    f = gf.field(p, m)
+    S = data.draw(rref_stacks(f))
+    chunk = data.draw(st.sampled_from([linalg.MATMUL_CHUNK, 1, 2 * S[0].size if len(S) else 1]))
+    before = S.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "MATMUL_CHUNK", chunk)
+        R, ranks = linalg.rref_batch(f, S)
+    assert R.shape == S.shape and R.dtype == np.int64 and ranks.shape == (len(S),)
+    assert (S == before).all()
+    for b in range(len(S)):
+        want, pivots = linalg.rref(f, S[b])
+        assert R[b].tobytes() == want.tobytes()
+        assert ranks[b] == len(pivots)
 
 
 def has_kernel_vector(f, A):
