@@ -26,15 +26,16 @@ import numpy as np
 from . import gf, linalg
 from .errors import CoercionError, FieldMismatchError, LengthMismatchError
 from .ring import GroupAlgebraElement, cyclic_ring
-from .structure import build_atlas, check_parameters
+from .structure import build_atlas, build_coset_table, check_parameters
 
 
 class DeltaContext:
     """Ambient data for the twisted trace form on GF(q^t)^n.
 
     Holds the two fields, the twist element gamma, the F_q coordinate
-    expansion of GF(q^t), and (lazily) the ideal atlas for the same
-    parameters.
+    expansion of GF(q^t), the coset table, and (lazily) the ideal atlas for
+    the same parameters, which shares that table (``ctx.table is
+    ctx.atlas.table``).  Only the atlas needs the splitting field of X^n - 1.
     """
 
     def __init__(self, n: int, q: int, t: int = 2, *, paper: bool = False,
@@ -51,6 +52,7 @@ class DeltaContext:
         self.ring = cyclic_ring(self.field_qt, n)
         self.ring_q = cyclic_ring(self.field_q, n)
         self._embed_q = gf.subfield_map(self.field_q, self.field_qt)
+        self.table = build_coset_table(n, q, t)
         self._build_expansion()
         self._build_gram()
         self._atlas = None

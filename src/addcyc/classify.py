@@ -187,11 +187,11 @@ def subcode_options(i: int, mode: str, ctx: DeltaContext,
     """
     _require_t2(ctx)
     mode = _check_mode(mode)
-    atlas = ctx.atlas
-    tab = atlas.table
+    tab = ctx.table
     q = ctx.q
     if tab.mu[i] != i:
         raise InvalidParameterError(f"class {i} is paired; use pair_options")
+    atlas = ctx.atlas
     opts: list[SubcodeChoice] = []
     if mode == "so":
         opts.append(SubcodeChoice(i, "zero", None, "0"))
@@ -248,6 +248,9 @@ def _partner_subspace(rows_j: np.ndarray, full_mu: np.ndarray, ctx: DeltaContext
 def pair_options(j: int, mode: str, ctx: DeltaContext, *, reduced: dict | None = None):
     """Admissible (C_j, C_mu(j)) pairs for a transposed class pair.
 
+    A class fixed by mu has no partner and raises InvalidParameterError;
+    its options come from :func:`subcode_options`.
+
     Every pair is backed by an exact orthogonality computation; for "sd" the
     K-dimensions must additionally sum to 2.  The reduced basis rows of
     every choice on both sides are stored in ``reduced`` when it is given,
@@ -255,9 +258,10 @@ def pair_options(j: int, mode: str, ctx: DeltaContext, *, reduced: dict | None =
     """
     _require_t2(ctx)
     mode = _check_mode(mode)
-    atlas = ctx.atlas
-    tab = atlas.table
+    tab = ctx.table
     mu_j = tab.mu[j]
+    if mu_j == j:
+        raise InvalidParameterError(f"class {j} is fixed by mu; use subcode_options")
     d_fq = tab.d[j]  # F_q-dimension of a 1-dim K-subspace
     side_j = all_subspace_choices(j, ctx)
     side_mu = all_subspace_choices(mu_j, ctx)
@@ -345,7 +349,7 @@ def enumerate_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
     ctx = ctx or context(n, q, 2)
     _require_t2(ctx)
     mode = _check_mode(mode)
-    tab = ctx.atlas.table
+    tab = ctx.table
     blocks: list[list[tuple[SubcodeChoice, ...]]] = []
     reduced: dict = {}  # a component's rows depend only on its choice
     singles = [0] + ([tab.i_sharp] if tab.i_sharp is not None else []) + list(tab.fixed)
@@ -372,7 +376,9 @@ def count_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
                 complete: bool = False) -> int:
     """Closed-form count of cyclic self-orthogonal / self-dual codes (t = 2).
 
-    Exact integer arithmetic.  The default evaluates the published formulas
+    Exact integer arithmetic on the coset table alone: the ideal atlas (and
+    with it the splitting field of X^n - 1) is never built.  The default
+    evaluates the published formulas
     (a' * prod(q^(d_i/2)+2) * prod(3q^(d_j)+b') for "so" with a' = 2 or 4 and
     b' = 6 or 2 by the parity of d_j; prod(q^(d_i/2)+1) * prod(q^(d_j)+b')
     for "sd" with b' = 3 or 1).  ``complete=True`` evaluates the corrected
@@ -384,7 +390,7 @@ def count_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
     ctx = ctx or context(n, q, 2)
     _require_t2(ctx)
     mode = _check_mode(mode)
-    tab = ctx.atlas.table
+    tab = ctx.table
     n_identity = 1 + (1 if tab.i_sharp is not None else 0)
     if mode == "so":
         per_identity = 3 if (complete and q % 2 == 1) else 2
@@ -446,7 +452,7 @@ def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = Non
     ctx = ctx or context(n, q, 2)
     _require_t2(ctx)
     mode = _check_mode(mode)
-    tab = ctx.atlas.table
+    tab = ctx.table
     sizes = [q ** d + 3 for d in tab.d]
     if math.prod(sizes) > limit:
         raise TooLargeError(f"{math.prod(sizes)} cyclic codes exceed the oracle limit {limit}")

@@ -11,8 +11,11 @@ over F_p (so x itself generates); a built-in table of reference moduli is
 selected with ``paper=True`` for fields that appear in the bundled reference
 data.  Fields with at most 2^20 elements build discrete-log tables on demand,
 which also back the vectorised (numpy) operations used by the linear-algebra
-layer.  Larger fields fall back to schoolbook polynomial arithmetic; they are
-only used transiently as splitting fields.
+layer.  Above the tables a product is one numpy convolution of the digit
+vectors, folded below degree m by a matrix of the reductions of x^m, ...,
+x^(2m-2); the same kernel raises x to a power in the modulus search and
+builds the tables.  The larger fields are only used transiently as splitting
+fields.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
+from sympy.polys.galoistools import gf_irreducible_p
 
 from . import linalg
 from .errors import (
@@ -56,9 +59,59 @@ EAGER_TABLE_LIMIT = 1 << 12
 
 
 # ---------------------------------------------------------------------------
-# the modulus search (sympy's dense F_p[x] arithmetic; coefficient tuples here
-# are low-to-high, sympy's lists high-to-low)
+# F_p[x]/(f) arithmetic on digit vectors (coefficients low-to-high)
 # ---------------------------------------------------------------------------
+
+def _digit_dtype(p: int, m: int):
+    """int64 when the sums of a product and its fold, below 2m*(p-1)^2, are
+    exact in it; Python ints otherwise."""
+    return np.int64 if 2 * m * (p - 1) ** 2 < 2 ** 63 else object
+
+
+def _reduction_matrix(mod: tuple[int, ...], p: int) -> np.ndarray:
+    """Row i holds the digits of x^(m+i) mod ``mod``, i = 0..m-2, so the
+    coefficients of degree >= m of a product fold below m by one matrix product."""
+    m = len(mod) - 1
+    red = np.zeros((max(m - 1, 0), m), dtype=_digit_dtype(p, m))
+    cur = np.array([(-c) % p for c in mod[:m]], dtype=red.dtype)  # x^m
+    for i in range(m - 1):
+        red[i] = cur
+        cur = (np.concatenate([[0], cur[:-1]]) + cur[-1] * red[0]) % p
+    return red
+
+
+def _fold(c: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the coefficients (..., 2m-1) of a product to digits (..., m)."""
+    m = red.shape[1]
+    return (c[..., :m] + (c[..., m:] % p) @ red) % p
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
+    return _fold(np.convolve(a, b), red, p)
+
+
+def _powmod(a: np.ndarray, e: int, red: np.ndarray, p: int) -> np.ndarray:
+    """a^e by square-and-multiply, e >= 0."""
+    result = np.zeros(red.shape[1], dtype=red.dtype)
+    result[0] = 1
+    while e:
+        if e & 1:
+            result = _mulmod(result, a, red, p)
+        e >>= 1
+        if e:
+            a = _mulmod(a, a, red, p)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# the modulus search: candidates are sieved by exact division by the small
+# irreducibles, then Rabin's test (sympy's galoistools; coefficient tuples
+# here are low-to-high, sympy's lists high-to-low) runs on the survivors
+# ---------------------------------------------------------------------------
+
+#: the sieve divides by the irreducibles of degree d0 at most, p^d0 <= this
+SIEVE_LIMIT = 256
+
 
 def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     """Rabin's test for a monic polynomial over F_p."""
@@ -71,9 +124,66 @@ def _order_factors(q_minus_1: int) -> tuple[int, ...]:
 
 
 def _x_is_primitive(mod: tuple[int, ...], p: int) -> bool:
-    q1 = p ** (len(mod) - 1) - 1
-    f = list(reversed(mod))
-    return all(gf_pow_mod([1, 0], q1 // r, f, p, ZZ) != [1] for r in _order_factors(q1))
+    m = len(mod) - 1  # >= 2
+    q1 = p ** m - 1
+    red = _reduction_matrix(mod, p)
+    x = np.zeros(m, dtype=red.dtype)
+    x[1] = 1
+    one = [1] + [0] * (m - 1)
+    return all(_powmod(x, q1 // r, red, p).tolist() != one for r in _order_factors(q1))
+
+
+def _low_digits(p: int, j: int) -> np.ndarray:
+    """All p^j digit vectors of length j, row c holding the digits of c."""
+    return np.indices((p,) * j, dtype=np.int64)[::-1].reshape(j, p ** j).T
+
+
+@functools.lru_cache(maxsize=None)
+def _small_irreducibles(p: int, d: int) -> np.ndarray:
+    """Low coefficients (k, d) of the monic irreducibles of degree d over F_p.
+
+    A monic polynomial of degree d is irreducible exactly when it has no
+    factor of degree <= d/2, so these come from the sieve itself.
+    """
+    cands = _low_digits(p, d)
+    return cands[~_has_small_factor(cands, p, d // 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _sieve_matrix(p: int, m: int, d0: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """The digits of x^i mod g, i = 0..m, for every monic irreducible g of
+    degree 1..d0: an (m+1, sum k*d) matrix, d columns per g, grouped by
+    degree, with the (k, d) of each group."""
+    cols, groups = [], []
+    for d in range(1, d0 + 1):
+        gs = _small_irreducibles(p, d)
+        powers = np.zeros((m + 1, len(gs), d), dtype=np.int64)
+        cur = np.zeros((len(gs), d), dtype=np.int64)
+        cur[:, 0] = 1
+        for i in range(m + 1):
+            powers[i] = cur
+            top = cur[:, -1:]
+            cur = (np.concatenate([np.zeros_like(top), cur[:, :-1]], axis=1) - top * gs) % p
+        cols.append(powers.reshape(m + 1, -1))
+        groups.append((len(gs), d))
+    return np.concatenate(cols, axis=1), tuple(groups)
+
+
+def _has_small_factor(low: np.ndarray, p: int, d0: int) -> np.ndarray:
+    """For each row of low coefficients (B, m) of a monic polynomial of degree
+    m > d0: whether a monic irreducible of degree 1..d0 divides it exactly."""
+    B, m = low.shape
+    if d0 < 1:
+        return np.zeros(B, dtype=bool)
+    R, groups = _sieve_matrix(p, m, d0)
+    rem = np.concatenate([low, np.ones((B, 1), dtype=np.int64)], axis=1) @ R
+    rem %= p
+    out = np.zeros(B, dtype=bool)
+    col = 0
+    for k, d in groups:
+        out |= (rem[:, col:col + k * d].reshape(B, k, d) == 0).all(axis=2).any(axis=1)
+        col += k * d
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,16 +192,26 @@ def least_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
 
     Candidates x^m + a_{m-1} x^{m-1} + ... + a_0 are ordered by the integer
     sum(a_i p^i); for m = 1 this yields x - g with g the least primitive root.
+    They are taken in blocks of p^j that share their high digits; a block
+    first drops every candidate with a monic irreducible factor of degree d0
+    or less (p^d0 <= SIEVE_LIMIT, d0 <= m/2), and Rabin's test and the
+    primitivity test run on the rest in order.  A block's remainders fill at
+    most ``linalg.MATMUL_CHUNK`` entries.
     """
     if m == 1:
         g = 1 if p == 2 else int(sympy.primitive_root(p))
         return ((-g) % p, 1)
-    for c in range(1, p ** m):
-        if c % p == 0:
-            continue  # x divides the candidate
-        digits = tuple((c // p ** i) % p for i in range(m)) + (1,)
-        if _is_irreducible(digits, p) and _x_is_primitive(digits, p):
-            return digits
+    d0 = max(d for d in range(m // 2 + 1) if p ** d <= SIEVE_LIMIT)
+    width = _sieve_matrix(p, m, d0)[0].shape[1] if d0 else 1
+    j = max((i for i in range(m + 1) if p ** i * width <= linalg.MATMUL_CHUNK), default=0)
+    low = _low_digits(p, j)
+    for high in range(p ** (m - j)):
+        top = np.array([(high // p ** i) % p for i in range(m - j)], dtype=np.int64)
+        block = np.concatenate([low, np.tile(top, (len(low), 1))], axis=1)
+        for row in block[~_has_small_factor(block, p, d0)].tolist():
+            digits = tuple(row) + (1,)
+            if _is_irreducible(digits, p) and _x_is_primitive(digits, p):
+                return digits
     raise AssertionError(f"no primitive polynomial of degree {m} over F_{p}")
 
 
@@ -120,12 +240,7 @@ class Field:
         self.m = m
         self.order = p ** m
         self.modulus = modulus
-        # _red[i] = digits of x^(m+i) mod modulus, to fold products below degree m
-        self._red = []
-        cur = tuple((-c) % p for c in modulus[:m])  # x^m
-        for _ in range(max(m - 1, 0)):
-            self._red.append(cur)
-            cur = self._shift_reduce(cur)
+        self._red = _reduction_matrix(modulus, p)
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._pow_luts: dict[int, np.ndarray] = {}
@@ -137,17 +252,6 @@ class Field:
         self._check_generator()
 
     # -- construction helpers -------------------------------------------------
-
-    def _shift_reduce(self, digits: tuple[int, ...]) -> tuple[int, ...]:
-        # multiply by x and reduce, digits has length m
-        p, m = self.p, self.m
-        carried = digits[m - 1]
-        shifted = [0] + list(digits[: m - 1])
-        if carried:
-            xm = tuple((-c) % p for c in self.modulus[:m])
-            for j in range(m):
-                shifted[j] = (shifted[j] + carried * xm[j]) % p
-        return tuple(shifted)
 
     def _default_generator(self) -> int:
         if self.m == 1:
@@ -178,6 +282,9 @@ class Field:
     def decode(self, a: int) -> tuple[int, ...]:
         p = self.p
         return tuple((a // p ** i) % p for i in range(self.m))
+
+    def _digits(self, a: int) -> np.ndarray:
+        return np.array(self.decode(a), dtype=self._red.dtype)
 
     def encode(self, digits) -> int:
         p = self.p
@@ -222,24 +329,7 @@ class Field:
         if self._exp is not None:
             q1 = self.order - 1
             return int(self._exp[(int(self._log[a]) + int(self._log[b])) % q1])
-        return self._mul_digits(a, b)
-
-    def _mul_digits(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        da, db = self.decode(a), self.decode(b)
-        out = [0] * (2 * m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    out[i + j] = (out[i + j] + x * y) % p
-        # fold degrees >= m using precomputed reductions of x^(m+i)
-        for i in range(2 * m - 2, m - 1, -1):
-            c = out[i]
-            if c:
-                red = self._red[i - m]
-                for j in range(m):
-                    out[j] = (out[j] + c * red[j]) % p
-        return self.encode(out[:m])
+        return self.encode(_mulmod(self._digits(a), self._digits(b), self._red, self.p))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -263,14 +353,7 @@ class Field:
         e %= q1
         if self._exp is not None:
             return int(self._exp[(int(self._log[a]) * e) % q1])
-        result = 1
-        base = a
-        while e > 0:
-            if e & 1:
-                result = self._mul_digits(result, base)
-            base = self._mul_digits(base, base)
-            e >>= 1
-        return result
+        return self.encode(_powmod(self._digits(a), e, self._red, self.p))
 
     def trace_map(self, a: int, sub_order: int, r: int) -> int:
         """sum of a^(sub_order^w) for w in 0..r-1."""
@@ -306,16 +389,30 @@ class Field:
             raise TooLargeError(
                 f"field of order {self.order} exceeds the {TABLE_LIMIT} table limit")
         q1 = self.order - 1
-        exp = np.zeros(max(q1, 1), dtype=np.int64)
+        p, m, red = self.p, self.m, self._red
+
+        def times(rows, h):  # each row of digits times h: one product, then the fold
+            shifted = np.zeros((m, 2 * m - 1), dtype=red.dtype)
+            for i in range(m):
+                shifted[i, i:i + m] = h
+            return _fold(rows @ shifted, red, p)
+
+        # g^0..g^(k-1) doubles to g^0..g^(2k-1) until a block of 4096 powers;
+        # then each block is the previous one times g^k
+        block = np.zeros((1, m), dtype=red.dtype)
+        block[0, 0] = 1
+        step = self._digits(self.generator)
+        while len(block) < min(q1, 1 << 12):
+            block = np.concatenate([block, times(block, step)])
+            step = _mulmod(step, step, red, p)
+        weights = p ** np.arange(m, dtype=np.int64)
+        parts = [block @ weights]
+        for _ in range(1, -(-q1 // len(block))):
+            block = times(block, step)
+            parts.append(block @ weights)
+        exp = np.concatenate(parts)[:q1]
         log = np.full(self.order, -1, dtype=np.int64)
-        cur = 1
-        for k in range(q1):
-            exp[k] = cur
-            log[cur] = k
-            cur = self._mul_digits(cur, self.generator)
-        if q1 == 0:
-            exp[0] = 1
-            log[1] = 0
+        log[exp] = np.arange(q1)
         self._exp = exp
         self._log = log
 

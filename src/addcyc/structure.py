@@ -18,6 +18,7 @@ derived through tau so that tau_{q^j,1}(rho_{i,0}) = rho_{i,j}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,7 +116,9 @@ class CosetTable:
         return self.subcosets[i]
 
 
+@functools.lru_cache(maxsize=None)
 def build_coset_table(n: int, q: int, t: int) -> CosetTable:
+    """The coset table of (n, q, t), built once per process (it is frozen)."""
     cosets = tuple(cyclotomic_cosets(n, q))
     cosets_qt = cyclotomic_cosets(n, pow(q, t, n) if n > 1 else q)
     by_value = {}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from addcyc import classify, codes, linalg
-from addcyc.bilinear import context
+from addcyc.bilinear import DeltaContext, context
 from addcyc.errors import InvalidParameterError, TooLargeError
 
 
@@ -79,12 +79,12 @@ def test_counts_reference():
 def test_counts_big_integers():
     # counts overflow 32/64-bit ranges for moderately long lengths; stay exact
     ctx = context(47, 2, 2)
-    tab = ctx.atlas.table
+    tab = ctx.table
     assert tab.paired == (1,) and tab.d[1] == 23
     assert classify.count_codes(47, 2, "so", ctx) == 2 * (3 * 2 ** 23 + 6)
     assert classify.count_codes(47, 2, "sd", ctx) == 2 ** 23 + 3
     ctx2 = context(49, 3, 2)
-    tab2 = ctx2.atlas.table
+    tab2 = ctx2.table
     assert tab2.fixed == (1, 2) and tab2.d[1] == 42
     # 49 splits off the length-7 classes as well; evaluate the closed form
     want = 2
@@ -92,6 +92,39 @@ def test_counts_big_integers():
         want *= 3 ** (tab2.d[i] // 2) + 2
     assert classify.count_codes(49, 3, "so", ctx2) == want
     assert want > 2 ** 34
+
+
+@pytest.mark.parametrize("n,q,want", [
+    (49, 3, [606700485890, 910050728835, 292889889712, 585779779424]),
+    (47, 2, [50331660, 50331660, 8388611, 8388611]),
+    (11, 5, [18762, 28143, 3128, 6256]),
+])
+def test_counting_never_builds_the_atlas(n, q, want):
+    ctx = DeltaContext(n, q, 2)
+    got = [classify.count_codes(n, q, mode, ctx, complete=complete)
+           for mode in ("so", "sd") for complete in (False, True)]
+    assert got == want
+    assert ctx._atlas is None
+
+
+def test_count_beyond_the_enumeration_limit():
+    # GF(5^10) splits X^11 - 1 over GF(25): above the table limit, so rho
+    # (and enumeration) is out of reach while the count is not
+    ctx = DeltaContext(11, 5, 2)
+    assert classify.count_codes(11, 5, "so", ctx, complete=True) == 28143
+    with pytest.raises(TooLargeError):
+        next(classify.enumerate_codes(11, 5, "so", ctx))
+    assert ctx.table is ctx.atlas.table
+
+
+def test_pair_options_rejects_a_fixed_class():
+    assert CTX73.table.mu[1] == 1
+    for mode in ("so", "sd"):
+        with pytest.raises(InvalidParameterError):
+            classify.pair_options(1, mode, CTX73)
+    ctx72 = context(7, 2, 2, paper=True)
+    with pytest.raises(InvalidParameterError):
+        classify.subcode_options(1, "so", ctx72)  # and the converse
 
 
 @pytest.mark.parametrize("n,q", PUBLISHED_EXACT + PUBLISHED_UNDERCOUNTS)

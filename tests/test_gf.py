@@ -4,6 +4,10 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor, gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem
 
 from addcyc import gf
 from addcyc.errors import (
@@ -268,6 +272,66 @@ RECORDED_MODULI = {
 @pytest.mark.parametrize("p,m", sorted(RECORDED_MODULI))
 def test_least_primitive_modulus_recorded(p, m):
     assert gf.least_primitive_modulus(p, m) == RECORDED_MODULI[(p, m)]
+
+
+def _monic(p, m):
+    """Low coefficients of every monic polynomial of degree m over F_p."""
+    return [[(c // p ** i) % p for i in range(m)] for c in range(p ** m)]
+
+
+@pytest.mark.parametrize("p,m", [(2, m) for m in range(2, 9)] + [(3, m) for m in range(2, 6)]
+                         + [(5, 2), (5, 3)])
+def test_sieve_against_rabin(p, m):
+    """The sieve rejects exactly the polynomials with a monic factor of
+    degree <= d0, and so never an irreducible one."""
+    low = _monic(p, m)
+    arr = gf._low_digits(p, m)
+    assert arr.tolist() == low
+    for d0 in range(1, m // 2 + 1):
+        if p ** d0 > gf.SIEVE_LIMIT:
+            break
+        rejected = gf._has_small_factor(arr, p, d0).tolist()
+        for digits, rej in zip(low, rejected):
+            hi_lo = list(reversed(digits + [1]))
+            if gf_irreducible_p(hi_lo, p, ZZ):
+                assert not rej, (digits, d0)
+            _, factors = gf_factor(hi_lo, p, ZZ)
+            least = min(len(f) - 1 for f, _ in factors)
+            assert rej == (least <= d0), (digits, d0)
+
+
+def test_small_irreducibles_are_the_irreducibles():
+    for p, d in [(2, 8), (3, 5), (5, 3), (13, 2), (251, 1)]:
+        got = gf._small_irreducibles(p, d).tolist()
+        want = [c for c in _monic(p, d) if gf_irreducible_p(list(reversed(c + [1])), p, ZZ)]
+        assert got == want
+
+
+def _sympy_digits(f, a):
+    return [int(c) for c in reversed(f.decode(a))]
+
+
+def _from_sympy(f, poly):
+    return f.encode(reversed(poly))
+
+
+@pytest.mark.parametrize("p,m", [(3, 28), (2, 23), (5, 20)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_big_field_mul_pow_against_sympy(p, m, data):
+    """Above the table limit, mul and pow (one convolution and the fold by
+    the reduction matrix) agree with sympy's gf_mul + gf_rem."""
+    f = gf.field(p, m)
+    assert f.order > gf.TABLE_LIMIT and f._exp is None
+    element = st.one_of(st.sampled_from([0, 1, p - 1, f.generator, f.order - 1]),
+                        st.integers(0, f.order - 1))
+    a, b = data.draw(element), data.draw(element)
+    mod = list(reversed(f.modulus))
+    prod = gf_rem(gf_mul(_sympy_digits(f, a), _sympy_digits(f, b), p, ZZ), mod, p, ZZ)
+    assert f.mul(a, b) == _from_sympy(f, prod)
+    e = data.draw(st.one_of(st.sampled_from([0, 1, p - 1, f.order - 2]),
+                            st.integers(0, f.order)))
+    assert f.pow(a, e) == _from_sympy(f, gf_pow_mod(_sympy_digits(f, a), e, mod, p, ZZ))
 
 
 def test_field_validation():
