@@ -129,36 +129,45 @@ def _reduce_choices(choices: list[SubcodeChoice], ctx: DeltaContext) -> dict:
     return {c: out[c] for c in choices}
 
 
+def _times_powers(first: GroupAlgebraElement, base: GroupAlgebraElement,
+                  count: int) -> np.ndarray:
+    """Coefficient rows (count, n) of first * base^k, k < count, by doubling:
+    about log2(count) batched ring products of the rows built so far by
+    base^(2^j)."""
+    ring = first.ring
+    rows = np.array([first.coeffs], dtype=np.int64)
+    step = base
+    while len(rows) < count:
+        rows = np.concatenate([rows, ring.mul_rows(rows[:count - len(rows)], step.coeffs)])
+        step = step * step
+    return rows
+
+
 def one_dim_subspaces(i: int, ctx: DeltaContext):
     """All 1-dimensional K_i-subspaces of J_i, as SubcodeChoice values.
 
     For an unsplit class (s_i = 1) the ideal is a field and the projective
     representatives are rho^k, 0 <= k <= q^(d_i); for a split class the
     representatives are the two idempotents and e_0 + rho_1^k,
-    0 <= k <= q^(d_i) - 2.
+    0 <= k <= q^(d_i) - 2.  The powers are formed by doubling
+    (:func:`_times_powers`).
     """
     atlas = ctx.atlas
     tab = atlas.table
     q = ctx.q
     s_i, d_i = tab.s[i], tab.d[i]
-    out = []
+    ring = atlas.ring
     if s_i == 1:
-        rho = atlas.rho(i, 0)
-        e = atlas.idempotent(i, 0)
-        cur = e
-        for k in range(q ** d_i + 1):
-            out.append(SubcodeChoice(i, "dim1", cur, f"rho{i}^{k}"))
-            cur = cur * rho
-    else:
-        e0, e1 = atlas.idempotent(i, 0), atlas.idempotent(i, 1)
-        rho1 = atlas.rho(i, 1)
-        out.append(SubcodeChoice(i, "dim1", e0, f"e{i},0"))
-        out.append(SubcodeChoice(i, "dim1", e1, f"e{i},1"))
-        cur = e1
-        for k in range(q ** d_i - 1):
-            out.append(SubcodeChoice(i, "dim1", e0 + cur, f"e{i},0+rho{i},1^{k}"))
-            cur = cur * rho1
-    return out
+        rows = _times_powers(atlas.idempotent(i, 0), atlas.rho(i, 0), q ** d_i + 1)
+        return [SubcodeChoice(i, "dim1", GroupAlgebraElement(ring, tuple(v.tolist())),
+                              f"rho{i}^{k}")
+                for k, v in enumerate(rows)]
+    e0, e1 = atlas.idempotent(i, 0), atlas.idempotent(i, 1)
+    rows = ctx.field_qt.vadd(np.array(e0.coeffs), _times_powers(e1, atlas.rho(i, 1), q ** d_i - 1))
+    return ([SubcodeChoice(i, "dim1", e0, f"e{i},0"), SubcodeChoice(i, "dim1", e1, f"e{i},1")]
+            + [SubcodeChoice(i, "dim1", GroupAlgebraElement(ring, tuple(v.tolist())),
+                             f"e{i},0+rho{i},1^{k}")
+               for k, v in enumerate(rows)])
 
 
 def all_subspace_choices(i: int, ctx: DeltaContext):

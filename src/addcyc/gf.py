@@ -9,13 +9,17 @@ Each field designates a primitive element ``generator``.  By default the
 modulus is the lexicographically least monic primitive polynomial of degree m
 over F_p (so x itself generates); a built-in table of reference moduli is
 selected with ``paper=True`` for fields that appear in the bundled reference
-data.  Fields with at most 2^20 elements build discrete-log tables on demand,
-which also back the vectorised (numpy) operations used by the linear-algebra
-layer.  Above the tables a product is one numpy convolution of the digit
-vectors, folded below degree m by a matrix of the reductions of x^m, ...,
-x^(2m-2); the same kernel raises x to a power in the modulus search and
-builds the tables.  The larger fields are only used transiently as splitting
-fields.
+data.  A modulus is proved once, by the order of x: when f(0) != 0 and x has
+order exactly p^m - 1 modulo f, f is irreducible and x is primitive.  Only a
+modulus in which x is not primitive is proved irreducible another way, by
+Berlekamp's rank criterion on the same Frobenius matrix.  Fields with at most
+2^20 elements build discrete-log tables on demand, which also back the
+vectorised (numpy) operations used by the linear-algebra layer.  Above the
+tables a product is one convolution of the digit vectors, folded below degree
+m by a matrix of the reductions of x^m, ..., x^(2m-2).  The same kernel works
+on stacks of digit rows: it runs the order test on many candidate moduli at
+once, builds the tables and multiplies out the factors of X^n - 1.  The larger
+fields are only used transiently as splitting fields.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p
 
 from . import linalg
 from .errors import (
@@ -59,7 +61,11 @@ EAGER_TABLE_LIMIT = 1 << 12
 
 
 # ---------------------------------------------------------------------------
-# F_p[x]/(f) arithmetic on digit vectors (coefficients low-to-high)
+# F_p[x]/(f) arithmetic on digit rows (coefficients low-to-high)
+#
+# A kernel takes one digit row (m,) or a stack (..., m).  The reduction matrix
+# is one (m-1, m) for a single modulus, or one per row (..., m-1, m) when the
+# rows of a stack belong to different moduli (the modulus search).
 # ---------------------------------------------------------------------------
 
 def _digit_dtype(p: int, m: int):
@@ -68,32 +74,60 @@ def _digit_dtype(p: int, m: int):
     return np.int64 if 2 * m * (p - 1) ** 2 < 2 ** 63 else object
 
 
-def _reduction_matrix(mod: tuple[int, ...], p: int) -> np.ndarray:
-    """Row i holds the digits of x^(m+i) mod ``mod``, i = 0..m-2, so the
-    coefficients of degree >= m of a product fold below m by one matrix product."""
-    m = len(mod) - 1
-    red = np.zeros((max(m - 1, 0), m), dtype=_digit_dtype(p, m))
-    cur = np.array([(-c) % p for c in mod[:m]], dtype=red.dtype)  # x^m
+def _reductions(low: np.ndarray, p: int) -> np.ndarray:
+    """Reduction matrices (B, m-1, m) of the monic polynomials whose low
+    coefficients are the rows of ``low`` (B, m): row i of each holds the
+    digits of x^(m+i) mod f, so the coefficients of degree >= m of a product
+    fold below m by one matrix product."""
+    B, m = low.shape
+    red = np.zeros((B, max(m - 1, 0), m), dtype=low.dtype)
+    cur = (-low) % p  # x^m
     for i in range(m - 1):
-        red[i] = cur
-        cur = (np.concatenate([[0], cur[:-1]]) + cur[-1] * red[0]) % p
+        red[:, i] = cur
+        cur = (np.concatenate([np.zeros_like(cur[:, :1]), cur[:, :-1]], axis=1)
+               + cur[:, -1:] * red[:, 0]) % p
     return red
+
+
+def _reduction_matrix(mod: tuple[int, ...], p: int) -> np.ndarray:
+    m = len(mod) - 1
+    return _reductions(np.array([mod[:m]], dtype=_digit_dtype(p, m)), p)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_index(m: int) -> np.ndarray:
+    """idx[i, k] = k - i + m - 1: row i of a zero-padded row b read at idx is
+    b shifted up by i places."""
+    return np.arange(2 * m - 1)[None, :] - np.arange(m)[:, None] + m - 1
+
+
+def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients (..., 2m-1) of the products a * b in F_p[x], unreduced:
+    a (..., m) times one row b (m,), or row by row times a stack b."""
+    if a.ndim == 1 and b.ndim == 1:
+        return np.convolve(a, b)
+    m = b.shape[-1]
+    pad = np.zeros(b.shape[:-1] + (m - 1,), dtype=b.dtype)
+    shifted = np.concatenate([pad, b, pad], axis=-1)[..., _shift_index(m)]
+    return a @ shifted if b.ndim == 1 else (a[..., None, :] @ shifted)[..., 0, :]
 
 
 def _fold(c: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
     """Reduce the coefficients (..., 2m-1) of a product to digits (..., m)."""
-    m = red.shape[1]
-    return (c[..., :m] + (c[..., m:] % p) @ red) % p
+    m = red.shape[-1]
+    high = c[..., m:] % p
+    folded = high @ red if red.ndim == 2 else (high[..., None, :] @ red)[..., 0, :]
+    return (c[..., :m] + folded) % p
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
-    return _fold(np.convolve(a, b), red, p)
+    return _fold(_conv(a, b), red, p)
 
 
 def _powmod(a: np.ndarray, e: int, red: np.ndarray, p: int) -> np.ndarray:
     """a^e by square-and-multiply, e >= 0."""
-    result = np.zeros(red.shape[1], dtype=red.dtype)
-    result[0] = 1
+    result = np.zeros_like(a)
+    result[..., 0] = 1
     while e:
         if e & 1:
             result = _mulmod(result, a, red, p)
@@ -103,19 +137,40 @@ def _powmod(a: np.ndarray, e: int, red: np.ndarray, p: int) -> np.ndarray:
     return result
 
 
+def _power_rows(a: np.ndarray, count: int, red: np.ndarray, p: int) -> np.ndarray:
+    """Digit rows of a^0, ..., a^(count-1), stacked on a new second-to-last
+    axis, by doubling: about log2(count) products."""
+    rows = np.zeros(a.shape[:-1] + (1, a.shape[-1]), dtype=a.dtype)
+    rows[..., 0, 0] = 1
+    step = a
+    while rows.shape[-2] < count:
+        if a.ndim == 1:
+            more = _mulmod(rows[: count - len(rows)], step, red, p)
+        else:
+            more = _mulmod(rows[..., : count - rows.shape[-2], :], step[..., None, :],
+                           red[..., None, :, :], p)
+        rows = np.concatenate([rows, more], axis=-2)
+        step = _mulmod(step, step, red, p)
+    return rows
+
+
 # ---------------------------------------------------------------------------
-# the modulus search: candidates are sieved by exact division by the small
-# irreducibles, then Rabin's test (sympy's galoistools; coefficient tuples
-# here are low-to-high, sympy's lists high-to-low) runs on the survivors
+# the proof of a modulus.  If f(0) != 0 and x has multiplicative order
+# exactly p^m - 1 modulo f, then F_p[x]/(f) has p^m - 1 units, so it is a
+# field: f is irreducible and primitive.  The test and Berlekamp's criterion
+# both start from the Frobenius matrix Q of f (row i: x^(ip) mod f).
 # ---------------------------------------------------------------------------
 
 #: the sieve divides by the irreducibles of degree d0 at most, p^d0 <= this
 SIEVE_LIMIT = 256
 
+#: sieve survivors in the modulus search's first order test; each later test
+#: takes twice as many
+FIRST_CHUNK = 4
 
-def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    """Rabin's test for a monic polynomial over F_p."""
-    return len(mod) > 1 and gf_irreducible_p(list(reversed(mod)), p, ZZ)
+#: (p, modulus) pairs the order test has accepted, so that each modulus is
+#: proved once per process
+_PROVED: set[tuple[int, tuple[int, ...]]] = set()
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,14 +178,69 @@ def _order_factors(q_minus_1: int) -> tuple[int, ...]:
     return tuple(sympy.primefactors(q_minus_1))
 
 
-def _x_is_primitive(mod: tuple[int, ...], p: int) -> bool:
-    m = len(mod) - 1  # >= 2
+def _frobenius(low: np.ndarray, p: int):
+    """For the monic f of degree m with low coefficients ``low`` (B, m):
+    their reduction matrices, the digits of x mod f, the Frobenius matrices
+    Q (B, m, m), and whether x^(p^m) = x mod f, computed as x Q^m."""
+    m = low.shape[1]
+    low = low.astype(_digit_dtype(p, m))
+    red = _reductions(low, p)
+    x = np.zeros_like(low)
+    if m > 1:
+        x[:, 1] = 1
+    else:
+        x[:, 0] = (-low[:, 0]) % p
+    Q = _power_rows(_powmod(x, p, red, p), m, red, p)
+    y = x
+    for _ in range(m):
+        y = (y[:, None, :] @ Q)[:, 0] % p
+    return red, x, Q, (y == x).all(axis=1)
+
+
+def _x_has_full_order(low: np.ndarray, p: int) -> np.ndarray:
+    """The order test, for each row of low coefficients (B, m) of a monic f:
+    f(0) != 0, x^(p^m) = x, and x^((p^m-1)/r) != 1 mod f for every prime
+    r | p^m - 1.  The powers for all r are formed together, by one
+    square-and-multiply over the rows that pass the first two conditions."""
+    m = low.shape[1]
+    red, x, _, ok = _frobenius(low, p)
+    ok &= low[:, 0] != 0
     q1 = p ** m - 1
-    red = _reduction_matrix(mod, p)
-    x = np.zeros(m, dtype=red.dtype)
-    x[1] = 1
-    one = [1] + [0] * (m - 1)
-    return all(_powmod(x, q1 // r, red, p).tolist() != one for r in _order_factors(q1))
+    exps = [q1 // r for r in _order_factors(q1)]
+    rows = np.flatnonzero(ok)
+    if rows.size and exps:
+        base, red = x[rows], red[rows]
+        res = np.zeros((rows.size, len(exps), m), dtype=x.dtype)
+        res[..., 0] = 1
+        for bit in range(max(exps).bit_length()):
+            sel = [k for k, e in enumerate(exps) if e >> bit & 1]
+            if sel:
+                res[:, sel] = _mulmod(res[:, sel], base[:, None, :], red[:, None], p)
+            base = _mulmod(base, base, red, p)
+        one = np.zeros(m, dtype=x.dtype)
+        one[0] = 1
+        ok[rows] = ~(res == one).all(axis=2).any(axis=1)
+    return ok
+
+
+def _x_is_primitive(mod: tuple[int, ...], p: int) -> bool:
+    """The order test on one monic modulus, at most once per process."""
+    if (p, mod) not in _PROVED:
+        if not _x_has_full_order(np.array([mod[:-1]], dtype=np.int64), p)[0]:
+            return False
+        _PROVED.add((p, mod))
+    return True
+
+
+def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
+    """Berlekamp's criterion.  When x^(p^m) = x mod f, f divides x^(p^m) - x
+    and is squarefree, and then it has m - rank(Q - I) irreducible factors."""
+    m = len(mod) - 1
+    if (p - 1) ** 2 >= 2 ** 63:
+        raise TooLargeError(f"irreducibility test over F_{p} needs p^2 < 2^63")
+    _, _, Q, fixed = _frobenius(np.array([mod[:-1]], dtype=np.int64), p)
+    kernel = (Q[0].astype(np.int64) - np.eye(m, dtype=np.int64)) % p
+    return bool(fixed[0]) and linalg.rank(field(p), kernel) == m - 1
 
 
 def _low_digits(p: int, j: int) -> np.ndarray:
@@ -194,24 +304,34 @@ def least_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     sum(a_i p^i); for m = 1 this yields x - g with g the least primitive root.
     They are taken in blocks of p^j that share their high digits; a block
     first drops every candidate with a monic irreducible factor of degree d0
-    or less (p^d0 <= SIEVE_LIMIT, d0 <= m/2), and Rabin's test and the
-    primitivity test run on the rest in order.  A block's remainders fill at
-    most ``linalg.MATMUL_CHUNK`` entries.
+    or less (p^d0 <= SIEVE_LIMIT, d0 <= m/2), and the survivors go, in
+    order, through batched order tests of FIRST_CHUNK, then twice as many,
+    and so on.  The first that passes is the modulus.  A block's remainders
+    fill at most ``linalg.MATMUL_CHUNK`` entries.
     """
     if m == 1:
+        # sympy tests g^((p-1)/r) != 1 for every prime r itself: the order test
         g = 1 if p == 2 else int(sympy.primitive_root(p))
+        _PROVED.add((p, ((-g) % p, 1)))
         return ((-g) % p, 1)
     d0 = max(d for d in range(m // 2 + 1) if p ** d <= SIEVE_LIMIT)
     width = _sieve_matrix(p, m, d0)[0].shape[1] if d0 else 1
     j = max((i for i in range(m + 1) if p ** i * width <= linalg.MATMUL_CHUNK), default=0)
     low = _low_digits(p, j)
-    for high in range(p ** (m - j)):
+    pending = np.zeros((0, m), dtype=np.int64)
+    chunk = FIRST_CHUNK
+    last = p ** (m - j) - 1
+    for high in range(last + 1):
         top = np.array([(high // p ** i) % p for i in range(m - j)], dtype=np.int64)
         block = np.concatenate([low, np.tile(top, (len(low), 1))], axis=1)
-        for row in block[~_has_small_factor(block, p, d0)].tolist():
-            digits = tuple(row) + (1,)
-            if _is_irreducible(digits, p) and _x_is_primitive(digits, p):
+        pending = np.concatenate([pending, block[~_has_small_factor(block, p, d0)]])
+        while len(pending) >= chunk or (high == last and len(pending)):
+            ok = _x_has_full_order(pending[:chunk], p)
+            if ok.any():
+                digits = tuple(int(c) for c in pending[ok.argmax()]) + (1,)
+                _PROVED.add((p, digits))
                 return digits
+            pending, chunk = pending[chunk:], 2 * chunk
     raise AssertionError(f"no primitive polynomial of degree {m} over F_{p}")
 
 
@@ -234,7 +354,10 @@ class Field:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise InvalidParameterError("modulus must be monic of degree m")
-        if m > 1 and not _is_irreducible(modulus, p):
+        # one order test proves the modulus and makes x the generator; only a
+        # modulus in which x is not primitive needs Berlekamp's criterion
+        x_primitive = _x_is_primitive(modulus, p)
+        if not x_primitive and not _is_irreducible(modulus, p):
             raise InvalidParameterError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.m = m
@@ -244,25 +367,20 @@ class Field:
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._pow_luts: dict[int, np.ndarray] = {}
+        x = p if m > 1 else (-modulus[0]) % p  # the element x
         if generator is None:
-            generator = self._default_generator()
+            generator = x if x_primitive else self._least_generator()
         self.generator = generator
         if self.order <= EAGER_TABLE_LIMIT:
             self._build_tables()
-        self._check_generator()
+        if not (x_primitive and generator == x):
+            self._check_generator()
 
     # -- construction helpers -------------------------------------------------
 
-    def _default_generator(self) -> int:
-        if self.m == 1:
-            g = 1 if self.p == 2 else int(sympy.primitive_root(self.p))
-            return g
-        # x is primitive for every default and reference modulus; fall back
-        # to an ascending search otherwise.
-        if _x_is_primitive(self.modulus, self.p):
-            return self.p  # the element x
+    def _least_generator(self) -> int:
         q1 = self.order - 1
-        for cand in range(2, self.order):
+        for cand in range(1, self.order):
             if all(self.pow(cand, q1 // r) != 1 for r in _order_factors(q1)):
                 return cand
         raise AssertionError("no generator found")
@@ -390,25 +508,15 @@ class Field:
                 f"field of order {self.order} exceeds the {TABLE_LIMIT} table limit")
         q1 = self.order - 1
         p, m, red = self.p, self.m, self._red
-
-        def times(rows, h):  # each row of digits times h: one product, then the fold
-            shifted = np.zeros((m, 2 * m - 1), dtype=red.dtype)
-            for i in range(m):
-                shifted[i, i:i + m] = h
-            return _fold(rows @ shifted, red, p)
-
-        # g^0..g^(k-1) doubles to g^0..g^(2k-1) until a block of 4096 powers;
-        # then each block is the previous one times g^k
-        block = np.zeros((1, m), dtype=red.dtype)
-        block[0, 0] = 1
-        step = self._digits(self.generator)
-        while len(block) < min(q1, 1 << 12):
-            block = np.concatenate([block, times(block, step)])
-            step = _mulmod(step, step, red, p)
+        # a block of g^0..g^(k-1), k <= 4096, by doubling; then each block is
+        # the previous one times g^k
+        g = self._digits(self.generator)
+        block = _power_rows(g, min(q1, 1 << 12), red, p)
+        step = _mulmod(block[-1], g, red, p)
         weights = p ** np.arange(m, dtype=np.int64)
         parts = [block @ weights]
         for _ in range(1, -(-q1 // len(block))):
-            block = times(block, step)
+            block = _mulmod(block, step, red, p)
             parts.append(block @ weights)
         exp = np.concatenate(parts)[:q1]
         log = np.full(self.order, -1, dtype=np.int64)
@@ -535,6 +643,26 @@ def parse_field_spec(spec: str) -> Field:
         p, m = int(head), 1
     modulus = tuple(int(c) for c in tail.split(",")) if tail else None
     return field(p, m, modulus=modulus)
+
+
+def linear_factor_product(f: Field, a: int, exponents) -> tuple[int, ...]:
+    """Coefficients, low to high, of the product of X - a^k over ``exponents``.
+
+    The powers of a come from one doubling, and each linear factor costs one
+    product of all the coefficient rows (base-p digits) by its root, so no
+    scalar field product is made.
+    """
+    p, red = f.p, f._red
+    exponents = list(exponents)
+    powers = _power_rows(f._digits(a), max(exponents, default=0) + 1, red, p)
+    coeffs = np.zeros((1, f.m), dtype=red.dtype)
+    coeffs[0, 0] = 1
+    for k in exponents:
+        # c(X) (X - r): every coefficient moves up one degree, minus r times itself
+        nxt = np.concatenate([np.zeros_like(coeffs[:1]), coeffs])
+        nxt[:-1] -= _mulmod(coeffs, powers[k], red, p)
+        coeffs = nxt % p
+    return tuple(f.encode(row) for row in coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -233,10 +233,7 @@ def minimal_poly(coset, sd: SplittingData, target: gf.Field) -> Poly:
     field); a CoercionError signals a malformed coset.
     """
     split = sd.splitting_field
-    prod = Poly.one(split)
-    for k in coset:
-        root = split.pow(sd.eta_prime, k)
-        prod = prod * Poly(split, (split.neg(root), 1))
+    prod = Poly(split, gf.linear_factor_product(split, sd.eta_prime, coset))
     retract = gf.subfield_map(target, split).retract
     return prod.map_coeffs(retract, target)
 

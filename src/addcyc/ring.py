@@ -9,6 +9,8 @@ The convolution is computed without a loop over positions: one vectorised
 field product fills the n x n matrix a_i * b_{(k-i) mod n}, and
 :meth:`gf.Field.vsum` reduces its columns in digit space (the base-p digits
 of all n terms are summed as integers and reduced mod p once).
+:meth:`CyclicRing.mul_rows` does the same for a whole stack of elements
+times one element.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-from . import gf
+from . import gf, linalg
 from .errors import FieldMismatchError, LengthMismatchError, NotCoprimeError
 from .polyring import Poly
 
@@ -61,6 +63,20 @@ class CyclicRing:
             raise LengthMismatchError("polynomial degree exceeds n - 1")
         coeffs = poly.coeffs + (0,) * (self.n - len(poly.coeffs))
         return GroupAlgebraElement(self, coeffs)
+
+    def mul_rows(self, rows: np.ndarray, b) -> np.ndarray:
+        """Products rows[a] * b of a stack (N, n) of coefficient rows by one
+        element b, as an (N, n) stack: one ``vmul`` over the rotated matrix
+        of b and one ``vsum``, a block of rows at a time."""
+        f = self.field
+        rows = np.asarray(rows, dtype=np.int64)
+        brot = np.asarray(b, dtype=np.int64)[self._rot]  # brot[i, k] = b[(k - i) mod n]
+        out = np.empty_like(rows)
+        step = max(1, linalg.MATMUL_CHUNK // brot.size)
+        for s in range(0, len(rows), step):
+            # out[a, k] = sum_i rows[a, i] * b[(k - i) mod n]
+            out[s:s + step] = f.vsum(f.vmul(rows[s:s + step, :, None], brot), axis=1)
+        return out
 
     def from_tokens(self, text: str) -> "GroupAlgebraElement":
         vals = [gf.parse_element(self.field, tok) for tok in text.split(",")]
@@ -106,13 +122,8 @@ class GroupAlgebraElement:
 
     def __mul__(self, other):
         self._check(other)
-        f = self.ring.field
-        a = np.array(self.coeffs, dtype=np.int64)
-        b = np.array(other.coeffs, dtype=np.int64)
-        # out[k] = sum_i a_i * b_{(k - i) mod n}: one product over the
-        # rotated matrix brot[i, k] = b[(k-i) % n], then one column sum
-        prods = f.vmul(a[:, None], b[self.ring._rot])
-        return GroupAlgebraElement(self.ring, tuple(f.vsum(prods, axis=0).tolist()))
+        out = self.ring.mul_rows([self.coeffs], other.coeffs)[0]
+        return GroupAlgebraElement(self.ring, tuple(out.tolist()))
 
     def scale(self, c: int) -> "GroupAlgebraElement":
         f = self.ring.field

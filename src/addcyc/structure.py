@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from . import gf, linalg
 from .errors import (
@@ -379,7 +378,7 @@ class IdealAtlas:
         q1 = af.order - 1
         e = self.idempotents[(i, 0)]
         r = self._rho[(i, 0)]
-        for pr in sympy.primefactors(q1) if q1 > 1 else []:
+        for pr in gf._order_factors(q1):
             assert r.pow_with_identity(q1 // pr, e) != e, "primitive element has small order"
 
     def k_basis(self, i: int) -> list[GroupAlgebraElement]:

@@ -284,6 +284,34 @@ def test_oracle_7_5():
     assert sd == classify.count_codes(7, 5, "sd", ctx, complete=True)
 
 
+@pytest.mark.parametrize("n,q,paper", [(7, 3, True), (7, 3, False), (5, 7, False),
+                                       (13, 2, False), (7, 5, False), (15, 2, False),
+                                       (7, 4, False)])
+def test_one_dim_subspaces_equal_sequential_products(n, q, paper):
+    """The doubled powers are the vectors, labels and order of one ring
+    product per choice: rho^k from the idempotent, e_0 + rho_1^k from e_1."""
+    ctx = context(n, q, 2, paper=paper)
+    atlas = ctx.atlas
+    for i in range(len(atlas.table.d)):
+        got = classify.one_dim_subspaces(i, ctx)
+        want = []
+        count = q ** atlas.table.d[i]
+        if atlas.table.s[i] == 1:
+            rho, cur = atlas.rho(i, 0), atlas.idempotent(i, 0)
+            for k in range(count + 1):
+                want.append((f"rho{i}^{k}", cur))
+                cur = cur * rho
+        else:
+            e0, e1, rho1 = atlas.idempotent(i, 0), atlas.idempotent(i, 1), atlas.rho(i, 1)
+            want += [(f"e{i},0", e0), (f"e{i},1", e1)]
+            cur = e1
+            for k in range(count - 1):
+                want.append((f"e{i},0+rho{i},1^{k}", e0 + cur))
+                cur = cur * rho1
+        assert [(c.label, c.vector) for c in got] == want
+        assert all(c.index == i and c.kind == "dim1" for c in got)
+
+
 @pytest.mark.parametrize("n,q", [(7, 4), (5, 9)])
 def test_component_rows_built_once_per_choice(n, q, monkeypatch):
     """Each component's rows are built exactly once per enumeration, singly

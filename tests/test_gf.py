@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -259,13 +260,21 @@ def test_least_primitive_modulus_brute_force(p, m):
     assert gf.least_primitive_modulus(p, m) == _least_primitive_by_trial_division(p, m)
 
 
-#: least_primitive_modulus values for splitting-field degrees, as computed by
-#: the schoolbook F_p[x] search that preceded the sympy-backed one
+#: least_primitive_modulus values for splitting-field degrees and large p:
+#: the first four as computed by the schoolbook F_p[x] search, the rest by the
+#: search that sieved candidates and proved them by Rabin's test (sympy)
 RECORDED_MODULI = {
     (3, 18): (2, 2, 2, 0, 0, 1) + (0,) * 12 + (1,),
     (3, 28): (2, 2, 0, 0, 1, 1) + (0,) * 22 + (1,),
     (2, 23): (1, 0, 0, 0, 0, 1) + (0,) * 17 + (1,),
     (5, 20): (3, 2, 1) + (0,) * 17 + (1,),
+    (3, 36): (2, 0, 0, 2, 1, 1) + (0,) * 30 + (1,),
+    (3, 42): (2, 1, 1, 1, 1, 1) + (0,) * 36 + (1,),
+    (2, 46): (1, 1, 1, 1, 0, 1, 0, 0, 1) + (0,) * 37 + (1,),
+    (13, 4): (2, 1, 1, 0, 1),
+    (17, 6): (12, 1, 0, 0, 0, 0, 1),
+    (131, 2): (14, 1, 1),
+    (257, 3): (5, 1, 0, 1),
 }
 
 
@@ -298,6 +307,85 @@ def test_sieve_against_rabin(p, m):
             _, factors = gf_factor(hi_lo, p, ZZ)
             least = min(len(f) - 1 for f, _ in factors)
             assert rej == (least <= d0), (digits, d0)
+
+
+def _order_of_x(digits, p):
+    """Multiplicative order of x modulo the monic polynomial with low
+    coefficients ``digits``, by repeated multiplication; None when x is not
+    a unit or its order exceeds p^m - 1."""
+    m = len(digits)
+    one = [1] + [0] * (m - 1)
+    cur = list(one)
+    for k in range(1, p ** m):
+        # cur * x, with x^m = -(a_0 + ... + a_{m-1} x^{m-1})
+        shifted, top = [0] + cur[:-1], cur[-1]
+        cur = [(shifted[i] - top * digits[i]) % p for i in range(m)]
+        if cur == one:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("p,m", [(2, m) for m in range(1, 9)] + [(3, m) for m in range(1, 6)]
+                         + [(5, m) for m in range(1, 4)])
+def test_modulus_proofs_against_sympy(p, m):
+    """The order test accepts exactly the irreducible polynomials (sympy's
+    Rabin test) in which x has order p^m - 1 (by repeated multiplication),
+    and Berlekamp's criterion accepts exactly the irreducible ones."""
+    low = _monic(p, m)
+    order_test = gf._x_has_full_order(np.array(low, dtype=np.int64), p).tolist()
+    for digits, accepted in zip(low, order_test):
+        mod = tuple(digits) + (1,)
+        irreducible = gf_irreducible_p(list(reversed(mod)), p, ZZ)
+        assert accepted == (irreducible and _order_of_x(digits, p) == p ** m - 1), mod
+        assert gf._is_irreducible(mod, p) == irreducible, mod
+
+
+def test_field_from_modulus_in_which_x_is_not_primitive():
+    # x^2 + 1 is irreducible over F_3, and x has order 4 in it
+    f = gf.field(3, 2, modulus=(1, 0, 1))
+    assert f.generator == 4
+    assert f.element_order(f.generator) == 8
+    for a in range(9):
+        for b in range(9):
+            assert f.mul(a, b) == reduce_product_oracle(f, a, b)
+    for reducible in [(1, 2, 1), (0, 1, 1)]:  # (x+1)^2 and x(x+1)
+        with pytest.raises(InvalidParameterError):
+            gf.field(3, 2, modulus=reducible)
+
+
+def test_each_modulus_is_proved_once(monkeypatch):
+    """Field runs no second order test and no generator check on a modulus
+    the search has proved; a new modulus is proved by one order test."""
+    tested, checks = [], []
+    order_test = gf._x_has_full_order
+
+    def counting(low, p):
+        tested.append((p, len(low)))
+        return order_test(low, p)
+
+    monkeypatch.setattr(gf, "_PROVED", set())
+    monkeypatch.setattr(gf, "_x_has_full_order", counting)
+    monkeypatch.setattr(gf.Field, "_check_generator", lambda self: checks.append(self))
+    mod = gf.least_primitive_modulus.__wrapped__(3, 18)  # the search, uncached
+    searched = len(tested)
+    assert gf.Field(3, 18, mod).generator == 3  # the element x
+    assert len(tested) == searched and not checks
+    gf.Field(3, 2, (2, 2, 1))
+    gf.Field(3, 2, (2, 2, 1))
+    assert tested[searched:] == [(3, 1)] and not checks
+
+
+def test_linear_factor_product_against_scalar_products():
+    rng = random.Random(13)
+    for p, m in [(3, 28), (2, 4), (7, 1)]:
+        f = gf.field(p, m)
+        a = rng.randrange(1, f.order)
+        ks = [rng.randrange(40) for _ in range(6)]
+        want = Poly.one(f)
+        for k in ks:
+            want = want * Poly(f, (f.neg(f.pow(a, k)), 1))
+        assert Poly(f, gf.linear_factor_product(f, a, ks)) == want
+        assert gf.linear_factor_product(f, a, []) == (1,)
 
 
 def test_small_irreducibles_are_the_irreducibles():
