@@ -4,11 +4,11 @@ A code is stored as the reduced row echelon form, over F_q, of its basis in
 the tn-coordinate expansion (position-major, then basis component).  The
 canonical form makes equality, hashing and set semantics exact.  Duality is
 computed against the twisted trace form of the ambient DeltaContext.  The
-minimum Hamming distance is certified exactly up to a word budget by
-Brouwer-Zimmermann enumeration of one information set by information weight
-(as extended to additive codes by White and Grassl), with the cyclic-shift
-bound on cyclic codes; beyond the budget a seeded random sample gives an
-upper bound.
+minimum Hamming distance is certified exactly by Brouwer-Zimmermann
+enumeration of one information set by information weight (as extended to
+additive codes by White and Grassl), with the cyclic-shift bound on cyclic
+codes, when the words that enumeration will form fit a budget; beyond it a
+seeded random sample gives an upper bound.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .errors import (
 from .ring import GroupAlgebraElement
 from . import gf
 
-#: exact certification cap (codewords): a code with at most this many words
-#: gets its d proved by information-set enumeration, a larger one is sampled
+#: exact certification cap, in words the information-set enumeration may
+#: form: a code whose enumeration needs fewer gets its d proved, the rest
+#: are sampled
 EXHAUSTIVE_BUDGET = 1 << 28
 #: coefficient vectors per float64 product in the information-set enumeration
 ENUM_CHUNK = 1 << 15
@@ -50,15 +51,13 @@ SAMPLE_SEED = 0
 class AdditiveCode:
     """An F_q-linear subspace of GF(q^t)^n in canonical form."""
 
-    __slots__ = ("ctx", "basis_exp", "pivots", "_d", "_d_exact")
+    __slots__ = ("ctx", "basis_exp", "pivots")
 
     def __init__(self, ctx: DeltaContext, basis_exp: np.ndarray, pivots):
         self.ctx = ctx
         self.basis_exp = basis_exp
         self.basis_exp.setflags(write=False)
         self.pivots = tuple(pivots)
-        self._d = None
-        self._d_exact = None
 
     # -- constructors -----------------------------------------------------------
 
@@ -172,12 +171,10 @@ def cyclic_span(g, ctx: DeltaContext) -> AdditiveCode:
 
 
 def is_cyclic(code: AdditiveCode) -> bool:
-    sym = code.basis_symbols()
-    shifted = np.roll(sym, 1, axis=1)
     if code.k == 0:
         return True
-    exp = code.ctx.expand(shifted)
-    return all(code.contains_expansion(row) for row in exp)
+    shifted = code.ctx.expand(np.roll(code.basis_symbols(), 1, axis=1))
+    return all(code.contains_expansion(row) for row in shifted)
 
 
 def dual_delta(code: AdditiveCode, ctx: DeltaContext | None = None) -> AdditiveCode:
@@ -236,16 +233,11 @@ def _prime_generator_digits(code: AdditiveCode) -> np.ndarray:
     n * (e*t) base-p digits, position-major.
     """
     ctx = code.ctx
-    fqt = ctx.field_qt
+    p, met = ctx.p, ctx.field_qt.m
     sym = code.basis_symbols()
-    rows = []
-    for u in range(ctx.e):
-        w_u = ctx.embed_scalar(ctx.field_q.encode([0] * u + [1]))
-        scaled = fqt.vmul(np.int64(w_u), sym)
-        rows.append(scaled)
-    stacked = np.concatenate(rows, axis=0) if rows else sym
-    p = ctx.p
-    met = fqt.m
+    stacked = np.concatenate([
+        ctx.field_qt.vmul(np.int64(ctx.embed_scalar(ctx.field_q.encode([0] * u + [1]))), sym)
+        for u in range(ctx.e)])
     digs = np.stack([(stacked // p ** i) % p for i in range(met)], axis=2)
     # the sampled path draws its coefficients in this dtype, which fixes its
     # random stream
@@ -338,47 +330,85 @@ def _information_weight_level(w: int, starts: np.ndarray, sizes: np.ndarray, p: 
             yield (values[:, block_of] // place % p).astype(np.float64)
 
 
-def _certify(code: AdditiveCode, rows_fp: np.ndarray) -> DistanceCertificate:
-    """Brouwer-Zimmermann: enumerate one information set by information weight.
+class _InformationSet:
+    """The F_p generator, reduced once, and one information set of it.
 
-    The RREF of the F_p generator has its pivots grouped by symbol position;
-    a nonzero coefficient block forces a nonzero symbol there, so a word of
-    information weight w has weight >= w.  Once every word of information
-    weight <= w is seen, an unseen word has weight >= w + 1, and for a
-    cyclic code some shift of it puts at most floor(d s / n) of its support
-    on the s information positions, so its weight is >= ceil((w+1) n / s).
+    Its pivots fall into per-position blocks of sizes z_b; a nonzero block
+    forces a nonzero symbol, so a word of information weight w has weight
+    >= w.  Once all words of information weight <= w are seen, an unseen
+    word has weight >= bound(w): w + 1, or for a cyclic code ceil((w+1) n / s),
+    as some shift puts at most floor(d s / n) of it on the s positions.
     """
-    ctx = code.ctx
-    p, n, met = ctx.p, ctx.n, ctx.field_qt.m
-    R, pivots = linalg.rref(gf.field(p), rows_fp)
-    k_p = len(pivots)
-    position = np.asarray(pivots) // met
-    starts = np.flatnonzero(np.diff(position, prepend=-1))
-    sizes = np.diff(starts, append=k_p)
-    s = len(starts)
-    cyclic = is_cyclic(code)
 
-    def bound(w: int) -> int:
+    def __init__(self, code: AdditiveCode):
+        ctx = code.ctx
+        self.p, self.n, self.met = ctx.p, ctx.n, ctx.field_qt.m
+        self.rows_fp = _prime_generator_digits(code)
+        R, pivots = linalg.rref(gf.field(self.p), self.rows_fp)
+        self.gen = R[:len(pivots)]
+        position = np.asarray(pivots) // self.met
+        self.starts = np.flatnonzero(np.diff(position, prepend=-1))
+        self.sizes = np.diff(self.starts, append=len(pivots))
+        self.cyclic = is_cyclic(code)
+        # words certify() forms at most, one per F_p* class: level w has
+        # e_w(p^z_b - 1) / (p - 1), e_w the elementary symmetric sum over the
+        # blocks.  Level 1 always runs and sees every generator row, so after
+        # it ub <= ub0, their least weight; a level w > 1 runs only if
+        # bound(w - 1) < ub0.
+        ub0 = int(_weights(self.gen, self.n, self.met).min())
+        levels = 1
+        while levels < len(self.sizes) and self.bound(levels) < ub0:
+            levels += 1
+        e = [1] + [0] * levels            # exact integers: no int64 wrap
+        for z in self.sizes.tolist():
+            for w in range(levels, 0, -1):
+                e[w] += e[w - 1] * (self.p ** z - 1)
+        self.words = sum(e[1:]) // (self.p - 1)
+
+    def bound(self, w: int) -> int:
         """Least weight of a word unseen once information weights <= w are done."""
-        return -(-(w + 1) * n // s) if cyclic else w + 1
+        return -(-(w + 1) * self.n // len(self.starts)) if self.cyclic else w + 1
 
-    gen = R[:k_p].astype(np.float64)
-    # the exact float64 product fits this integer type
-    itype = np.int32 if (p - 1) ** 2 * k_p < 2 ** 31 else np.int64
-    ub, best, examined = n + 1, None, 0
-    for w in range(1, s + 1):
-        if bound(w - 1) >= ub:
-            break
-        for X in _information_weight_level(w, starts, sizes, p):
-            words = (X @ gen).astype(itype) % p
-            wt = _weights(words, n, met)
-            i = int(wt.argmin())
-            examined += len(X)
-            if wt[i] < ub:
-                ub, best = int(wt[i]), words[i]
-            if bound(w - 1) >= ub:
+    def certify(self) -> DistanceCertificate:
+        """Brouwer-Zimmermann: enumerate the information set by information weight."""
+        p, n, met = self.p, self.n, self.met
+        gen = self.gen.astype(np.float64)
+        # the exact float64 product fits this integer type
+        itype = np.int32 if (p - 1) ** 2 * len(gen) < 2 ** 31 else np.int64
+        ub, best, examined = n + 1, None, 0
+        for w in range(1, len(self.starts) + 1):
+            if self.bound(w - 1) >= ub:
                 break
-    return DistanceCertificate(ub, ub, _symbols(best, n, met, p), INFO_SETS, examined)
+            for X in _information_weight_level(w, self.starts, self.sizes, p):
+                words = (X @ gen).astype(itype) % p
+                wt = _weights(words, n, met)
+                i = int(wt.argmin())
+                examined += len(X)
+                if wt[i] < ub:
+                    ub, best = int(wt[i]), words[i]
+                if self.bound(w - 1) >= ub:
+                    break
+        return DistanceCertificate(ub, ub, _symbols(best, n, met, p), INFO_SETS, examined)
+
+    def sample(self, samples: int, seed: int) -> DistanceCertificate:
+        """Upper bound from seeded random combinations of the unreduced rows."""
+        p, n, met, rows = self.p, self.n, self.met, self.rows_fp
+        rng = np.random.default_rng(seed)
+        # float64 holds every dot product exactly: (p-1)^2 * len(rows) < 2^53
+        # for each p the field tables admit
+        gen = rows.astype(np.float64)
+        best, witness, done = n + 1, None, 0
+        while done < samples:
+            take = min(1 << 18, samples - done)
+            coeffs = rng.integers(0, p, size=(take, len(rows)), dtype=rows.dtype)
+            words = (coeffs.astype(np.float64) @ gen).astype(np.int64) % p
+            w = _weights(words, n, met)
+            w[w == 0] = n + 1
+            i = int(w.argmin())
+            if w[i] < best:
+                best, witness = int(w[i]), words[i]
+            done += take
+        return DistanceCertificate(1, best, _symbols(witness, n, met, p), SAMPLING, samples)
 
 
 def _symbols(word: np.ndarray | None, n: int, met: int, p: int) -> tuple[int, ...] | None:
@@ -394,46 +424,23 @@ def distance_certificate(code: AdditiveCode, *, budget: int = EXHAUSTIVE_BUDGET,
                          seed: int = SAMPLE_SEED) -> DistanceCertificate:
     """Bounds on the minimum Hamming distance, with a witness codeword.
 
-    When the code has at most ``budget`` words, d is certified exactly by
-    information-set enumeration (lb = ub); otherwise ``samples`` seeded
-    random combinations give an upper bound and lb is 1.
+    The F_p generator is reduced once.  When the information-set
+    enumeration will form fewer than ``budget`` words, it certifies d
+    exactly (lb = ub); otherwise ``samples`` seeded random combinations give
+    an upper bound and lb is 1.
     """
-    ctx = code.ctx
     if code.k == 0:
         raise EmptyCodeError("the zero code has no minimum distance")
-    rows_fp = _prime_generator_digits(code)
-    p = ctx.p
-    k_p = rows_fp.shape[0]
-    if p ** k_p <= budget:
-        return _certify(code, rows_fp)
-    met = ctx.field_qt.m
-    n = ctx.n
-    rng = np.random.default_rng(seed)
-    # float64 holds every dot product exactly: (p-1)^2 * k_p < 2^53 for each p
-    # the field tables admit
-    gen = rows_fp.astype(np.float64)
-    best, witness = n + 1, None
-    chunk = 1 << 18
-    done = 0
-    while done < samples:
-        take = min(chunk, samples - done)
-        coeffs = rng.integers(0, p, size=(take, k_p), dtype=rows_fp.dtype)
-        words = (coeffs.astype(np.float64) @ gen).astype(np.int64) % p
-        w = _weights(words, n, met)
-        w[w == 0] = n + 1
-        i = int(w.argmin())
-        if w[i] < best:
-            best, witness = int(w[i]), words[i]
-        done += take
-    return DistanceCertificate(1, best, _symbols(witness, n, met, p), SAMPLING, samples)
+    info = _InformationSet(code)
+    return info.certify() if info.words < budget else info.sample(samples, seed)
 
 
 def min_distance(code: AdditiveCode, *, budget: int = EXHAUSTIVE_BUDGET,
                  samples: int = SAMPLE_COUNT, seed: int = SAMPLE_SEED) -> tuple[int, bool]:
     """Minimum Hamming distance; returns (d, exact_flag).
 
-    Exact when the code has at most ``budget`` words (information-set
-    enumeration); otherwise a seeded random-combination upper bound flagged
+    Exact when the information-set enumeration forms fewer than ``budget``
+    words; otherwise a seeded random-combination upper bound flagged
     exact=False.  See :func:`distance_certificate` for the evidence.
     """
     cert = distance_certificate(code, budget=budget, samples=samples, seed=seed)
@@ -446,18 +453,14 @@ def min_distance(code: AdditiveCode, *, budget: int = EXHAUSTIVE_BUDGET,
 
 def generator_matrix_text(code: AdditiveCode) -> str:
     fqt = code.ctx.field_qt
-    lines = []
-    for row in code.basis_symbols():
-        lines.append(" ".join(gf.format_element(fqt, int(c)) for c in row))
-    return "\n".join(lines)
+    return "\n".join(" ".join(gf.format_element(fqt, int(c)) for c in row)
+                     for row in code.basis_symbols())
 
 
 def code_record(code: AdditiveCode, *, d: int | None = None,
                 d_exact: bool | None = None) -> dict:
     ctx = code.ctx
-    if d is None and code._d is not None:
-        d, d_exact = code._d, code._d_exact
-    rec = {
+    return {
         "n": ctx.n,
         "q": ctx.q,
         "t": ctx.t,
@@ -471,11 +474,4 @@ def code_record(code: AdditiveCode, *, d: int | None = None,
         "self_dual": is_self_dual(code),
         "cyclic": is_cyclic(code),
     }
-    return rec
 
-
-def cached_min_distance(code: AdditiveCode, **kw) -> tuple[int, bool]:
-    if code._d is None:
-        d, exact = min_distance(code, **kw)
-        code._d, code._d_exact = d, exact
-    return code._d, code._d_exact

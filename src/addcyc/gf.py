@@ -33,7 +33,6 @@ import sympy
 from . import linalg
 from .errors import (
     CoercionError,
-    FieldMismatchError,
     InvalidParameterError,
     NotASubfieldError,
     TooLargeError,
@@ -456,9 +455,6 @@ class Field:
             q1 = self.order - 1
             return int(self._exp[(-int(self._log[a])) % q1])
         return self.pow(a, self.order - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:

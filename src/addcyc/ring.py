@@ -187,6 +187,3 @@ class GroupAlgebraElement:
         for c in reversed(self.coeffs):
             acc = target.add(target.mul(acc, point), emb(c))
         return acc
-
-    def to_poly(self) -> Poly:
-        return Poly(self.ring.field, self.coeffs)

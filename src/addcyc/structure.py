@@ -95,13 +95,6 @@ class CosetTable:
     def num_classes(self) -> int:
         return len(self.cosets)
 
-    def index_of(self, value: int) -> int:
-        value %= self.n
-        for i, c in enumerate(self.cosets):
-            if value in c:
-                return i
-        raise AssertionError("cosets do not partition Z_n")
-
     def subindex_of(self, value: int) -> tuple[int, int]:
         value %= self.n
         for i, subs in enumerate(self.subcosets):
@@ -109,10 +102,6 @@ class CosetTable:
                 if value in c:
                     return i, j
         raise AssertionError("subcosets do not partition Z_n")
-
-    def coset_split(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """The s_i base-q^t cosets refining the i-th base-q coset."""
-        return self.subcosets[i]
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,30 +1,31 @@
-"""Reference verification harness: re-derives the bundled reference data.
+"""Reference verification: one registry of checks that re-derive the bundled data.
 
-Runs the worked q=3, n=7 classification end to end (factors, idempotents,
-counts, the showcase code) plus the good-code table, and reports one result
-per item.  The CLI's verify-paper command renders these results; the
-acceptance test suite asserts them.
-
-Budgets: "small" skips the table rows whose codeword count exceeds the
-exact budget, "default" bounds them with seeded random sampling, and
-"extended" additionally certifies the 3^18-word row exactly.  Exact rows are
-certified by information-set enumeration (``codes.distance_certificate``).
+``reference_checks`` covers the worked q=3, n=7 classification (factors,
+idempotents, the published and complete counts, the showcase code), every
+good-code row and a cross-check at (3, 2).  verify-paper runs and renders
+every entry; the acceptance suite runs each entry as one test case.  A row
+passes only with an exact certificate (lb = ub = d, a witness of weight d in
+the code), or, for ``refdata.UNPROVED_ROWS`` alone, a sampled bound >= d.
 """
 
 from __future__ import annotations
 
+import functools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import classify, codes, gf, polyring, refdata
-from .bilinear import DeltaContext
-from .codes import EXHAUSTIVE_BUDGET, SAMPLE_COUNT, SAMPLE_SEED
+from .bilinear import DeltaContext, delta_inner
+from .codes import SAMPLE_COUNT, SAMPLE_SEED
 
 
 @dataclass
 class CheckResult:
     name: str
-    status: str       # "PASS", "FAIL" or "SKIP"
+    status: str       # "PASS" or "FAIL"
     detail: str
     seconds: float
 
@@ -33,15 +34,28 @@ class CheckResult:
         return self.status == "PASS"
 
 
-def _timed(name, func) -> CheckResult:
-    t0 = time.perf_counter()
-    try:
-        ok, detail = func()
-    except Exception as exc:  # a crashed check is a failed check
-        return CheckResult(name, "FAIL", f"raised {type(exc).__name__}: {exc}",
-                           time.perf_counter() - t0)
-    status = "PASS" if ok else ("SKIP" if ok is None else "FAIL")
-    return CheckResult(name, status, detail, time.perf_counter() - t0)
+@dataclass(frozen=True)
+class Check:
+    """One registry entry; ``run`` returns (ok, detail)."""
+
+    key: str
+    name: str
+    run: Callable[[], tuple[bool, str]]
+
+    def __call__(self) -> CheckResult:
+        t0 = time.perf_counter()
+        try:
+            ok, detail = self.run()
+        except Exception as exc:  # a crashed check is a failed check
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        seconds = time.perf_counter() - t0
+        return CheckResult(self.name, "PASS" if ok else "FAIL", detail, seconds)
+
+
+def _verdict(conditions: dict[str, bool], detail: str) -> tuple[bool, str]:
+    """All conditions hold; the detail names any that do not."""
+    failed = [name for name, good in conditions.items() if not good]
+    return not failed, detail + (f"; failed: {failed}" if failed else "")
 
 
 def _worked_context() -> DeltaContext:
@@ -49,146 +63,153 @@ def _worked_context() -> DeltaContext:
                         rho_exponents=refdata.WORKED_RHO_EXPONENTS)
 
 
-def check_factorisation() -> CheckResult:
-    def run():
-        fq = gf.field(3, 1, paper=True)
-        got_q = [str(p) for p, _ in polyring.factor_xn_minus_1(7, fq, paper=True)]
-        fqt = gf.field(3, 2, paper=True)
-        got_qt = [str(p) for p, _ in polyring.factor_xn_minus_1(7, fqt, paper=True)]
-        want_qt = [refdata.WORKED_FACTORS_QT[k] for k in ("0,0", "1,0", "1,1")]
-        ok = got_q == refdata.WORKED_FACTORS_Q and got_qt == want_qt
-        return ok, f"F_3: {got_q}; F_9: {got_qt}"
-    return _timed("factorisation of X^7 - 1", run)
+def _factorisation() -> tuple[bool, str]:
+    got = [[str(f) for f, _ in polyring.factor_xn_minus_1(7, gf.field(3, m, paper=True),
+                                                         paper=True)] for m in (1, 2)]
+    want = [refdata.WORKED_FACTORS_Q,
+            [refdata.WORKED_FACTORS_QT[k] for k in ("0,0", "1,0", "1,1")]]
+    return got == want, f"F_3: {got[0]}; F_9: {got[1]}"
 
 
-def check_idempotents() -> CheckResult:
-    def run():
-        atlas = _worked_context().atlas
-        got = {k: str(atlas.idempotents[tuple(map(int, k.split(',')))])
-               for k in refdata.WORKED_IDEMPOTENTS}
-        ok = got == refdata.WORKED_IDEMPOTENTS
-        return ok, "; ".join(f"e_{k} = {v}" for k, v in sorted(got.items()))
-    return _timed("primitive idempotents", run)
+def _idempotents() -> tuple[bool, str]:
+    atlas = _worked_context().atlas
+    got = {k: str(atlas.idempotents[tuple(map(int, k.split(',')))])
+           for k in refdata.WORKED_IDEMPOTENTS}
+    ok = got == refdata.WORKED_IDEMPOTENTS
+    return ok, "; ".join(f"e_{k} = {v}" for k, v in sorted(got.items()))
 
 
-def check_counts() -> CheckResult:
-    def run():
-        ctx = _worked_context()
-        c_so = classify.count_codes(7, 3, "so", ctx)
-        c_sd = classify.count_codes(7, 3, "sd", ctx)
-        n_so = sum(1 for _ in classify.enumerate_codes(7, 3, "so", ctx))
-        n_sd = sum(1 for _ in classify.enumerate_codes(7, 3, "sd", ctx))
-        ok = (c_so, c_sd, n_so, n_sd) == (refdata.WORKED_COUNT_SO, refdata.WORKED_COUNT_SD,
-                                          refdata.WORKED_COUNT_SO, refdata.WORKED_COUNT_SD)
-        return ok, f"count/enumerate: so {c_so}/{n_so}, sd {c_sd}/{n_sd}"
-    return _timed("published counts (58 / 28)", run)
+def _counts() -> tuple[bool, str]:
+    ctx = _worked_context()
+    conditions, parts = {}, []
+    for mode, want, direct in (("so", refdata.WORKED_COUNT_SO, codes.is_self_orthogonal),
+                               ("sd", refdata.WORKED_COUNT_SD, codes.is_self_dual)):
+        count = classify.count_codes(7, 3, mode, ctx)
+        listed = list(classify.enumerate_codes(7, 3, mode, ctx))
+        distinct = len({c.key() for c in listed})
+        conditions[f"{mode}: count = enumerated = distinct = {want}"] = (
+            count == len(listed) == distinct == want)
+        conditions[f"{mode}: every code passes {direct.__name__}"] = all(
+            direct(c, ctx) for c in listed)
+        parts.append(f"{mode} {count}/{len(listed)} ({distinct} distinct)")
+    return _verdict(conditions, "count/enumerate: " + ", ".join(parts)
+                    + "; each checked directly")
 
 
-def check_oracle() -> CheckResult:
-    def run():
-        ctx = _worked_context()
-        parts = []
-        ok = True
-        for mode, verified in (("so", refdata.WORKED_VERIFIED_SO),
-                               ("sd", refdata.WORKED_VERIFIED_SD)):
-            count, keys = classify.brute_force_oracle(7, 3, mode, ctx)
-            complete = {c.key() for c in classify.enumerate_codes(7, 3, mode, ctx,
-                                                                  complete=True)}
-            published = {c.key() for c in classify.enumerate_codes(7, 3, mode, ctx)}
-            ok = (ok and keys == complete and published < keys
-                  and count == classify.count_codes(7, 3, mode, ctx, complete=True)
-                  == verified)
-            parts.append(f"{mode} {count} (complete enumeration {len(complete)}, "
-                         f"published {len(published)} a strict subset)")
-        return ok, (f"brute force over {refdata.WORKED_TOTAL_CYCLIC} cyclic codes: "
-                    + "; ".join(parts))
-    return _timed("oracle agreement with the complete classification (87 / 56)", run)
+def _oracle() -> tuple[bool, str]:
+    """The oracle's codes are the complete classification; the extras are isotropic.
+
+    The published case list omits the prime-subfield option K_0 * e_{0,0}
+    of the identity class for odd q, so every extra code contains e_{0,0}.
+    Their isotropy is checked through the defining trace sum
+    (``delta_inner``), not the Gram matrix the oracle uses.
+    """
+    ctx = _worked_context()
+    e00 = ctx.atlas.idempotent(0, 0)
+    conditions, parts, extras = {}, [], {}
+    for mode, verified in (("so", refdata.WORKED_VERIFIED_SO),
+                           ("sd", refdata.WORKED_VERIFIED_SD)):
+        count, keys = classify.brute_force_oracle(7, 3, mode, ctx)
+        complete = {c.key(): c for c in classify.enumerate_codes(7, 3, mode, ctx,
+                                                                 complete=True)}
+        published = list(classify.enumerate_codes(7, 3, mode, ctx))
+        pub_keys = {c.key() for c in published}
+        extras[mode] = [c for key, c in complete.items() if key not in pub_keys]
+        conditions.update({
+            f"{mode}: oracle key set equals the complete enumeration": keys == set(complete),
+            f"{mode}: oracle count equals the complete count and refdata":
+                count == classify.count_codes(7, 3, mode, ctx, complete=True)
+                == verified,
+            f"{mode}: published codes are a strict subset": pub_keys < keys,
+            f"{mode}: every extra code contains e_(0,0)":
+                all(c.contains(e00) for c in extras[mode]),
+            f"{mode}: no published code contains e_(0,0)":
+                not any(c.contains(e00) for c in published),
+            f"{mode}: every extra code is isotropic under delta_inner": all(
+                delta_inner(a, b, ctx) == 0
+                for c in extras[mode]
+                for a in c.basis_elements() for b in c.basis_elements()),
+        })
+        parts.append(f"{mode} {count} (complete enumeration {len(complete)}, "
+                     f"published {len(published)} a strict subset)")
+    n_extra = (len(extras["so"]), len(extras["sd"]))
+    conditions["29 / 28 extra codes"] = n_extra == (29, 28)
+    conditions["F_3^7 is an extra self-dual code"] = (
+        codes.code_from_vectors(np.eye(7, dtype=np.int64), ctx) in extras["sd"])
+    return _verdict(conditions, (
+        f"brute force over {refdata.WORKED_TOTAL_CYCLIC} cyclic codes: "
+        + "; ".join(parts) + f"; {n_extra[0]}/{n_extra[1]} extra codes, each "
+        "containing e_(0,0) and isotropic under the trace sum, F_3^7 among "
+        "the self-dual ones"))
 
 
-def check_good_code() -> CheckResult:
-    def run():
-        ctx = _worked_context()
-        C = codes.cyclic_span(ctx.atlas.idempotent(1, 0), ctx)
-        ref = codes.code_from_vectors(refdata.WORKED_GOOD_MATRIX, ctx)
-        d, exact = codes.min_distance(C)
-        ok = (C.k == 6 and C == ref and exact
-              and d == refdata.WORKED_GOOD_DISTANCE
-              and codes.is_self_orthogonal(C, ctx))
-        return ok, f"k_fq = {C.k}, |C| = 9^3, d = {d} (exact={exact}), matches printed matrix: {C == ref}"
-    return _timed("showcase (7, 9^3, 5) code", run)
+def _showcase() -> tuple[bool, str]:
+    ctx = _worked_context()
+    C = codes.cyclic_span(ctx.atlas.idempotent(1, 0), ctx)
+    ref = codes.code_from_vectors(refdata.WORKED_GOOD_MATRIX, ctx)
+    d, exact = codes.min_distance(C)
+    ok = (C.k == 6 and C == ref and exact and d == refdata.WORKED_GOOD_DISTANCE
+          and codes.is_self_orthogonal(C, ctx))
+    return ok, f"k_fq = {C.k}, |C| = 9^3, d = {d} (exact={exact}), matches printed matrix: {C == ref}"
 
 
-def check_table_row(row: refdata.GoodCodeRow, *, budget: int, samples: int,
-                    seed: int) -> CheckResult:
-    def run():
-        ctx = DeltaContext(row.n, row.q, 2, paper=True)
-        C = codes.cyclic_span(row.generator, ctx)
-        k_ok = C.k == 2 * row.k
-        cyc = codes.is_cyclic(C)
-        so = codes.is_self_orthogonal(C, ctx)
-        d, exact = codes.min_distance(C, budget=budget, samples=samples, seed=seed)
-        d_ok = (d == row.d) if exact else (d >= row.d)
-        ok = k_ok and cyc and so and d_ok
-        kind = "exact" if exact else f"sampled bound ({samples} draws)"
-        return ok, (f"(q={row.q}, n={row.n}): cardinality ({row.q}^2)^{row.k}: {k_ok}, "
-                    f"cyclic: {cyc}, self-orthogonal: {so}, d {'=' if exact else '>='} "
-                    f"{row.d}: got {d} [{kind}]")
-    return _timed(f"good-code row q={row.q}, n={row.n}", run)
+def _table_row(row: refdata.GoodCodeRow, samples: int, seed: int) -> tuple[bool, str]:
+    ctx = DeltaContext(row.n, row.q, 2, paper=True)
+    C = codes.cyclic_span(row.generator, ctx)
+    cert = codes.distance_certificate(C, samples=samples, seed=seed)
+    if cert.exact:
+        d_ok = (cert.lb == cert.ub == row.d and C.contains(list(cert.witness))
+                and sum(1 for s in cert.witness if s) == row.d)
+        kind = f"exact, {cert.words_examined} words, witness of weight {row.d} in C: {d_ok}"
+    else:
+        d_ok = (row.q, row.n) in refdata.UNPROVED_ROWS and cert.ub >= row.d
+        kind = f"sampled bound ({samples} draws)"
+    conditions = {"cardinality": C.k == 2 * row.k, "cyclic": codes.is_cyclic(C),
+                  "self-orthogonal": codes.is_self_orthogonal(C, ctx), "d": d_ok}
+    return _verdict(conditions, (
+        f"(q={row.q}, n={row.n}): cardinality ({row.q}^2)^{row.k}, cyclic, "
+        f"self-orthogonal, d {'=' if cert.exact else '>='} {row.d}: got {cert.ub} [{kind}]"))
 
 
-def check_small_cross() -> CheckResult:
-    def run():
-        ctx = DeltaContext(3, 2, 2, paper=True)
-        c_so = classify.count_codes(3, 2, "so", ctx)
-        c_sd = classify.count_codes(3, 2, "sd", ctx)
-        o_so, k_so = classify.brute_force_oracle(3, 2, "so", ctx)
-        o_sd, k_sd = classify.brute_force_oracle(3, 2, "sd", ctx)
-        e_so = set(c.key() for c in classify.enumerate_codes(3, 2, "so", ctx))
-        e_sd = set(c.key() for c in classify.enumerate_codes(3, 2, "sd", ctx))
-        ok = (c_so, c_sd, o_so, o_sd) == (8, 3, 8, 3) and e_so == k_so and e_sd == k_sd
-        return ok, f"(3, 2): formula {c_so}/{c_sd}, oracle {o_so}/{o_sd} over 35 cyclic codes"
-    return _timed("derived cross-check at (3, 2)", run)
+def _cross_check() -> tuple[bool, str]:
+    ctx = DeltaContext(3, 2, 2, paper=True)
+    got = []
+    for mode in ("so", "sd"):
+        count, keys = classify.brute_force_oracle(3, 2, mode, ctx)
+        listed = {c.key() for c in classify.enumerate_codes(3, 2, mode, ctx)}
+        got.append((classify.count_codes(3, 2, mode, ctx), count, listed == keys))
+    return got == [(8, 8, True), (3, 3, True)], (
+        f"(3, 2): formula {got[0][0]}/{got[1][0]}, oracle {got[0][1]}/{got[1][1]} over "
+        f"35 cyclic codes, enumeration equals the oracle: {got[0][2] and got[1][2]}")
 
 
-def run_reference_checks(*, budget: str = "default",
-                         samples: int = SAMPLE_COUNT,
-                         seed: int = SAMPLE_SEED,
-                         exhaustive_budget: int = EXHAUSTIVE_BUDGET) -> list[CheckResult]:
+def reference_checks(*, samples: int = SAMPLE_COUNT, seed: int = SAMPLE_SEED) -> list[Check]:
+    """The registry of reference checks, in print order.
+
+    ``samples`` and ``seed`` drive the sampled bound of the unproved rows.
+    """
+    rows = [Check(f"row-q{row.q}-n{row.n}", f"good-code row q={row.q}, n={row.n}",
+                  functools.partial(_table_row, row, samples, seed))
+            for row in refdata.GOOD_CODE_TABLE]
+    return [Check("factorisation", "factorisation of X^7 - 1", _factorisation),
+            Check("idempotents", "primitive idempotents", _idempotents),
+            Check("counts", "published counts (58 / 28)", _counts),
+            Check("oracle", "oracle agreement with the complete classification "
+                  "(87 / 56)", _oracle),
+            Check("showcase", "showcase (7, 9^3, 5) code", _showcase),
+            *rows,
+            Check("cross-check", "derived cross-check at (3, 2)", _cross_check)]
+
+
+def run_reference_checks(*, samples: int = SAMPLE_COUNT,
+                         seed: int = SAMPLE_SEED) -> list[CheckResult]:
     """Run every reference check; returns the result list in print order."""
-    results = [
-        check_factorisation(),
-        check_idempotents(),
-        check_counts(),
-        check_oracle(),
-        check_good_code(),
-    ]
-    for row in refdata.GOOD_CODE_TABLE:
-        words = row.q ** (2 * row.k)
-        extended = (row.q, row.n) in refdata.EXTENDED_ROWS
-        if extended and budget != "extended":
-            results.append(CheckResult(
-                f"good-code row q={row.q}, n={row.n}", "SKIP",
-                f"needs the extended budget ({words} codewords)", 0.0))
-            continue
-        if words > exhaustive_budget and budget == "small":
-            results.append(CheckResult(
-                f"good-code row q={row.q}, n={row.n}", "SKIP",
-                "bound-only row skipped under the small budget", 0.0))
-            continue
-        row_budget = max(exhaustive_budget, words) if extended else exhaustive_budget
-        results.append(check_table_row(row, budget=row_budget,
-                                       samples=samples, seed=seed))
-    results.append(check_small_cross())
-    return results
+    return [check() for check in reference_checks(samples=samples, seed=seed)]
 
 
 def render(results: list[CheckResult]) -> str:
-    lines = []
-    for r in results:
-        lines.append(f"[{r.status:4s}] {r.name}  ({r.seconds:.2f}s)")
-        lines.append(f"       {r.detail}")
-    n_fail = sum(1 for r in results if r.status == "FAIL")
-    n_skip = sum(1 for r in results if r.status == "SKIP")
-    lines.append(f"{len(results)} checks: {len(results) - n_fail - n_skip} passed, "
-                 f"{n_fail} failed, {n_skip} skipped")
+    lines = [f"[{r.status:4s}] {r.name}  ({r.seconds:.2f}s)\n       {r.detail}"
+             for r in results]
+    n_fail = sum(1 for r in results if not r.passed)
+    lines.append(f"{len(results)} checks: {len(results) - n_fail} passed, {n_fail} failed")
     return "\n".join(lines)

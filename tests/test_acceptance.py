@@ -1,27 +1,35 @@
-"""Acceptance suite: the binding checks of the deliverable, one per criterion.
+"""Acceptance suite: the binding checks of the deliverable.
 
-Each test prints a `[criterion N] PASS/FAIL` line.  Criterion 3 checks the
-worked q = 3, n = 7 classification two ways.  The published case list gives
-58 self-orthogonal / 28 self-dual codes, and `count_codes` and
-`enumerate_codes` must reproduce it.  The complete count is 87 / 56: the
-brute-force oracle, which scans all 4392 cyclic codes, must find exactly the
-codes of `enumerate_codes(complete=True)`.  The published list omits the
-prime-subfield option K_0 * e_{0,0} of the identity class for odd q.  That
-option is isotropic because Tr(gamma) = 0, so the test checks each extra
-code through the defining trace sum (`delta_inner`), not through the Gram
-matrix the oracle uses.
+Every entry of the reference-check registry (``verify.reference_checks``,
+the same checks ``verify-paper`` runs) is one test case, which must PASS
+within its time bound.  The registry checks the factorisation and
+idempotents of the worked q = 3, n = 7 example, both of its counts, the
+showcase code, every good-code row and a cross-check at (3, 2).  The worked
+example's published case list gives 58 self-orthogonal / 28 self-dual codes;
+the complete count is 87 / 56, which the brute-force oracle, scanning all
+4392 cyclic codes, must reach with exactly the codes of
+`enumerate_codes(complete=True)`.  The 29 / 28 extra codes are checked
+isotropic through the defining trace sum (`delta_inner`), not through the
+Gram matrix the oracle uses.  The property suites run separately below.
 """
 
 import random
 import time
 
 import numpy as np
+import pytest
 
-from addcyc import classify, codes, gf, linalg, polyring, refdata
+from addcyc import classify, codes, gf, linalg, verify
 from addcyc.bilinear import context, delta_form, delta_inner, \
     component_split_check, module_law_check
 
 PROPERTY_INSTANCES = [(3, 2), (5, 2), (7, 3), (5, 3), (7, 5), (3, 5)]
+
+CHECKS = verify.reference_checks()
+#: seconds a check may take; a good-code row not listed here has 120 s
+TIME_LIMITS = {"factorisation": 1.0, "idempotents": 1.0, "counts": 60.0,
+               "oracle": 60.0, "showcase": 5.0, "row-q3-n19": 600.0,
+               "cross-check": 1.0}
 
 
 def report(criterion, ok, detail):
@@ -32,186 +40,14 @@ def rand_vec(ctx, rng):
     return ctx.ring.element(rng.randrange(ctx.field_qt.order) for _ in range(ctx.n))
 
 
-def test_c1_factorisation_reproduction():
-    t0 = time.perf_counter()
-    fq = gf.field(3, 1, paper=True)
-    got_q = [str(p) for p, _ in polyring.factor_xn_minus_1(7, fq, paper=True)]
-    fqt = gf.field(3, 2, paper=True)
-    got_qt = [str(p) for p, _ in polyring.factor_xn_minus_1(7, fqt, paper=True)]
-    elapsed = time.perf_counter() - t0
-    ok = (got_q == ["2,1", "1,1,1,1,1,1,1"]
-          and got_qt == ["2,1", "2,w^7,w,1", "2,w^5,w^3,1"]
-          and elapsed < 1.0)
-    report(1, ok, f"factors {got_q} / {got_qt} in {elapsed:.3f}s")
-    assert got_q == ["2,1", "1,1,1,1,1,1,1"]
-    assert got_qt == ["2,1", "2,w^7,w,1", "2,w^5,w^3,1"]
-    assert elapsed < 1.0
-
-
-def test_c2_idempotent_reproduction():
-    t0 = time.perf_counter()
-    ctx = context(7, 3, 2, paper=True)
-    got = {f"{i},{j}": str(ctx.atlas.idempotents[(i, j)])
-           for (i, j) in [(0, 0), (1, 0), (1, 1)]}
-    elapsed = time.perf_counter() - t0
-    ok = got == refdata.WORKED_IDEMPOTENTS and elapsed < 1.0
-    report(2, ok, f"{got} in {elapsed:.3f}s")
-    assert got == refdata.WORKED_IDEMPOTENTS
-    assert elapsed < 1.0
-
-
-def test_c3_counts_enumeration_and_oracle():
-    t0 = time.perf_counter()
-    ctx = context(7, 3, 2, paper=True)
-    c_so = classify.count_codes(7, 3, "so", ctx)
-    c_sd = classify.count_codes(7, 3, "sd", ctx)
-    so_codes = list(classify.enumerate_codes(7, 3, "so", ctx))
-    sd_codes = list(classify.enumerate_codes(7, 3, "sd", ctx))
-    distinct_ok = (len({c.key() for c in so_codes}) == len(so_codes) == 58
-                   and len({c.key() for c in sd_codes}) == len(sd_codes) == 28)
-    direct_ok = (all(codes.is_self_orthogonal(c, ctx) for c in so_codes)
-                 and all(codes.is_self_dual(c, ctx) for c in sd_codes))
-    published = {"so": so_codes, "sd": sd_codes}
-    verified = {"so": refdata.WORKED_VERIFIED_SO, "sd": refdata.WORKED_VERIFIED_SD}
-    e00 = ctx.atlas.idempotent(0, 0)
-    prime_field_space = codes.code_from_vectors(np.eye(7, dtype=np.int64), ctx)
-    oracle = {}
-    extras = {}
-    failed = []
-    for mode in ("so", "sd"):
-        o_count, o_keys = classify.brute_force_oracle(7, 3, mode, ctx)
-        complete = {c.key(): c
-                    for c in classify.enumerate_codes(7, 3, mode, ctx, complete=True)}
-        pub_keys = {c.key() for c in published[mode]}
-        oracle[mode] = o_count
-        extras[mode] = [c for key, c in complete.items() if key not in pub_keys]
-        checks = {
-            "oracle key set equals the complete enumeration": o_keys == set(complete),
-            "oracle count equals the complete count and refdata":
-                o_count == classify.count_codes(7, 3, mode, ctx, complete=True)
-                == verified[mode],
-            "published codes are a strict subset": pub_keys < o_keys,
-            # the extras are exactly the codes with the prime-subfield identity option
-            "every extra code contains e_(0,0)": all(c.contains(e00) for c in extras[mode]),
-            "no published code contains e_(0,0)":
-                not any(c.contains(e00) for c in published[mode]),
-            # isotropy from the defining trace sum, every ordered pair of basis vectors
-            "every extra code is isotropic under delta_inner": all(
-                delta_inner(a, b, ctx) == 0
-                for c in extras[mode]
-                for a in c.basis_elements() for b in c.basis_elements()),
-        }
-        failed += [f"{mode}: {name}" for name, good in checks.items() if not good]
-    elapsed = time.perf_counter() - t0
-    n_extra = (len(extras["so"]), len(extras["sd"]))
-    fq7_ok = prime_field_space in extras["sd"]
-    ok = ((c_so, c_sd) == (58, 28) and distinct_ok and direct_ok
-          and not failed and n_extra == (29, 28) and fq7_ok and elapsed < 60.0)
-    report(3, ok,
-           f"published counts {c_so}/{c_sd}, enumerated {len(so_codes)}/{len(sd_codes)} "
-           f"(distinct, direct checks pass); oracle {oracle['so']}/{oracle['sd']} "
-           f"over 4392 cyclic codes equals the complete enumeration; "
-           f"{n_extra[0]}/{n_extra[1]} extra codes, each containing e_(0,0) and "
-           f"isotropic under the trace sum, F_3^7 among the self-dual ones; "
-           f"{elapsed:.1f}s" + (f"; failed: {failed}" if failed else ""))
-    assert (c_so, c_sd) == (58, 28)
-    assert distinct_ok and direct_ok
-    assert not failed, failed
-    assert n_extra == (29, 28)
-    assert fq7_ok
-    assert elapsed < 60.0
-
-
-def test_c4_good_code():
-    t0 = time.perf_counter()
-    ctx = context(7, 3, 2, paper=True)
-    C = codes.cyclic_span(ctx.atlas.idempotent(1, 0), ctx)
-    ref = codes.code_from_vectors(refdata.WORKED_GOOD_MATRIX, ctx)
-    d, exact = codes.min_distance(C)
-    elapsed = time.perf_counter() - t0
-    ok = C.k == 6 and C == ref and (d, exact) == (5, True) and elapsed < 5.0
-    report(4, ok, f"n=7, |C|=9^3 (k_fq={C.k}), d={d} exact={exact}, "
-                  f"row space equals the printed matrix: {C == ref}, {elapsed:.2f}s")
-    assert C.k == 6
-    assert (d, exact) == (5, True)
-    assert C == ref
-    assert elapsed < 5.0
-
-
-def test_c5_table_small_rows_exact():
-    t0 = time.perf_counter()
-    results = []
-    for (q, n) in refdata.SMALL_EXACT_ROWS:
-        row = refdata.row_for(q, n)
-        ctx = context(n, q, 2, paper=True)
-        C = codes.cyclic_span(row.generator, ctx)
-        d, exact = codes.min_distance(C)
-        results.append((q, n, C.k == 2 * row.k, d, exact))
-        assert C.k == 2 * row.k
-        assert exact and d == row.d
-    elapsed = time.perf_counter() - t0
-    ok = elapsed < 120.0
-    report(5, ok, f"exact rows {[(q, n, d) for q, n, _, d, _ in results]} "
-                  f"in {elapsed:.1f}s")
-    assert elapsed < 120.0
-
-
-#: rows with sampled bounds only under the default budget, certified here
-CERTIFIED_ROWS = [(7, 11), (13, 11), (17, 11), (19, 11), (19, 7)]
-
-
-def test_c5_table_rows_certified():
-    t0 = time.perf_counter()
-    results = []
-    for (q, n) in CERTIFIED_ROWS:
-        row = refdata.row_for(q, n)
-        ctx = context(n, q, 2, paper=True)
-        C = codes.cyclic_span(row.generator, ctx)
-        cert = codes.distance_certificate(C, budget=q ** C.k)
-        d, exact = codes.min_distance(C, budget=q ** C.k)
-        witness_ok = (C.contains_expansion(ctx.expand(np.array(cert.witness)))
-                      and sum(1 for s in cert.witness if s) == row.d)
-        results.append((q, n, d, cert.words_examined))
-        assert C.k == 2 * row.k
-        assert (d, exact) == (row.d, True)
-        assert cert.lb == cert.ub == row.d
-        assert witness_ok, (q, n, cert.witness)
-    elapsed = time.perf_counter() - t0
-    report("5-certified", True, f"(q, n, d, words) {results} in {elapsed:.1f}s")
-
-
-def test_c5_table_extended_row():
-    t0 = time.perf_counter()
-    row = refdata.row_for(3, 19)
-    ctx = context(19, 3, 2, paper=True)
-    C = codes.cyclic_span(row.generator, ctx)
-    d, exact = codes.min_distance(C, budget=3 ** 18)
-    elapsed = time.perf_counter() - t0
-    ok = exact and d == 10 and elapsed < 600.0
-    report("5-extended", ok, f"(3,19): d={d} exact={exact} in {elapsed:.0f}s")
-    assert exact and d == 10
-    assert elapsed < 600.0
-
-
-def test_c6_table_large_rows_bounded():
-    t0 = time.perf_counter()
-    small = set(refdata.SMALL_EXACT_ROWS) | set(refdata.EXTENDED_ROWS)
-    checked = []
-    for row in refdata.GOOD_CODE_TABLE:
-        if (row.q, row.n) in small:
-            continue
-        ctx = context(row.n, row.q, 2, paper=True)
-        C = codes.cyclic_span(row.generator, ctx)
-        assert C.k == 2 * row.k                      # (a) exact cardinality
-        assert codes.is_cyclic(C)                    # (b) cyclicity
-        assert codes.is_self_orthogonal(C, ctx)      # (c) exact self-orthogonality
-        d, exact = codes.min_distance(C, budget=1, samples=10_000_000, seed=0)
-        assert not exact                             # (d) bound-only reporting
-        assert d >= row.d, (row.q, row.n, d)
-        checked.append((row.q, row.n, d))
-    elapsed = time.perf_counter() - t0
-    report(6, True, f"{len(checked)} bound-only rows, sampled bounds {checked} "
-                    f"(never below the claimed d) in {elapsed:.0f}s")
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.key)
+def test_reference_check(check):
+    result = check()
+    limit = TIME_LIMITS.get(check.key, 120.0)
+    report(check.key, result.passed and result.seconds < limit,
+           f"{result.name}: {result.detail} in {result.seconds:.2f}s")
+    assert result.passed, result.detail
+    assert result.seconds < limit
 
 
 def test_c7_property_suites():
@@ -305,19 +141,3 @@ def test_c7_property_suites():
             assert C.k + codes.dual_delta(C, ctx).k == 2 * n
     elapsed = time.perf_counter() - t0
     report(7, True, f"property suites on {PROPERTY_INSTANCES} in {elapsed:.0f}s")
-
-
-def test_c8_derived_cross_check():
-    t0 = time.perf_counter()
-    ctx = context(3, 2, 2, paper=True)
-    c_so = classify.count_codes(3, 2, "so", ctx)
-    c_sd = classify.count_codes(3, 2, "sd", ctx)
-    o_so, _ = classify.brute_force_oracle(3, 2, "so", ctx)
-    o_sd, _ = classify.brute_force_oracle(3, 2, "sd", ctx)
-    elapsed = time.perf_counter() - t0
-    ok = (c_so, c_sd, o_so, o_sd) == (8, 3, 8, 3) and elapsed < 1.0
-    report(8, ok, f"(3,2): formula {c_so}/{c_sd} == oracle {o_so}/{o_sd} "
-                  f"over 35 cyclic codes in {elapsed:.2f}s")
-    assert (c_so, c_sd) == (8, 3)
-    assert (o_so, o_sd) == (8, 3)
-    assert elapsed < 1.0

@@ -2,6 +2,7 @@
 
 import json
 
+from addcyc import refdata
 from addcyc.cli import main
 
 
@@ -113,16 +114,18 @@ def test_deterministic_json(capsys):
 
 
 def test_verify_paper_small_budget(capsys):
-    code, out, _ = run(capsys, "verify-paper", "--budget", "small",
-                       "--samples", "1000", "--json")
+    # a small sampling budget: only the four unproved rows sample
+    code, out, _ = run(capsys, "verify-paper", "--samples", "1000", "--json")
     data = json.loads(out)
-    by_name = {r["name"]: r["status"] for r in data}
-    assert by_name["factorisation of X^7 - 1"] == "PASS"
-    assert by_name["primitive idempotents"] == "PASS"
-    assert by_name["published counts (58 / 28)"] == "PASS"
-    assert by_name["showcase (7, 9^3, 5) code"] == "PASS"
-    assert by_name["derived cross-check at (3, 2)"] == "PASS"
-    assert by_name["oracle agreement with the complete classification (87 / 56)"] == "PASS"
     assert code == 0
-    skipped = [r for r in data if r["status"] == "SKIP"]
-    assert skipped  # the bound-only rows are skipped under the small budget
+    assert [r["status"] for r in data] == ["PASS"] * len(data) and len(data) == 21
+    kinds = {}
+    for row in refdata.GOOD_CODE_TABLE:
+        detail = next(r["detail"] for r in data
+                      if r["name"] == f"good-code row q={row.q}, n={row.n}")
+        kinds[row.q, row.n] = ("exact" if f"got {row.d} [exact," in detail else
+                               "bound" if "[sampled bound (1000 draws)]" in detail else detail)
+    assert {key for key, kind in kinds.items() if kind == "exact"} == {
+        (2, 11), (2, 19), (3, 7), (3, 19), (5, 7), (7, 11), (13, 11), (17, 7),
+        (17, 11), (19, 7), (19, 11)}
+    assert {key for key, kind in kinds.items() if kind == "bound"} == set(refdata.UNPROVED_ROWS)

@@ -208,8 +208,8 @@ def test_componentwise_orthogonality_matches_global():
 
 def test_code_record_shape():
     C = cyclic_span(CTX73.atlas.idempotent(1, 0), CTX73)
-    d, exact = codes.cached_min_distance(C)
-    rec = codes.code_record(C)
+    d, exact = codes.min_distance(C)
+    rec = codes.code_record(C, d=d, d_exact=exact)
     assert rec["n"] == 7 and rec["q"] == 3 and rec["t"] == 2
     assert rec["k_fq"] == 6 and rec["cardinality_log"] == 6
     assert rec["d"] == 5 and rec["d_exact"] is True

@@ -85,6 +85,11 @@ def test_certificate_matches_brute_force(q, cyclic, seed, data):
     d = int(weights.min())
     cert = codes.distance_certificate(C, budget=q ** C.k)
     assert (cert.ub, cert.exact) == (d, True)
+    # the gate predicts the words formed from above, and below q^k
+    predicted = codes._InformationSet(C).words
+    assert cert.words_examined <= predicted < q ** C.k
+    assert codes.distance_certificate(C, budget=predicted + 1) == cert
+    assert not codes.distance_certificate(C, budget=predicted, samples=1).exact
     assert cert.lb <= d <= cert.ub
     assert cert.method == codes.INFO_SETS
     assert C.contains(list(cert.witness)) and weight(cert.witness) == d
@@ -113,6 +118,14 @@ def test_non_cyclic_code_is_enumerated_without_the_shift_bound(q, n):
     assert (cyc.ub, non.ub, cyc.exact, non.exact) == (row.d, row.d, True, True)
     assert non.words_examined > cyc.words_examined
     assert P.contains(list(non.witness)) and weight(non.witness) == row.d
+
+
+def test_default_budget_counts_the_words_formed_not_the_codewords():
+    # 13^10 codewords, but the enumeration forms 23,590 words
+    row = refdata.row_for(13, 11)
+    C = codes.cyclic_span(row.generator, context(11, 13, 2, paper=True))
+    assert codes.min_distance(C) == (7, True)
+    assert codes.distance_certificate(C).words_examined == 23_590
 
 
 def test_level_too_large_for_int64_counts_is_refused_only_when_needed(monkeypatch):
