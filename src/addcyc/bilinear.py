@@ -73,15 +73,12 @@ class DeltaContext:
         fqt, fq = self.field_qt, self.field_q
         p, e, t = self.p, self.e, self.t
         met = fqt.m
+        # the generator g is primitive, so its minimal polynomial over F_q has
+        # degree t and 1, g, ..., g^(t-1) are F_q-independent
         basis = [fqt.pow(fqt.generator, s) for s in range(t)]
-        fp = gf.field(p)
-        M = self._basis_matrix(basis)
-        if linalg.rank(fp, M) != met:
-            basis = self._greedy_basis()
-            M = self._basis_matrix(basis)
         self.fq_basis = basis
-        Minv = linalg.inverse(fp, M)
-        assert Minv is not None
+        Minv = linalg.inverse(gf.field(p), self._basis_matrix(basis))
+        assert Minv is not None, "1, g, ..., g^(t-1) must be an F_q-basis of GF(q^t)"
         # all-element digit matrix (Q_t x met) -> F_q coordinates (Q_t x t)
         vals = np.arange(fqt.order, dtype=np.int64)
         digs = np.stack([(vals // p ** i) % p for i in range(met)], axis=1)
@@ -105,19 +102,6 @@ class DeltaContext:
                 w_u = self._embed_q.embed(self.field_q.encode([0] * u + [1]))
                 cols.append(fqt.decode(fqt.mul(w_u, x)))
         return np.array(cols, dtype=np.int64).T % p
-
-    def _greedy_basis(self):
-        fqt = self.field_qt
-        fp = gf.field(self.p)
-        basis: list[int] = []
-        for cand in range(1, fqt.order):
-            trial = basis + [cand]
-            M = self._basis_matrix(trial)
-            if linalg.rank(fp, M) == len(trial) * self.e:
-                basis.append(cand)
-                if len(basis) == self.t:
-                    return basis
-        raise AssertionError("no F_q-basis of GF(q^t) found")
 
     def expand(self, symbols) -> np.ndarray:
         """GF(q^t) symbol array (..., n) -> F_q coordinate array (..., n*t)."""

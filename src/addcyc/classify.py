@@ -22,10 +22,13 @@ product per ordered class pair i != j (all choices of class i against all of
 class j), and each choice's own block.  A combination is accepted when all of
 its blocks vanish, a broadcast AND over the grid of combinations.
 
-The component subspaces of a class are built and row-reduced as stacks
-(:func:`component_stack`, :func:`linalg.rref_batch`), and assembled codes are
-put in canonical form a stack per dimension, with their Gram matrices from
-one batched product.
+Every component subspace (a 1-dimensional choice or the full J_i) and every
+fixed-class option is built by group-algebra products
+(:meth:`ring.CyclicRing.mul_rows`, one :func:`linalg.matmul` by a
+circulant): a class's choices of one kind are built as one stack
+(:func:`component_stack`) and row-reduced by one :func:`linalg.rref_batch`,
+and assembled codes are put in canonical form a stack per dimension, with
+their Gram matrices from one batched product.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class SubcodeChoice:
     """One admissible component subspace C_i of J_i.
 
     ``kind`` is "zero", "full" or "dim1"; for dim1 the K_i-basis vector and a
-    human-readable label (e.g. "e0+rho1^28") are carried along.
+    human-readable label (e.g. "e3,0+rho3,1^28") are carried along.
     """
 
     index: int
@@ -58,17 +61,26 @@ class SubcodeChoice:
     label: str = ""
 
 
-def _require_t2(ctx: DeltaContext):
+def _check_mode(ctx: DeltaContext, mode: str) -> str:
+    """The classification mode, lowercased ("so" or "sd"), once ctx is
+    checked to be at t = 2."""
     if ctx.t != 2:
         raise InvalidParameterError("classification is implemented for t = 2 only")
-
-
-def _check_mode(mode: str) -> str:
-    """The classification mode, lowercased: "so" or "sd"."""
     low = mode.lower() if isinstance(mode, str) else mode
     if low not in ("so", "sd"):
         raise InvalidParameterError(f"mode must be 'so' or 'sd', got {mode!r}")
     return low
+
+
+def _checked_context(n: int, q: int, mode: str,
+                     ctx: DeltaContext | None) -> tuple[DeltaContext, str]:
+    """The context of (n, q) at t = 2 -- ``ctx`` when given, which must be
+    for the same (n, q) -- and the checked mode."""
+    ctx = ctx or context(n, q, 2)
+    if (ctx.n, ctx.q) != (n, q):
+        raise InvalidParameterError(f"context is for (n, q) = ({ctx.n}, {ctx.q}), "
+                                    f"not ({n}, {q})")
+    return ctx, _check_mode(ctx, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -77,55 +89,41 @@ def _check_mode(mode: str) -> str:
 
 def component_rows(choice: SubcodeChoice, ctx: DeltaContext) -> np.ndarray:
     """F_q-expanded basis rows of the chosen component subspace."""
-    i = choice.index
     if choice.kind == "zero":
         return np.zeros((0, ctx.n * ctx.t), dtype=np.int64)
-    if choice.kind == "dim1":
-        return component_stack([choice], ctx)[0]
-    span = ctx.atlas.j_spanning(i)
-    rows = [v.scale(x) for v in span for x in ctx.fq_basis]
-    return ctx.expand(np.array([r.coeffs for r in rows], dtype=np.int64))
+    return component_stack([choice], ctx)[0]
 
 
 def component_stack(choices: list[SubcodeChoice], ctx: DeltaContext) -> np.ndarray:
-    """F_q-expanded rows of 1-dimensional choices of one class, as an
-    (N, d_i, n*t) stack: entry a holds kappa * v_a for the F_q-basis kappa of
-    K_i.  All N * d_i products are one vectorised cyclic convolution (the
-    ``vmul`` + ``vsum`` digit path of the group-algebra product).
+    """F_q-expanded rows of nonzero choices of one class and one kind, as an
+    (N, r, n*t) stack: entry a holds kappa * v for the F_q-basis kappa of
+    K_i and the K_i-basis v of choice a -- its vector (dim1), or x * f_i for
+    x in ``ctx.fq_basis`` (full; f_i the identity of J_i).  The ring is
+    commutative, so this is one :meth:`CyclicRing.mul_rows` per kappa.
     """
     i = choices[0].index
-    f = ctx.field_qt
-    n = ctx.n
-    K = np.array([k.coeffs for k in ctx.atlas.k_basis(i)], dtype=np.int64)
-    V = np.array([c.vector.coeffs for c in choices], dtype=np.int64)
-    rot = ctx.ring._rot  # rot[j, k] = (k - j) mod n
-    sym = np.empty((len(choices), K.shape[0], n), dtype=np.int64)
-    step = max(1, linalg.MATMUL_CHUNK // K.size // n)
-    for s in range(0, len(choices), step):
-        # sym[a, r, k] = sum_j K[r, j] * V[a, (k - j) mod n]
-        prods = f.vmul(K[None, :, :, None], V[s:s + step, None][:, :, rot])
-        sym[s:s + step] = f.vsum(prods, axis=2)
-    return ctx.expand(sym)
+    if choices[0].kind == "full":
+        f_i = ctx.atlas.j_idempotent(i)
+        gens = [[f_i.scale(x).coeffs for x in ctx.fq_basis] for _ in choices]
+    else:
+        gens = [[c.vector.coeffs] for c in choices]
+    V = np.array(gens, dtype=np.int64).reshape(-1, ctx.n)
+    sym = np.stack([ctx.ring.mul_rows(V, kappa.coeffs) for kappa in ctx.atlas.k_basis(i)],
+                   axis=1)
+    return ctx.expand(sym.reshape(len(choices), -1, ctx.n))
 
 
 def _reduce_choices(choices: list[SubcodeChoice], ctx: DeltaContext) -> dict:
     """Reduced basis rows (RREF, zero rows dropped) of each choice of one
-    class, in order.
-
-    The 1-dimensional choices are built by :func:`component_stack` and
-    reduced by one :func:`linalg.rref_batch`; the zero and full choices by
-    :func:`linalg.rref`.
+    class, in order: the choices of each nonzero kind are built by one
+    :func:`component_stack` and reduced by one :func:`linalg.rref_batch`.
     """
-    fq = ctx.field_q
-    out = {}
-    dim1 = [c for c in choices if c.kind == "dim1"]
-    if dim1:
-        R, ranks = linalg.rref_batch(fq, component_stack(dim1, ctx))
-        out.update((c, Rc[:k]) for c, Rc, k in zip(dim1, R, ranks))
-    for c in choices:
-        if c.kind != "dim1":
-            R, piv = linalg.rref(fq, component_rows(c, ctx))
-            out[c] = R[: len(piv)]
+    out = {c: component_rows(c, ctx) for c in choices if c.kind == "zero"}
+    for kind in ("full", "dim1"):
+        group = [c for c in choices if c.kind == kind]
+        if group:
+            R, ranks = linalg.rref_batch(ctx.field_q, component_stack(group, ctx))
+            out.update((c, Rc[:k]) for c, Rc, k in zip(group, R, ranks))
     return {c: out[c] for c in choices}
 
 
@@ -143,6 +141,15 @@ def _times_powers(first: GroupAlgebraElement, base: GroupAlgebraElement,
     return rows
 
 
+def _dim1_choices(i: int, ctx: DeltaContext, rows: np.ndarray, label: str,
+                  step: int = 1) -> list[SubcodeChoice]:
+    """The 1-dimensional choices of class i spanned by coefficient rows; row
+    k is labelled ``label`` followed by k * step."""
+    return [SubcodeChoice(i, "dim1", GroupAlgebraElement(ctx.ring, tuple(v.tolist())),
+                          f"{label}{k * step}")
+            for k, v in enumerate(rows)]
+
+
 def one_dim_subspaces(i: int, ctx: DeltaContext):
     """All 1-dimensional K_i-subspaces of J_i, as SubcodeChoice values.
 
@@ -156,18 +163,13 @@ def one_dim_subspaces(i: int, ctx: DeltaContext):
     tab = atlas.table
     q = ctx.q
     s_i, d_i = tab.s[i], tab.d[i]
-    ring = atlas.ring
     if s_i == 1:
         rows = _times_powers(atlas.idempotent(i, 0), atlas.rho(i, 0), q ** d_i + 1)
-        return [SubcodeChoice(i, "dim1", GroupAlgebraElement(ring, tuple(v.tolist())),
-                              f"rho{i}^{k}")
-                for k, v in enumerate(rows)]
+        return _dim1_choices(i, ctx, rows, f"rho{i}^")
     e0, e1 = atlas.idempotent(i, 0), atlas.idempotent(i, 1)
     rows = ctx.field_qt.vadd(np.array(e0.coeffs), _times_powers(e1, atlas.rho(i, 1), q ** d_i - 1))
     return ([SubcodeChoice(i, "dim1", e0, f"e{i},0"), SubcodeChoice(i, "dim1", e1, f"e{i},1")]
-            + [SubcodeChoice(i, "dim1", GroupAlgebraElement(ring, tuple(v.tolist())),
-                             f"e{i},0+rho{i},1^{k}")
-               for k, v in enumerate(rows)])
+            + _dim1_choices(i, ctx, rows, f"e{i},0+rho{i},1^"))
 
 
 def all_subspace_choices(i: int, ctx: DeltaContext):
@@ -194,8 +196,7 @@ def subcode_options(i: int, mode: str, ctx: DeltaContext,
     oracle confirms.  ``complete=True`` includes that omitted option; the
     default reproduces the published classification.
     """
-    _require_t2(ctx)
-    mode = _check_mode(mode)
+    mode = _check_mode(ctx, mode)
     tab = ctx.table
     q = ctx.q
     if tab.mu[i] != i:
@@ -212,26 +213,18 @@ def subcode_options(i: int, mode: str, ctx: DeltaContext,
         v = atlas.rho(i, 0).pow_with_identity(k, e) if k else e
         opts.append(SubcodeChoice(i, "dim1", v, f"rho{i}^{k}"))
         return opts
-    d_i = tab.d[i]
-    half = q ** (d_i // 2)
-    e0 = atlas.idempotent(i, 0)
-    e1 = atlas.idempotent(i, 1)
-    rho1 = atlas.rho(i, 1)
+    half = q ** (tab.d[i] // 2)
+    e0, e1 = atlas.idempotent(i, 0), atlas.idempotent(i, 1)
+    # e_0 + rho_1^(k * step): k <= half for "fixes", k < half - 1 for "swaps"
     if atlas.tau_orientation[i] == "fixes":
-        step = rho1.pow_with_identity(half - 1, e1)
-        cur = e1
-        for _ in range(half + 1):
-            opts.append(SubcodeChoice(i, "dim1", e0 + cur, "e0+rho1^k"))
-            cur = cur * step
+        step, count = half - 1, half + 1
     else:
         opts.append(SubcodeChoice(i, "dim1", e0, f"e{i},0"))
         opts.append(SubcodeChoice(i, "dim1", e1, f"e{i},1"))
-        step = rho1.pow_with_identity(half + 1, e1)
-        cur = e1
-        for _ in range(half - 1):
-            opts.append(SubcodeChoice(i, "dim1", e0 + cur, "e0+rho1^k"))
-            cur = cur * step
-    return opts
+        step, count = half + 1, half - 1
+    powers = _times_powers(e1, atlas.rho(i, 1).pow_with_identity(step, e1), count)
+    rows = ctx.field_qt.vadd(np.array(e0.coeffs), powers)
+    return opts + _dim1_choices(i, ctx, rows, f"e{i},0+rho{i},1^", step)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +258,7 @@ def pair_options(j: int, mode: str, ctx: DeltaContext, *, reduced: dict | None =
     every choice on both sides are stored in ``reduced`` when it is given,
     so a caller assembling codes from the pairs reuses them.
     """
-    _require_t2(ctx)
-    mode = _check_mode(mode)
+    mode = _check_mode(ctx, mode)
     tab = ctx.table
     mu_j = tab.mu[j]
     if mu_j == j:
@@ -355,9 +347,7 @@ def enumerate_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
     option for odd q).  Profiles are taken in product order a bounded chunk
     at a time, so the generator stays lazy per chunk.
     """
-    ctx = ctx or context(n, q, 2)
-    _require_t2(ctx)
-    mode = _check_mode(mode)
+    ctx, mode = _checked_context(n, q, mode, ctx)
     tab = ctx.table
     blocks: list[list[tuple[SubcodeChoice, ...]]] = []
     reduced: dict = {}  # a component's rows depend only on its choice
@@ -396,9 +386,7 @@ def count_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
     transposed pair contributes 3q^(d_j)+6 ("so") / q^(d_j)+3 ("sd")
     regardless of the parity of d_j.
     """
-    ctx = ctx or context(n, q, 2)
-    _require_t2(ctx)
-    mode = _check_mode(mode)
+    ctx, mode = _checked_context(n, q, mode, ctx)
     tab = ctx.table
     n_identity = 1 + (1 if tab.i_sharp is not None else 0)
     if mode == "so":
@@ -458,9 +446,7 @@ def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = Non
     accepted combination is checked to be a direct sum and put in canonical
     form.  Returns (count, set of canonical keys).
     """
-    ctx = ctx or context(n, q, 2)
-    _require_t2(ctx)
-    mode = _check_mode(mode)
+    ctx, mode = _checked_context(n, q, mode, ctx)
     tab = ctx.table
     sizes = [q ** d + 3 for d in tab.d]
     if math.prod(sizes) > limit:
@@ -520,7 +506,6 @@ def good_code_report(n: int, q: int, ctx: DeltaContext | None = None, *,
     Sorted by (k ascending, d descending, canonical key); the zero code is
     reported with d = None.
     """
-    ctx = ctx or context(n, q, 2)
     out = []
     for idx, code in enumerate(enumerate_codes(n, q, mode, ctx)):
         if limit is not None and idx >= limit:

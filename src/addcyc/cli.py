@@ -97,8 +97,7 @@ def cmd_mindist(args):
     cert = codes.distance_certificate(C, budget=args.mindist_budget,
                                       samples=args.samples, seed=args.seed)
     payload = codes.code_record(C, d=cert.ub, d_exact=cert.exact)
-    witness = (None if cert.witness is None
-               else [gf.format_element(ctx.field_qt, c) for c in cert.witness])
+    witness = [gf.format_element(ctx.field_qt, c) for c in cert.witness]
     payload.update(lb=cert.lb, ub=cert.ub, method=cert.method,
                    words_examined=cert.words_examined, witness=witness)
     kind = "exact" if cert.exact else "sampled upper bound"

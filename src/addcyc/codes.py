@@ -210,9 +210,8 @@ def decompose(code: AdditiveCode, ctx: DeltaContext | None = None) -> CodeDecomp
     tab = atlas.table
     comps, kks = [], []
     for i in range(tab.num_classes):
-        f_i = atlas.j_idempotent(i)
-        rows = [ctx.ring.element(row) * f_i for row in code.basis_symbols()]
-        comp = AdditiveCode.from_vectors(ctx, rows)
+        rows = ctx.ring.mul_rows(code.basis_symbols(), atlas.j_idempotent(i).coeffs)
+        comp = AdditiveCode.from_expansion(ctx, ctx.expand(rows))
         assert all(code.contains(r) for r in comp.basis_elements())
         di = tab.d[i]  # F_q-dimension of K_i
         assert comp.k % di == 0, "component dimension must be a K_i multiple"
@@ -239,9 +238,7 @@ def _prime_generator_digits(code: AdditiveCode) -> np.ndarray:
         ctx.field_qt.vmul(np.int64(ctx.embed_scalar(ctx.field_q.encode([0] * u + [1]))), sym)
         for u in range(ctx.e)])
     digs = np.stack([(stacked // p ** i) % p for i in range(met)], axis=2)
-    # the sampled path draws its coefficients in this dtype, which fixes its
-    # random stream
-    return digs.reshape(stacked.shape[0], -1).astype(np.min_scalar_type(2 * (p - 1)))
+    return digs.reshape(stacked.shape[0], -1)
 
 
 def _weights(block: np.ndarray, n: int, met: int) -> np.ndarray:
@@ -257,15 +254,14 @@ def _weights(block: np.ndarray, n: int, met: int) -> np.ndarray:
 class DistanceCertificate:
     """Evidence for a minimum distance: lb <= d <= ub, and a codeword of weight ub.
 
-    ``witness`` is that codeword as GF(q^t) symbols (None when sampling drew
-    no nonzero word).  ``words_examined`` counts the codewords formed: one
-    per F_p* class for the information-set enumeration, one per draw for
-    sampling.
+    ``witness`` is that codeword as GF(q^t) symbols.  ``words_examined``
+    counts the codewords formed: one per F_p* class for the information-set
+    enumeration, one per draw for sampling.
     """
 
     lb: int
     ub: int
-    witness: tuple[int, ...] | None
+    witness: tuple[int, ...]
     method: str
     words_examined: int
 
@@ -343,8 +339,7 @@ class _InformationSet:
     def __init__(self, code: AdditiveCode):
         ctx = code.ctx
         self.p, self.n, self.met = ctx.p, ctx.n, ctx.field_qt.m
-        self.rows_fp = _prime_generator_digits(code)
-        R, pivots = linalg.rref(gf.field(self.p), self.rows_fp)
+        R, pivots = linalg.rref(gf.field(self.p), _prime_generator_digits(code))
         self.gen = R[:len(pivots)]
         position = np.asarray(pivots) // self.met
         self.starts = np.flatnonzero(np.diff(position, prepend=-1))
@@ -391,17 +386,19 @@ class _InformationSet:
         return DistanceCertificate(ub, ub, _symbols(best, n, met, p), INFO_SETS, examined)
 
     def sample(self, samples: int, seed: int) -> DistanceCertificate:
-        """Upper bound from seeded random combinations of the unreduced rows."""
-        p, n, met, rows = self.p, self.n, self.met, self.rows_fp
+        """Upper bound from the lightest reduced generator row and seeded
+        random combinations of the reduced rows."""
+        p, n, met = self.p, self.n, self.met
         rng = np.random.default_rng(seed)
-        # float64 holds every dot product exactly: (p-1)^2 * len(rows) < 2^53
+        wt = _weights(self.gen, n, met)
+        best, witness, done = int(wt.min()), self.gen[wt.argmin()], 0
+        # float64 holds every dot product exactly: (p-1)^2 * len(gen) < 2^53
         # for each p the field tables admit
-        gen = rows.astype(np.float64)
-        best, witness, done = n + 1, None, 0
+        gen = self.gen.astype(np.float64)
         while done < samples:
             take = min(1 << 18, samples - done)
-            coeffs = rng.integers(0, p, size=(take, len(rows)), dtype=rows.dtype)
-            words = (coeffs.astype(np.float64) @ gen).astype(np.int64) % p
+            coeffs = rng.integers(0, p, size=(take, len(gen))).astype(np.float64)
+            words = (coeffs @ gen).astype(np.int64) % p
             w = _weights(words, n, met)
             w[w == 0] = n + 1
             i = int(w.argmin())
@@ -411,10 +408,8 @@ class _InformationSet:
         return DistanceCertificate(1, best, _symbols(witness, n, met, p), SAMPLING, samples)
 
 
-def _symbols(word: np.ndarray | None, n: int, met: int, p: int) -> tuple[int, ...] | None:
+def _symbols(word: np.ndarray, n: int, met: int, p: int) -> tuple[int, ...]:
     """GF(q^t) symbols of a digit row (position-major, base-p digits)."""
-    if word is None:
-        return None
     digits = np.asarray(word, dtype=np.int64).reshape(n, met)
     return tuple(int(v) for v in digits @ p ** np.arange(met, dtype=np.int64))
 

@@ -5,15 +5,19 @@ spaces and membership tests all go through the field's table-backed vector
 operations, so the same code path serves prime fields and small extension
 fields.  :func:`rref` reduces one matrix; :func:`rref_batch` reduces a stack
 of same-shape matrices with one vectorised elimination per column, and is
-the routine for callers that hold many matrices at once.  Over a prime
-field a product is an integer matmul reduced mod p; over GF(p^m), m > 1, it
-is one broadcast field product followed by a digit-space sum (the base-p
-digits of the terms are added as integers and reduced mod p once), not a
-chain of field additions.
+the routine for callers that hold many matrices at once.  :func:`matmul` is
+the package's one sum of products: the group-algebra product
+(:meth:`ring.CyclicRing.mul_rows`, a product by a circulant), the Gram
+products and the component subspaces of the classification all run on it.
+Over a prime field it is an integer matmul reduced mod p; over GF(p^m),
+m > 1, it is one broadcast field product followed by a digit-space sum (the
+base-p digits of the terms are added as integers and reduced mod p once),
+not a chain of field additions.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -106,26 +110,22 @@ def matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact A @ B over the field, for two matrices or for two stacks of m
     matrices, (m, r, k) and (m, k, c), multiplied pairwise.
 
-    Over an extension field the products A[r, k] * B[k, c] are formed by one
-    broadcast ``vmul`` and summed over k by one ``vsum`` (digit-space
-    reduction mod p), a block of rows (or of stacked matrices) at a time.
+    This is the package's one sum of products over GF(p^m), m > 1: the
+    products A[.., k] * B[k, c] are formed by one broadcast ``vmul`` and
+    summed over k by one ``vsum`` (digit-space reduction mod p), a block of
+    rows of A (or of stacked matrices) at a time, against the shared B (or
+    the matching block of B).
     """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if f.m == 1:
         # entries < p <= 2^20 and desk-scale shapes keep int64 exact
         return (A @ B) % f.p
-    if A.ndim == 2:
-        # each row of A is a one-row matrix against the shared B
-        stacked_B = np.broadcast_to(B, (A.shape[0],) + B.shape)
-        return matmul(f, A[:, None, :], stacked_B)[:, 0, :]
-    m, r, k = A.shape
-    c = B.shape[2]
-    out = np.empty((m, r, c), dtype=np.int64)
-    step = max(1, MATMUL_CHUNK // max(r * k * c, 1))
-    for s in range(0, m, step):
-        out[s:s + step] = f.vsum(f.vmul(A[s:s + step, :, :, None],
-                                        B[s:s + step, None, :, :]), axis=2)
+    out = np.empty(A.shape[:-1] + B.shape[-1:], dtype=np.int64)
+    step = max(1, MATMUL_CHUNK // max(math.prod(A.shape[1:]) * B.shape[-1], 1))
+    for s in range(0, len(A), step):
+        Bs = B if B.ndim == 2 else B[s:s + step]
+        out[s:s + step] = f.vsum(f.vmul(A[s:s + step, ..., None], Bs[..., None, :, :]), axis=-2)
     return out
 
 

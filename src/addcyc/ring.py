@@ -5,12 +5,10 @@ encodings and are read interchangeably as the vector (a_0, ..., a_{n-1}) in
 F^n and the polynomial a(X).  Multiplication is cyclic convolution; the
 shift sigma corresponds to multiplication by X.
 
-The convolution is computed without a loop over positions: one vectorised
-field product fills the n x n matrix a_i * b_{(k-i) mod n}, and
-:meth:`gf.Field.vsum` reduces its columns in digit space (the base-p digits
-of all n terms are summed as integers and reduced mod p once).
-:meth:`CyclicRing.mul_rows` does the same for a whole stack of elements
-times one element.
+The convolution is a matrix product: a * b is the row a times the circulant
+of b, the n x n matrix B[i, k] = b_{(k-i) mod n}, and :meth:`CyclicRing.mul_rows`
+multiplies a whole stack of rows by it with one :func:`linalg.matmul`, the
+package's one sum of products over the field (no loop over positions).
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ class CyclicRing:
     def __init__(self, field: gf.Field, n: int):
         self.field = field
         self.n = n
-        # rotation index table: _rot[i, k] = (k - i) mod n, for convolution
+        # circulant index table: _rot[i, k] = (k - i) mod n
         idx = np.arange(n)
         self._rot = (idx[None, :] - idx[:, None]) % n
 
@@ -66,17 +64,9 @@ class CyclicRing:
 
     def mul_rows(self, rows: np.ndarray, b) -> np.ndarray:
         """Products rows[a] * b of a stack (N, n) of coefficient rows by one
-        element b, as an (N, n) stack: one ``vmul`` over the rotated matrix
-        of b and one ``vsum``, a block of rows at a time."""
-        f = self.field
-        rows = np.asarray(rows, dtype=np.int64)
-        brot = np.asarray(b, dtype=np.int64)[self._rot]  # brot[i, k] = b[(k - i) mod n]
-        out = np.empty_like(rows)
-        step = max(1, linalg.MATMUL_CHUNK // brot.size)
-        for s in range(0, len(rows), step):
-            # out[a, k] = sum_i rows[a, i] * b[(k - i) mod n]
-            out[s:s + step] = f.vsum(f.vmul(rows[s:s + step, :, None], brot), axis=1)
-        return out
+        element b, as an (N, n) stack: the product by the circulant of b,
+        ``linalg.matmul(rows, B)`` with B[i, k] = b[(k - i) mod n]."""
+        return linalg.matmul(self.field, rows, np.asarray(b, dtype=np.int64)[self._rot])
 
     def from_tokens(self, text: str) -> "GroupAlgebraElement":
         vals = [gf.parse_element(self.field, tok) for tok in text.split(",")]

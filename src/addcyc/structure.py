@@ -381,14 +381,6 @@ class IdealAtlas:
         self._k_bases[i] = basis
         return basis
 
-    def j_spanning(self, i: int) -> list[GroupAlgebraElement]:
-        """An F_{q^t}-basis of J_i: the shifted idempotents e_{i,j} X^s."""
-        out = []
-        for j in range(self.table.s[i]):
-            e = self.idempotents[(i, j)]
-            out.extend(e.shift(s) for s in range(self.table.D[i]))
-        return out
-
     # -- rendering ----------------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -68,6 +68,21 @@ def test_requires_t2():
         list(classify.enumerate_codes(5, 2, "so", ctx4))
 
 
+def test_context_must_be_for_the_given_parameters():
+    """A context built for another (n, q) is refused, not silently used:
+    with the (7, 3) context these calls used to count, list and scan the
+    (7, 3) codes (58, 58 codes of length 7, 87)."""
+    ctx73 = context(7, 3, 2)
+    with pytest.raises(InvalidParameterError):
+        classify.count_codes(11, 3, "so", ctx73)
+    with pytest.raises(InvalidParameterError):
+        next(classify.enumerate_codes(11, 3, "so", ctx73))
+    with pytest.raises(InvalidParameterError):
+        classify.brute_force_oracle(5, 3, "so", ctx73)
+    with pytest.raises(InvalidParameterError):
+        classify.good_code_report(11, 3, ctx73)
+
+
 def test_counts_reference():
     assert classify.count_codes(7, 3, "so", CTX73) == 58
     assert classify.count_codes(7, 3, "sd", CTX73) == 28
@@ -314,34 +329,74 @@ def test_one_dim_subspaces_equal_sequential_products(n, q, paper):
 
 @pytest.mark.parametrize("n,q", [(7, 4), (5, 9)])
 def test_component_rows_built_once_per_choice(n, q, monkeypatch):
-    """Each component's rows are built exactly once per enumeration, singly
-    (zero, full) or in a class stack (1-dimensional choices): pair_options
-    and the profile loop share the reductions."""
+    """Each nonzero component's rows are built exactly once per
+    enumeration, in the class stack of its kind: pair_options and the
+    profile loop share the reductions."""
     ctx = context(n, q, 2)
     calls = {}
-
-    def count(choice):
-        vec = None if choice.vector is None else choice.vector.coeffs
-        key = (choice.index, choice.kind, vec)
-        calls[key] = calls.get(key, 0) + 1
-
-    raw_rows, raw_stack = classify.component_rows, classify.component_stack
-
-    def counted_rows(choice, ctx):
-        count(choice)
-        return raw_rows(choice, ctx)
+    raw_stack = classify.component_stack
 
     def counted_stack(choices, ctx):
         for choice in choices:
-            count(choice)
+            vec = None if choice.vector is None else choice.vector.coeffs
+            key = (choice.index, choice.kind, vec)
+            calls[key] = calls.get(key, 0) + 1
         return raw_stack(choices, ctx)
 
-    monkeypatch.setattr(classify, "component_rows", counted_rows)
     monkeypatch.setattr(classify, "component_stack", counted_stack)
     keys = {c.key() for c in classify.enumerate_codes(n, q, "so", ctx, complete=True)}
     assert calls and set(calls.values()) == {1}
     count, oracle_keys = classify.brute_force_oracle(n, q, "so", ctx)
     assert keys == oracle_keys and count == len(keys)
+
+
+#: fixed classes at these instances cover both orientations, the identity
+#: classes at odd and even q, and the complete identity option
+OPTION_INSTANCES = [(7, 3, True), (13, 2, False), (7, 5, False), (5, 9, False),
+                    (5, 3, False), (11, 3, False), (13, 3, False)]
+
+
+@pytest.mark.parametrize("n,q,paper", OPTION_INSTANCES)
+def test_options_are_labelled_like_one_dim_subspaces(n, q, paper):
+    """Every 1-dimensional option of a fixed class, published or complete,
+    is the entry of one_dim_subspaces with the same label and vector."""
+    ctx = context(n, q, 2, paper=paper)
+    tab = ctx.table
+    checked = 0
+    for i in range(tab.num_classes):
+        if tab.mu[i] != i:
+            continue
+        listed = {c.label: c.vector for c in classify.one_dim_subspaces(i, ctx)}
+        for complete in (False, True):
+            for c in classify.subcode_options(i, "so", ctx, complete):
+                if c.kind == "dim1":
+                    assert listed.get(c.label) == c.vector, c.label
+                    checked += 1
+    assert checked
+
+
+def j_spanning_rows(i, ctx):
+    """F_q-expanded rows spanning J_i, built without the ring product: the
+    F_{q^t}-basis e_{i,j} X^s of J_i, each scaled by every element of
+    ctx.fq_basis."""
+    atlas, tab = ctx.atlas, ctx.table
+    span = [atlas.idempotent(i, j).shift(s) for j in range(tab.s[i]) for s in range(tab.D[i])]
+    return ctx.expand(np.array([v.scale(x).coeffs for v in span for x in ctx.fq_basis]))
+
+
+@pytest.mark.parametrize("n,q,paper", [(7, 3, True), (7, 4, False), (5, 9, False),
+                                       (9, 2, False), (8, 3, False), (13, 2, False)])
+def test_full_choice_spans_the_component(n, q, paper):
+    """The full choice, built from the K_i-basis x * f_i, has the reduced
+    rows of the shifted-idempotent spanning set of J_i."""
+    ctx = context(n, q, 2, paper=paper)
+    fq = ctx.field_q
+    for i in range(ctx.table.num_classes):
+        full = classify.SubcodeChoice(i, "full", None, "J")
+        want = linalg.row_space(fq, j_spanning_rows(i, ctx))
+        assert want.shape[0] == ctx.t * ctx.table.d[i]
+        assert classify._reduce_choices([full], ctx)[full].tolist() == want.tolist()
+        assert linalg.row_space(fq, classify.component_rows(full, ctx)).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("mode", ["foo", "", "s0", None])
@@ -371,7 +426,7 @@ def reference_oracle(n, q, mode, ctx):
     """The per-combination scan: every combination of one K_i-subspace per
     class is assembled, its full Gram matrix formed and tested, and each
     accepted code row-reduced on its own.  Component rows come from ring
-    products, one matrix at a time."""
+    products, one matrix at a time, and J_i from its shifted idempotents."""
     tab = ctx.atlas.table
     fq = ctx.field_q
     per_class = []
@@ -381,6 +436,8 @@ def reference_oracle(n, q, mode, ctx):
             if c.kind == "dim1":
                 sym = np.array([(kappa * c.vector).coeffs for kappa in ctx.atlas.k_basis(i)])
                 raw = ctx.expand(sym)
+            elif c.kind == "full":
+                raw = j_spanning_rows(i, ctx)
             else:
                 raw = classify.component_rows(c, ctx)
             rows.append(linalg.row_space(fq, raw) if len(raw) else raw)

@@ -6,7 +6,9 @@ interpreter with the package's ``__init__`` bypassed, so only the module's
 own import graph runs.
 """
 
+import importlib
 import importlib.util
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -34,3 +36,20 @@ def test_module_imports_first(name):
     proc = subprocess.run([sys.executable, "-c", IMPORT_FIRST.format(dirs=PACKAGE_DIRS, name=name)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_layers_resolve():
+    """Every layer the bench tracer wraps (``bench/layers.py``, loaded by
+    path) is still defined in the package, so traced runs
+    keep working when the package is refactored."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.LAYERS
+    for modname, attr, _, _ in layers.LAYERS:
+        owner = importlib.import_module(f"addcyc.{modname}")
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert leaf in vars(owner), f"addcyc.{modname}.{attr}"

@@ -215,12 +215,25 @@ def test_gram_apply_on_a_context_uses_its_gram_block():
 @KERNEL
 @given(data=st.data())
 def test_ring_product_matches_schoolbook(p, m, data):
+    """Products of a stack of rows by one element (the circulant product,
+    split into many row blocks by a small chunk) and of two elements."""
     f = gf.field(p, m)
     n = data.draw(st.integers(1, 7))
     R = cyclic_ring(f, n)
+    rows = data.draw(elems(f, (data.draw(st.integers(0, 5)), n)))
     a = data.draw(elems(f, (n,))).tolist()
     b = data.draw(elems(f, (n,))).tolist()
-    want = [scalar_sum(f, (f.mul(a[i], b[(k - i) % n]) for i in range(n))) for k in range(n)]
-    assert list((R.element(a) * R.element(b)).coeffs) == want
+
+    def schoolbook(x):
+        return [scalar_sum(f, (f.mul(int(x[i]), b[(k - i) % n]) for i in range(n)))
+                for k in range(n)]
+
+    chunk = data.draw(st.sampled_from([linalg.MATMUL_CHUNK, 1, 2 * n * n]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "MATMUL_CHUNK", chunk)
+        got = R.mul_rows(rows, b)
+    assert got.shape == rows.shape
+    assert got.tolist() == [schoolbook(x) for x in rows]
+    assert list((R.element(a) * R.element(b)).coeffs) == schoolbook(a)
     diff = R.element(a) - R.element(b)
     assert [f.add(x, y) for x, y in zip(diff.coeffs, b)] == a

@@ -100,9 +100,8 @@ def test_certificate_matches_brute_force(q, cyclic, seed, data):
     sampled = codes.distance_certificate(C, budget=1, samples=500, seed=seed)
     assert not sampled.exact and sampled.method == codes.SAMPLING
     assert sampled.lb <= d <= sampled.ub
-    if sampled.witness is not None:
-        assert C.contains(list(sampled.witness))
-        assert weight(sampled.witness) == sampled.ub
+    assert C.contains(list(sampled.witness))
+    assert weight(sampled.witness) == sampled.ub
 
 
 @pytest.mark.parametrize("q, n", [(2, 19), (3, 7)])
@@ -118,6 +117,16 @@ def test_non_cyclic_code_is_enumerated_without_the_shift_bound(q, n):
     assert (cyc.ub, non.ub, cyc.exact, non.exact) == (row.d, row.d, True, True)
     assert non.words_examined > cyc.words_examined
     assert P.contains(list(non.witness)) and weight(non.witness) == row.d
+
+
+def test_sampler_starts_at_the_lightest_generator_row():
+    """One draw already reaches the claimed d of an unproved row: the
+    sampled bound starts at the lightest reduced generator row, a codeword."""
+    row = refdata.row_for(13, 19)
+    C = codes.cyclic_span(row.generator, context(19, 13, 2, paper=True))
+    cert = codes.distance_certificate(C, budget=1, samples=1)
+    assert (cert.lb, cert.ub, cert.method, cert.exact) == (1, 11, codes.SAMPLING, False)
+    assert C.contains(list(cert.witness)) and weight(cert.witness) == 11
 
 
 def test_default_budget_counts_the_words_formed_not_the_codewords():
