@@ -5,7 +5,7 @@ Run:  python demos/demo_ideal_atlas.py
 
 from addcyc import structure
 
-atlas = structure.build_atlas(7, 3, 2, paper=True, rho_exponents={1: 243})
+atlas = structure.build_atlas(7, 3, 2, paper=True)
 tab = atlas.table
 
 print("classes:", [list(c) for c in tab.cosets])
@@ -23,10 +23,11 @@ for e in atlas.idempotents.values():
     total = total + e
 print("sum of idempotents == 1:", total == one)
 
-# Each minimal ideal is a finite field; rho generates its unit group.
+# Each minimal ideal is a finite field; rho generates its unit group.  It is
+# the first h(X) * e_{i,0}, deg h < D_i, of order q^(t D_i) - 1 in the ideal.
 for i in range(tab.num_classes):
-    af = atlas.ideal_field(i)
-    print(f"\nI_{i},0 realises GF({af.p}^{af.m}); its designated primitive element:")
+    print(f"\nI_{i},0 is a field of {atlas.q}^{atlas.t * tab.D[i]} elements;"
+          " its designated primitive element:")
     print("   rho =", atlas.rho(i, 0))
 
 # The sibling primitive elements are tau-conjugates: applying the

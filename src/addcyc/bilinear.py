@@ -38,14 +38,12 @@ class DeltaContext:
     ctx.atlas.table``).  Only the atlas needs the splitting field of X^n - 1.
     """
 
-    def __init__(self, n: int, q: int, t: int = 2, *, paper: bool = False,
-                 rho_exponents=None):
+    def __init__(self, n: int, q: int, t: int = 2, *, paper: bool = False):
         p, e = check_parameters(n, q, t)
         gf._check_t(t, p)
         self.n, self.q, self.t = n, q, t
         self.p, self.e = p, e
         self.paper = paper
-        self._rho_exponents = rho_exponents
         self.field_q = gf.field(p, e, paper=paper)
         self.field_qt = gf.field(p, e * t, paper=paper)
         self.gamma = gf.find_gamma(self.field_qt, q)
@@ -62,8 +60,7 @@ class DeltaContext:
     @property
     def atlas(self):
         if self._atlas is None:
-            self._atlas = build_atlas(self.n, self.q, self.t, paper=self.paper,
-                                      rho_exponents=self._rho_exponents)
+            self._atlas = build_atlas(self.n, self.q, self.t, paper=self.paper)
         return self._atlas
 
     # -- F_q coordinates on GF(q^t) -------------------------------------------------

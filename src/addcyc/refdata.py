@@ -33,10 +33,6 @@ WORKED_IDEMPOTENTS = {
     "1,1": "0,w^5,w^5,w^7,w^5,w^7,w^7",
 }
 
-#: pinned primitive-element choices for the reproduction: the designated
-#: primitive element of I_{1,0} evaluates to generator^243 of GF(3^6)
-WORKED_RHO_EXPONENTS = {1: 243}
-
 #: counts of the worked example: WORKED_COUNT_* follow the published case
 #: list (58 / 28); WORKED_VERIFIED_* are the complete counts (87 / 56), which
 #: the brute-force oracle and enumerate_codes(complete=True) both reach (the

@@ -63,10 +63,25 @@ class CyclicRing:
         return GroupAlgebraElement(self, coeffs)
 
     def mul_rows(self, rows: np.ndarray, b) -> np.ndarray:
-        """Products rows[a] * b of a stack (N, n) of coefficient rows by one
-        element b, as an (N, n) stack: the product by the circulant of b,
-        ``linalg.matmul(rows, B)`` with B[i, k] = b[(k - i) mod n]."""
-        return linalg.matmul(self.field, rows, np.asarray(b, dtype=np.int64)[self._rot])
+        """Products by the circulant of b, B[i, k] = b[(k - i) mod n]: a
+        stack (N, n) of coefficient rows times one element b (n,), or a
+        stack (N, r, n) of row blocks times a stack of elements b (N, n),
+        block a by b[a]; ``linalg.matmul(rows, B)`` either way."""
+        return linalg.matmul(self.field, rows, np.asarray(b, dtype=np.int64)[..., self._rot])
+
+    def pow_rows(self, rows: np.ndarray, exponents, identity) -> np.ndarray:
+        """Powers rows[a]^k for a stack (N, n) of rows and each k in
+        ``exponents``, as an (N, K, n) stack, inside the subring whose
+        multiplicative identity is ``identity``: one square-and-multiply
+        shared by all rows and all exponents, one stacked product per bit
+        (the partial powers that take the bit, and the square of the base)."""
+        base = np.asarray(rows, dtype=np.int64)
+        out = np.tile(np.asarray(identity, dtype=np.int64), (len(base), len(exponents), 1))
+        for bit in range(max(exponents, default=0).bit_length()):
+            sel = [k for k, e in enumerate(exponents) if e >> bit & 1]
+            prod = self.mul_rows(np.concatenate([out[:, sel], base[:, None]], axis=1), base)
+            out[:, sel], base = prod[:, :-1], prod[:, -1]
+        return out
 
     def from_tokens(self, text: str) -> "GroupAlgebraElement":
         vals = [gf.parse_element(self.field, tok) for tok in text.split(",")]
@@ -129,14 +144,8 @@ class GroupAlgebraElement:
         """Power inside a subring whose multiplicative identity is ``identity``."""
         if k < 0:
             raise ValueError("negative powers are not supported here")
-        result = identity
-        base = self
-        while k > 0:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        out = self.ring.pow_rows([self.coeffs], [k], identity.coeffs)[0, 0]
+        return GroupAlgebraElement(self.ring, tuple(out.tolist()))
 
     def tau(self, frob_card: int, u: int) -> "GroupAlgebraElement":
         """The ring automorphism sum a_k X^k -> sum a_k^frob_card X^(u k mod n)."""
@@ -169,11 +178,3 @@ class GroupAlgebraElement:
 
     def __repr__(self):
         return f"GroupAlgebraElement({self})"
-
-    def eval_embedded(self, point: int, target: gf.Field) -> int:
-        """Evaluate a(point) inside ``target`` (a field containing the coefficients)."""
-        emb = gf.subfield_map(self.ring.field, target).embed
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = target.add(target.mul(acc, point), emb(c))
-        return acc

@@ -8,12 +8,13 @@ generator polynomials of the minimal ideals, their primitive idempotents,
 designated primitive elements of each ideal-as-field, and the orientation of
 the ideals under the coefficient-conjugating automorphisms tau.
 
-Each minimal ideal I of the big algebra is a finite field; it is identified
-with GF(q^(t*D)) through evaluation at a pinned root of unity.  The
-designated primitive element of I is the preimage of the abstract field's
-generator under that identification (optionally overridden per index to pin
-alternative reference choices); primitive elements of the sibling ideals are
-derived through tau so that tau_{q^j,1}(rho_{i,0}) = rho_{i,j}.
+Each minimal ideal I_{i,j} of the big algebra is a finite field of
+q^(t*D_i) elements: it is GF(q^t)[Y]/(M_{i,j}) through Y -> X * e_{i,j}.
+The designated primitive element rho_{i,0} is found inside the ideal, as
+the first h(X) * e_{i,0} (deg h < D_i, in a fixed order) that passes the
+order test in the ring; the splitting field is not consulted.  Primitive
+elements of the sibling ideals are derived through tau so that
+tau_{q^j,1}(rho_{i,0}) = rho_{i,j}.
 """
 
 from __future__ import annotations
@@ -24,15 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf, linalg
-from .errors import (
-    InvalidParameterError,
-    NotCoprimeError,
-    NotInIdealError,
-    TooLargeError,
-)
+from . import gf
+from .errors import InvalidParameterError, NotCoprimeError, NotInIdealError
 from .polyring import Poly, minimal_poly, require_coprime, splitting_data
 from .ring import GroupAlgebraElement, cyclic_ring
+
+#: candidates in the first block of the primitive-element search; each later
+#: block takes twice as many
+RHO_BLOCK = 8
 
 
 def _check_length(n: int, base: int):
@@ -162,7 +162,7 @@ def tau_ideal_image(table: CosetTable, w: int, u: int, ij: tuple[int, int]) -> t
 class IdealAtlas:
     """Ideal decomposition data for R_n over F_q and F_{q^t}; built by build_atlas."""
 
-    def __init__(self, n, q, t, field_q, field_qt, *, paper=False, rho_exponents=None):
+    def __init__(self, n, q, t, field_q, field_qt, *, paper=False):
         check_parameters(n, q, t)
         self.n, self.q, self.t = n, q, t
         self.paper = paper
@@ -229,9 +229,7 @@ class IdealAtlas:
             else:
                 self.tau_orientation.append(None)
 
-        self._rho_exponents = dict(rho_exponents or {})
         self._rho: dict[tuple[int, int], GroupAlgebraElement] = {}
-        self._ideal_fields: dict[int, gf.Field] = {}
         self._k_bases: dict[int, list[GroupAlgebraElement]] = {}
         self._validate_structure()
 
@@ -272,7 +270,12 @@ class IdealAtlas:
 
     # -- component access --------------------------------------------------------
 
+    def _check_index(self, i: int, j: int):
+        if not (0 <= i < self.table.num_classes and 0 <= j < self.table.s[i]):
+            raise InvalidParameterError(f"no minimal ideal I_{{{i},{j}}} at n = {self.n}")
+
     def idempotent(self, i: int, j: int = 0) -> GroupAlgebraElement:
+        self._check_index(i, j)
         return self.idempotents[(i, j)]
 
     def j_idempotent(self, i: int) -> GroupAlgebraElement:
@@ -292,83 +295,37 @@ class IdealAtlas:
             raise NotInIdealError(f"element is not in the component J_{i}")
         return c.tau(self.q, 1) == c
 
-    def ideal_field(self, i: int) -> gf.Field:
-        """The abstract finite field GF(q^(t*D_i)) a minimal ideal I_{i,j} realises."""
-        f = self._ideal_fields.get(i)
-        if f is None:
-            e = self.field_q.m
-            f = gf.field(self.field_q.p, e * self.t * self.table.D[i], paper=self.paper)
-            self._ideal_fields[i] = f
-        return f
-
-    def eval_root(self, i: int, j: int) -> int:
-        """Exponent r with I_{i,j} evaluated at eta'^r."""
-        return (self.table.reps[i] * self.q ** j) % self.n
-
-    def element_from_ideal_value(self, i: int, j: int, beta: int) -> GroupAlgebraElement:
-        """Preimage of beta in GF(q^(t*D_i)) under evaluation of I_{i,j} at eta'^r.
-
-        Solves the small F_p-linear system expressing beta in the basis
-        {e_{i,j} X^s} of the ideal; the unique solution is returned as a ring
-        element.
-        """
-        split = self.sd.splitting_field
-        if split.order > gf.TABLE_LIMIT:
-            raise TooLargeError("splitting field too large for ideal-value preimages")
-        af = self.ideal_field(i)
-        eta = self.sd.eta_prime
-        r = self.eval_root(i, j)
-        fqt = self.field_qt
-        p = fqt.p
-        mqt = fqt.m
-        Di = self.table.D[i]
-        emb_qt = gf.subfield_map(fqt, split).embed
-        target = gf.subfield_map(af, split).embed(beta)
-        cols = []
-        for s in range(Di):
-            root_pow = split.pow(eta, (r * s) % self.n) if self.n > 1 else 1
-            for u in range(mqt):
-                basis_u = fqt.encode([0] * u + [1])
-                val = split.mul(emb_qt(basis_u), root_pow)
-                cols.append(split.decode(val))
-        A = np.array(cols, dtype=np.int64).T
-        b = np.array(split.decode(target), dtype=np.int64)
-        fp = gf.field(p, 1)
-        x = linalg.solve(fp, A, b)
-        assert x is not None, "evaluation basis must span the ideal"
-        e = self.idempotents[(i, j)]
-        out = self.ring.zero()
-        for s in range(Di):
-            lam = fqt.encode(x[s * mqt:(s + 1) * mqt].tolist())
-            out = out + e.shift(s).scale(lam)
-        assert out.eval_embedded(split.pow(eta, r) if self.n > 1 else 1, split) == target
-        return out
-
     def rho(self, i: int, j: int = 0) -> GroupAlgebraElement:
-        """Designated primitive element of I_{i,j} (order q^(t*D_i) - 1)."""
-        got = self._rho.get((i, j))
-        if got is not None:
-            return got
-        af = self.ideal_field(i)
-        if af.order > gf.TABLE_LIMIT:
-            raise TooLargeError(
-                f"ideal field of order {af.order} exceeds the desk-scale table limit")
-        exponent = self._rho_exponents.get(i, 1)
-        base = self.element_from_ideal_value(i, 0, af.pow(af.generator, exponent))
-        self._rho[(i, 0)] = base
-        for jj in range(1, self.table.s[i]):
-            self._rho[(i, jj)] = base.tau(self.q ** jj, 1)
-        out = self._rho[(i, j)]
-        self._check_rho_order(i)
-        return out
+        """Designated primitive element of I_{i,j} (order q^(t*D_i) - 1).
 
-    def _check_rho_order(self, i: int):
-        af = self.ideal_field(i)
-        q1 = af.order - 1
-        e = self.idempotents[(i, 0)]
-        r = self._rho[(i, 0)]
-        for pr in gf._order_factors(q1):
-            assert r.pow_with_identity(q1 // pr, e) != e, "primitive element has small order"
+        rho_{i,0} is the first h(X) * e_{i,0}, deg h < D_i, whose order in
+        I_{i,0} = GF(q^t)[Y]/(M_{i,0}) (Y -> X * e_{i,0}) is q1 = q^(t*D_i) - 1,
+        the h taken in the order of their coefficients read as a base-q^t
+        integer.  A nonzero element has order q1 when its (q1/r)-th power is
+        not e_{i,0} for any prime r | q1.  Constants have order dividing
+        q^t - 1, so the search starts at h = Y when D_i > 1.  Candidates are
+        tested a block at a time by one shared square-and-multiply, each
+        block twice the last.  rho_{i,j} is tau_{q^j,1}(rho_{i,0}).
+        """
+        self._check_index(i, j)
+        if (i, j) not in self._rho:
+            Q, Di = self.field_qt.order, self.table.D[i]
+            q1 = Q ** Di - 1
+            exps = [q1 // r for r in gf._order_factors(q1)]
+            e = np.array(self.idempotents[(i, 0)].coeffs)
+            start, size = (Q if Di > 1 else 1), RHO_BLOCK
+            passed = np.zeros(0, dtype=bool)
+            while not passed.any():
+                h = np.zeros((size, self.n), dtype=np.int64)
+                h[:, :Di] = [[c // Q ** k % Q for k in range(Di)]
+                             for c in range(start, start + size)]
+                cand = self.ring.mul_rows(h, e)
+                passed = ~(self.ring.pow_rows(cand, exps, e) == e).all(axis=2).any(axis=1)
+                start, size = start + size, 2 * size
+            base = self.ring.element(cand[passed.argmax()])
+            for jj in range(self.table.s[i]):
+                self._rho[(i, jj)] = base.tau(self.q ** jj, 1)
+        return self._rho[(i, j)]
 
     def k_basis(self, i: int) -> list[GroupAlgebraElement]:
         """An F_q-basis of K_i, lifted into the big algebra."""
@@ -408,10 +365,9 @@ class IdealAtlas:
         return d
 
 
-def build_atlas(n: int, q: int, t: int = 2, *, paper: bool = False,
-                rho_exponents=None) -> IdealAtlas:
+def build_atlas(n: int, q: int, t: int = 2, *, paper: bool = False) -> IdealAtlas:
     """Construct the full ideal atlas for R_n over F_q and F_{q^t}."""
     p, e = check_parameters(n, q, t)
     field_q = gf.field(p, e, paper=paper)
     field_qt = gf.field(p, e * t, paper=paper)
-    return IdealAtlas(n, q, t, field_q, field_qt, paper=paper, rho_exponents=rho_exponents)
+    return IdealAtlas(n, q, t, field_q, field_qt, paper=paper)

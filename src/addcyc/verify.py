@@ -59,8 +59,7 @@ def _verdict(conditions: dict[str, bool], detail: str) -> tuple[bool, str]:
 
 
 def _worked_context() -> DeltaContext:
-    return DeltaContext(refdata.WORKED_N, refdata.WORKED_Q, 2, paper=True,
-                        rho_exponents=refdata.WORKED_RHO_EXPONENTS)
+    return DeltaContext(refdata.WORKED_N, refdata.WORKED_Q, 2, paper=True)
 
 
 def _factorisation() -> tuple[bool, str]:

@@ -1,6 +1,7 @@
 """The t = 2 classification: option lists, counts, enumeration, oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -122,14 +123,53 @@ def test_counting_never_builds_the_atlas(n, q, want):
     assert ctx._atlas is None
 
 
-def test_count_beyond_the_enumeration_limit():
-    # GF(5^10) splits X^11 - 1 over GF(25): above the table limit, so rho
-    # (and enumeration) is out of reach while the count is not
-    ctx = DeltaContext(11, 5, 2)
-    assert classify.count_codes(11, 5, "so", ctx, complete=True) == 28143
-    with pytest.raises(TooLargeError):
-        next(classify.enumerate_codes(11, 5, "so", ctx))
-    assert ctx.table is ctx.atlas.table
+def test_sd_enumeration_matches_the_count_at_11_5_and_23_2():
+    """The splitting fields GF(5^10) and GF(2^22) are above the table limit;
+    rho is found inside each ideal, so the complete enumeration runs there
+    and yields every code the count promises, each self-dual."""
+    for n, q in [(11, 5), (23, 2)]:
+        ctx = DeltaContext(n, q, 2)
+        got = list(classify.enumerate_codes(n, q, "sd", ctx, complete=True))
+        assert len(got) == classify.count_codes(n, q, "sd", ctx, complete=True)
+        assert len({C.key() for C in got}) == len(got)
+        assert all(codes.is_self_dual(C, ctx) for C in got)
+        assert ctx.table is ctx.atlas.table
+
+
+def test_code_sets_do_not_depend_on_rho():
+    """At (7, 3, paper), replacing every rho_{i,j} by rho_{i,j}^u for each u
+    coprime to 728 = 3^6 - 1 (every primitive choice, among them the element
+    the worked example evaluates to generator^243) leaves each list of lines
+    unchanged:
+    one_dim_subspaces and subcode_options, published and complete, compared
+    as sets of reduced row spaces; the lines of each list are distinct."""
+    ctx = DeltaContext(7, 3, 2, paper=True)
+    atlas = ctx.atlas
+    rho = {ij: atlas.rho(*ij) for ij in atlas.idempotents}
+    spaces = {}
+
+    def line_sets():
+        out = []
+        for i in range(atlas.table.num_classes):
+            lists = [classify.one_dim_subspaces(i, ctx)] + [
+                classify.subcode_options(i, mode, ctx, complete=complete)
+                for mode in ("so", "sd") for complete in (False, True)]
+            for choices in lists:
+                # a choice's row space depends only on its kind and vector
+                key = frozenset((c.kind, c.vector) for c in choices)
+                if key not in spaces:
+                    spaces[key] = frozenset(R.tobytes() for R in
+                                            classify._reduce_choices(choices, ctx).values())
+                assert len(spaces[key]) == len(choices)
+                out.append(spaces[key])
+        return out
+
+    want = line_sets()
+    for u in range(2, 728):
+        if math.gcd(u, 728) == 1:
+            atlas._rho = {ij: r.pow_with_identity(u, atlas.idempotent(*ij))
+                          for ij, r in rho.items()}
+            assert line_sets() == want
 
 
 def test_pair_options_rejects_a_fixed_class():

@@ -215,8 +215,9 @@ def test_gram_apply_on_a_context_uses_its_gram_block():
 @KERNEL
 @given(data=st.data())
 def test_ring_product_matches_schoolbook(p, m, data):
-    """Products of a stack of rows by one element (the circulant product,
-    split into many row blocks by a small chunk) and of two elements."""
+    """Products of a stack of rows by one element and by a stack of
+    elements (the circulant product, split into many row blocks by a small
+    chunk) and of two elements."""
     f = gf.field(p, m)
     n = data.draw(st.integers(1, 7))
     R = cyclic_ring(f, n)
@@ -224,16 +225,43 @@ def test_ring_product_matches_schoolbook(p, m, data):
     a = data.draw(elems(f, (n,))).tolist()
     b = data.draw(elems(f, (n,))).tolist()
 
-    def schoolbook(x):
-        return [scalar_sum(f, (f.mul(int(x[i]), b[(k - i) % n]) for i in range(n)))
+    stack = data.draw(elems(f, rows.shape))
+
+    def schoolbook(x, b=b):
+        return [scalar_sum(f, (f.mul(int(x[i]), int(b[(k - i) % n])) for i in range(n)))
                 for k in range(n)]
 
     chunk = data.draw(st.sampled_from([linalg.MATMUL_CHUNK, 1, 2 * n * n]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "MATMUL_CHUNK", chunk)
         got = R.mul_rows(rows, b)
-    assert got.shape == rows.shape
+        got_stack = R.mul_rows(rows[:, None], stack)[:, 0]
+    assert got.shape == got_stack.shape == rows.shape
     assert got.tolist() == [schoolbook(x) for x in rows]
+    assert got_stack.tolist() == [schoolbook(x, y) for x, y in zip(rows, stack)]
     assert list((R.element(a) * R.element(b)).coeffs) == schoolbook(a)
     diff = R.element(a) - R.element(b)
     assert [f.add(x, y) for x, y in zip(diff.coeffs, b)] == a
+
+
+@pytest.mark.parametrize("p, m", FIELDS, ids=IDS)
+@KERNEL
+@given(data=st.data())
+def test_ring_powers_match_repeated_products(p, m, data):
+    """The shared square-and-multiply of ``CyclicRing.pow_rows`` against one
+    ring product per factor, inside the subring of an arbitrary identity."""
+    f = gf.field(p, m)
+    n = data.draw(st.integers(1, 5))
+    R = cyclic_ring(f, n)
+    rows = data.draw(elems(f, (data.draw(st.integers(1, 4)), n)))
+    identity = R.element(data.draw(elems(f, (n,))).tolist())
+    exps = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    got = R.pow_rows(rows, exps, identity.coeffs)
+    assert got.shape == (len(rows), len(exps), n)
+    for a, row in enumerate(rows):
+        for k, e in enumerate(exps):
+            want = identity
+            for _ in range(e):
+                want = want * R.element(row.tolist())
+            assert got[a, k].tolist() == list(want.coeffs)
+            assert R.element(row.tolist()).pow_with_identity(e, identity) == want

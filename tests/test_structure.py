@@ -5,7 +5,6 @@ import random
 import pytest
 import sympy
 
-from addcyc import gf
 from addcyc.errors import InvalidParameterError, NotCoprimeError, NotInIdealError
 from addcyc.structure import build_atlas, build_coset_table, cyclotomic_cosets, tau_ideal_image
 
@@ -121,32 +120,31 @@ def test_atlas_reference_idempotents(atlas73):
     assert total == atlas73.ring.one()
 
 
-def test_rho_orders_and_tau_compat(atlas73):
-    # order of rho_{i,j} is exactly q^(2 D_i) - 1 inside its ideal
-    for i in range(2):
-        af = atlas73.ideal_field(i)
-        e = atlas73.idempotent(i, 0)
-        rho = atlas73.rho(i, 0)
-        order = af.order - 1
-        assert rho.pow_with_identity(order, e) == e
-        for r in sympy.primefactors(order):
-            assert rho.pow_with_identity(order // r, e) != e
-    # tau_{q,1} carries rho_{1,0} to rho_{1,1}
-    assert atlas73.rho(1, 0).tau(3, 1) == atlas73.rho(1, 1)
+def test_rho_orders_and_tau_compat():
+    """rho_{i,j} lies in I_{i,j} and has order exactly q^(t D_i) - 1 there,
+    the order taken from the coset table; tau_{q^j,1} carries rho_{i,0} to
+    rho_{i,j}.  (23, 2) needs GF(2^22), and (7, 2, 4) is a t = 4 atlas."""
+    for args in [(7, 3, 2), (13, 2, 2), (23, 2, 2), (7, 2, 4)]:
+        atlas = build_atlas(*args)
+        tab = atlas.table
+        for i in range(tab.num_classes):
+            order = tab.q ** (tab.t * tab.D[i]) - 1
+            for j in range(tab.s[i]):
+                e, rho = atlas.idempotent(i, j), atlas.rho(i, j)
+                assert atlas.in_ideal(rho, i, j)
+                assert rho.pow_with_identity(order, e) == e
+                for r in sympy.primefactors(order):
+                    assert rho.pow_with_identity(order // r, e) != e
+                assert atlas.rho(i, 0).tau(tab.q ** j, 1) == rho
 
 
-def test_rho_paper_override():
-    atlas = build_atlas(7, 3, 2, paper=True, rho_exponents={1: 243})
-    split = atlas.sd.splitting_field
-    eta = atlas.sd.eta_prime
-    r10 = atlas.rho(1, 0)
-    assert split.dlog(r10.eval_embedded(split.pow(eta, 1), split)) == 243
-    # the derived sibling evaluates to the first generator power
-    r11 = atlas.rho(1, 1)
-    assert split.dlog(r11.eval_embedded(split.pow(eta, 3), split)) == 1
-    # and rho_{0,0} is w * e_{0,0} whatever the override
-    w = atlas.field_qt.generator
-    assert atlas.rho(0, 0) == atlas.idempotent(0, 0).scale(w)
+def test_ideal_indices_outside_the_coset_table_are_refused():
+    atlas = build_atlas(7, 3)
+    for i, j in [(0, 1), (5, 0), (-1, 0)]:
+        with pytest.raises(InvalidParameterError):
+            atlas.rho(i, j)
+    with pytest.raises(InvalidParameterError):
+        atlas.idempotent(1, 2)
 
 
 def test_k_basis_and_fixed_subfield(atlas73):
@@ -168,17 +166,6 @@ def test_k_basis_and_fixed_subfield(atlas73):
     assert atlas73.fixed_subfield_check(1, atlas73.ring.zero())
     with pytest.raises(NotInIdealError):
         atlas73.fixed_subfield_check(0, atlas73.idempotent(1, 0))
-
-
-def test_element_from_ideal_value_roundtrip(atlas73):
-    split = atlas73.sd.splitting_field
-    eta = atlas73.sd.eta_prime
-    af = atlas73.ideal_field(1)
-    for beta in [1, af.generator, af.pow(af.generator, 100)]:
-        c = atlas73.element_from_ideal_value(1, 0, beta)
-        assert atlas73.in_ideal(c, 1, 0)
-        got = c.eval_embedded(split.pow(eta, 1), split)
-        assert got == gf.subfield_map(af, split).embed(beta)
 
 
 @pytest.mark.parametrize("n,q", [(5, 2), (5, 3), (4, 3), (8, 3), (9, 2), (13, 3)])
