@@ -69,17 +69,15 @@ class DeltaContext:
         """Choose an F_q-basis of GF(q^t) and tabulate both coordinate maps."""
         fqt, fq = self.field_qt, self.field_q
         p, e, t = self.p, self.e, self.t
-        met = fqt.m
         # the generator g is primitive, so its minimal polynomial over F_q has
         # degree t and 1, g, ..., g^(t-1) are F_q-independent
         basis = [fqt.pow(fqt.generator, s) for s in range(t)]
         self.fq_basis = basis
         Minv = linalg.inverse(gf.field(p), self._basis_matrix(basis))
         assert Minv is not None, "1, g, ..., g^(t-1) must be an F_q-basis of GF(q^t)"
-        # all-element digit matrix (Q_t x met) -> F_q coordinates (Q_t x t)
+        # all-element digit matrix (Q_t x e*t) -> F_q coordinates (Q_t x t)
         vals = np.arange(fqt.order, dtype=np.int64)
-        digs = np.stack([(vals // p ** i) % p for i in range(met)], axis=1)
-        coords_p = (digs @ Minv.T) % p
+        coords_p = (fqt.vdigits(vals) @ Minv.T) % p
         powers = p ** np.arange(e, dtype=np.int64)
         expand = np.zeros((fqt.order, t), dtype=np.int64)
         for s in range(t):

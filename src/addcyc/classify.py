@@ -8,9 +8,10 @@ classes).  This module enumerates the component choices:
 * fixed classes get the closed-form option lists (exponent progressions of
   the designated primitive elements, plus idempotent bases for the split
   orientation);
-* transposed pairs are enumerated from first principles: for each choice on
-  one side, the orthogonal partner subspace on the other side is computed by
-  exact linear algebra and validated by a direct orthogonality check.
+* transposed pairs are enumerated from first principles: for every choice
+  on one side, the orthogonal partner subspace on the other side is computed
+  by exact linear algebra, all choices in one batch, and checked to be one
+  of the listed subspaces.
 
 The closed-form counting formulas are kept alongside, and an independent
 brute-force oracle covers every cyclic code, as a direct sum of arbitrary
@@ -231,20 +232,22 @@ def subcode_options(i: int, mode: str, ctx: DeltaContext,
 # transposed pairs: orthogonal partners by exact linear algebra
 # ---------------------------------------------------------------------------
 
-def _partner_subspace(rows_j: np.ndarray, full_mu: np.ndarray, ctx: DeltaContext) -> np.ndarray:
-    """Basis rows of {v in J_mu : [c, v] = 0 = [v, c] for all c in the span of rows_j}.
+def _partners(stack: np.ndarray, full_mu: np.ndarray, ctx: DeltaContext) -> list[np.ndarray]:
+    """Reduced basis rows of {v in J_mu : [c, v] = 0 = [v, c] for all c in
+    the span of stack[a]}, for each choice a of a stack (N, r, n*t) of
+    reduced rows; ``full_mu`` is the reduced basis of the whole J_mu.
 
-    ``full_mu`` is the reduced basis of the whole component J_mu.
+    One product per form gives the stack of [A1; A2] = [G c, G^T c] against
+    J_mu, one :func:`linalg.nullspace` their null spaces, and one product by
+    ``full_mu`` and one :func:`linalg.rref_batch` the partners.
     """
-    if rows_j.shape[0] == 0:
-        return full_mu
     fq = ctx.field_q
-    A1 = linalg.matmul(fq, ctx.gram_apply(rows_j), full_mu.T)
-    A2 = linalg.matmul(fq, ctx.gram_apply_t(rows_j), full_mu.T)
-    N = linalg.nullspace(fq, np.concatenate([A1, A2], axis=0))
-    if N.shape[0] == 0:
-        return np.zeros((0, ctx.n * ctx.t), dtype=np.int64)
-    return linalg.row_space(fq, linalg.matmul(fq, N, full_mu))
+    flat = stack.reshape(-1, stack.shape[-1])
+    A = [linalg.matmul(fq, form(flat), full_mu.T).reshape(len(stack), -1, len(full_mu))
+         for form in (ctx.gram_apply, ctx.gram_apply_t)]
+    null = linalg.nullspace(fq, np.concatenate(A, axis=1))
+    R, ranks = linalg.rref_batch(fq, linalg.matmul(fq, null, full_mu))
+    return [Ra[:k] for Ra, k in zip(R, ranks)]
 
 
 def pair_options(j: int, mode: str, ctx: DeltaContext, *, reduced: dict | None = None):
@@ -254,7 +257,10 @@ def pair_options(j: int, mode: str, ctx: DeltaContext, *, reduced: dict | None =
     its options come from :func:`subcode_options`.
 
     Every pair is backed by an exact orthogonality computation; for "sd" the
-    K-dimensions must additionally sum to 2.  The reduced basis rows of
+    K-dimensions must additionally sum to 2.  The partners of all the
+    1-dimensional choices of side j are computed together
+    (:func:`_partners`), and each is checked to be 1-dimensional over K and
+    one of the listed subspaces of side mu(j).  The reduced basis rows of
     every choice on both sides are stored in ``reduced`` when it is given,
     so a caller assembling codes from the pairs reuses them.
     """
@@ -271,22 +277,17 @@ def pair_options(j: int, mode: str, ctx: DeltaContext, *, reduced: dict | None =
         reduced.update(rows)
     by_key = {(rows[c].shape, rows[c].tobytes()): c for c in side_mu}
     assert len(by_key) == len(side_mu), "listed subspaces must be distinct"
-    pairs = []
-    zero_mu = side_mu[0]
-    full_mu = side_mu[1]
-    for cj in side_j:
-        if cj.kind == "zero":
-            targets = side_mu if mode == "so" else [full_mu]
-        elif cj.kind == "full":
-            targets = [zero_mu]
-        else:
-            partner = _partner_subspace(rows[cj], rows[full_mu], ctx)
-            assert partner.shape[0] == d_fq, \
-                "orthogonal partner of a 1-dim component must be 1-dim over K"
-            match = by_key.get((partner.shape, partner.tobytes()))
-            assert match is not None, "partner subspace must be one of the listed subspaces"
-            targets = ([zero_mu, match] if mode == "so" else [match])
-        pairs.extend((cj, t) for t in targets)
+    zero_j, full_j, *dim1 = side_j
+    zero_mu, full_mu = side_mu[0], side_mu[1]
+    pairs = [(zero_j, t) for t in (side_mu if mode == "so" else [full_mu])]
+    pairs.append((full_j, zero_mu))
+    partners = _partners(np.stack([rows[c] for c in dim1]), rows[full_mu], ctx)
+    for cj, partner in zip(dim1, partners):
+        assert partner.shape[0] == d_fq, \
+            "orthogonal partner of a 1-dim component must be 1-dim over K"
+        match = by_key.get((partner.shape, partner.tobytes()))
+        assert match is not None, "partner subspace must be one of the listed subspaces"
+        pairs.extend((cj, t) for t in ([zero_mu, match] if mode == "so" else [match]))
     return pairs
 
 

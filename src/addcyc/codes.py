@@ -232,13 +232,11 @@ def _prime_generator_digits(code: AdditiveCode) -> np.ndarray:
     n * (e*t) base-p digits, position-major.
     """
     ctx = code.ctx
-    p, met = ctx.p, ctx.field_qt.m
     sym = code.basis_symbols()
     stacked = np.concatenate([
         ctx.field_qt.vmul(np.int64(ctx.embed_scalar(ctx.field_q.encode([0] * u + [1]))), sym)
         for u in range(ctx.e)])
-    digs = np.stack([(stacked // p ** i) % p for i in range(met)], axis=2)
-    return digs.reshape(stacked.shape[0], -1)
+    return ctx.field_qt.vdigits(stacked).reshape(stacked.shape[0], -1)
 
 
 def _weights(block: np.ndarray, n: int, met: int) -> np.ndarray:

@@ -14,9 +14,11 @@ order exactly p^m - 1 modulo f, f is irreducible and x is primitive.  Only a
 modulus in which x is not primitive is proved irreducible another way, by
 Berlekamp's rank criterion on the same Frobenius matrix.  Fields with at most
 2^20 elements build discrete-log tables on demand, which also back the
-vectorised (numpy) operations used by the linear-algebra layer.  Above the
-tables a product is one convolution of the digit vectors, folded below degree
-m by a matrix of the reductions of x^m, ..., x^(2m-2).  The same kernel works
+vectorised (numpy) operations used by the linear-algebra layer; extension
+fields with at most 2^8 elements add, subtract, negate and multiply vectors
+by one gather from a Q x Q Cayley table instead.  Above the tables a product
+is one convolution of the digit vectors, folded below degree m by a matrix
+of the reductions of x^m, ..., x^(2m-2).  The same kernel works
 on stacks of digit rows: it runs the order test on many candidate moduli at
 once, builds the tables and multiplies out the factors of X^n - 1.  The larger
 fields are only used transiently as splitting fields.
@@ -52,8 +54,15 @@ PAPER_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (19, 2): (2, 18, 1),              # x^2 + 18x + 2
 }
 
-#: largest field that gets discrete-log tables (and hence vector ops).
+#: largest field that gets discrete-log tables (and hence vector products);
+#: above CAYLEY_LIMIT, vadd/vsub/vneg work digit by digit and vmul through the
+#: log/exp tables.
 TABLE_LIMIT = 1 << 20
+
+#: extension fields at most this big also get Q x Q Cayley tables of +, -
+#: and *, so that vadd, vsub, vneg and vmul are each one gather; their
+#: entries fit in one byte.
+CAYLEY_LIMIT = 1 << 8
 
 #: fields at most this big build their tables eagerly at construction.
 EAGER_TABLE_LIMIT = 1 << 12
@@ -366,6 +375,9 @@ class Field:
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._pow_luts: dict[int, np.ndarray] = {}
+        # the small extension fields' flat Q x Q Cayley tables (uint8) and
+        # the (Q, m) table of their elements' digits
+        self._add = self._sub = self._mul = self._digit_table = None
         x = p if m > 1 else (-modulus[0]) % p  # the element x
         if generator is None:
             generator = x if x_primitive else self._least_generator()
@@ -519,6 +531,11 @@ class Field:
         log[exp] = np.arange(q1)
         self._exp = exp
         self._log = log
+        if m > 1 and self.order <= CAYLEY_LIMIT:
+            self._digit_table = self.vdigits(np.arange(self.order))
+            a, b = np.divmod(np.arange(self.order ** 2), self.order)
+            tables = self._digitwise(a, b, 1), self._digitwise(a, b, -1), self.vmul(a, b)
+            self._add, self._sub, self._mul = (t.astype(np.uint8) for t in tables)
 
     def _digitwise(self, a, b, sign: int) -> np.ndarray:
         """a + sign*b in one pass over the m base-p digits."""
@@ -535,28 +552,33 @@ class Field:
             mult *= p
         return out
 
+    def vdigits(self, a) -> np.ndarray:
+        """The base-p digits (..., m) of an array of elements (...)."""
+        if self._digit_table is not None:
+            return self._digit_table.take(a, axis=0)
+        return np.asarray(a, dtype=np.int64)[..., None] // self.p ** np.arange(self.m) % self.p
+
+    def _gather(self, table: np.ndarray, a, b) -> np.ndarray:
+        """a op b read from a flat Cayley table, entry a * order + b."""
+        idx = np.asarray(a, dtype=np.int64) * self.order + np.asarray(b, dtype=np.int64)
+        return table.take(idx).astype(np.int64)
+
     def vadd(self, a, b) -> np.ndarray:
+        if self._add is not None:
+            return self._gather(self._add, a, b)
         return self._digitwise(a, b, 1)
 
     def vsub(self, a, b) -> np.ndarray:
+        if self._sub is not None:
+            return self._gather(self._sub, a, b)
         return self._digitwise(a, b, -1)
 
     def vneg(self, a) -> np.ndarray:
-        return self._digitwise(0, a, -1)
-
-    def vsum(self, a, axis: int = 0) -> np.ndarray:
-        """Field sum along ``axis``: the base-p digits are summed as integers
-        and reduced mod p once, so a sum of any length is one reduction."""
-        a = np.asarray(a, dtype=np.int64)
-        p = self.p
-        if self.m == 1:
-            return a.sum(axis=axis) % p
-        axis = axis % a.ndim  # the digit axis is appended last
-        pows = p ** np.arange(self.m, dtype=np.int64)
-        digits = (a[..., None] // pows) % p
-        return ((digits.sum(axis=axis) % p) * pows).sum(axis=-1)
+        return self.vsub(0, a)
 
     def vmul(self, a, b) -> np.ndarray:
+        if self._mul is not None:
+            return self._gather(self._mul, a, b)
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.m == 1:

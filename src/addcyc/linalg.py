@@ -10,14 +10,14 @@ the package's one sum of products: the group-algebra product
 (:meth:`ring.CyclicRing.mul_rows`, a product by a circulant), the Gram
 products and the component subspaces of the classification all run on it.
 Over a prime field it is an integer matmul reduced mod p; over GF(p^m),
-m > 1, it is one broadcast field product followed by a digit-space sum (the
-base-p digits of the terms are added as integers and reduced mod p once),
-not a chain of field additions.
+m > 1, it is one integer matmul in F_p coordinates (the regular
+representation of GF(p^m) by m x m matrices over F_p), reduced mod p.
+:func:`nullspace` reads the null spaces of a whole stack off one
+:func:`rref_batch`.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,17 +72,24 @@ def rank(f: Field, mat: np.ndarray) -> int:
 
 
 def nullspace(f: Field, mat: np.ndarray) -> np.ndarray:
-    """Canonical basis of {v : mat @ v = 0}, one row per basis vector."""
+    """Null spaces {v : M v = 0} of a matrix M (r, c), or of every matrix of
+    a stack (N, r, c), read off one :func:`rref_batch`.
+
+    Returns a (c, c) matrix, or an (N, c, c) stack: row j is zero when
+    column j of the RREF holds a pivot, and otherwise the basis vector of
+    free column j (1 at j, minus column j of the RREF at the pivot columns).
+    The nonzero rows are a basis of the null space.  With S the square matrix
+    whose row at each pivot column is that pivot's RREF row, this is
+    (I - S)^T.
+    """
     mat = np.asarray(mat, dtype=np.int64)
-    ncols = mat.shape[1] if mat.ndim == 2 else len(mat)
-    R, pivots = rref(f, mat)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = f.neg(int(R[r, fc]))
-    return row_space(f, basis) if len(free) else basis
+    N, r, c = (mat if mat.ndim == 3 else mat[None]).shape
+    R, ranks = rref_batch(f, mat.reshape(N, r, c))
+    S = np.zeros((N, c, c), dtype=np.int64)
+    b, k = np.nonzero(np.arange(r)[None, :] < ranks[:, None])
+    S[b, (R[b, k] != 0).argmax(axis=1)] = R[b, k]
+    null = f.vsub(np.eye(c, dtype=np.int64), S).transpose(0, 2, 1)
+    return null if mat.ndim == 3 else null[0]
 
 
 def reduce_vector(f: Field, R: np.ndarray, pivots, v: np.ndarray) -> np.ndarray:
@@ -99,10 +106,9 @@ def in_row_space(f: Field, R: np.ndarray, pivots, v) -> bool:
     return not reduce_vector(f, R, pivots, v).any()
 
 
-#: elements of one broadcast product in :func:`matmul` and of one block of
-#: :func:`rref_batch` (128 KB of int64; the digit-space sum holds m times as
-#: many).  Each step makes several temporaries of this size: at 2^18 they
-#: raised the peak memory of the batched classification by 7-10 %.
+#: elements of one block of :func:`rref_batch` (128 KB of int64).  Each step
+#: makes several temporaries of this size: at 2^18 they raised the peak
+#: memory of the batched classification by 7-10 %.
 MATMUL_CHUNK = 1 << 14
 
 
@@ -110,23 +116,25 @@ def matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact A @ B over the field, for two matrices or for two stacks of m
     matrices, (m, r, k) and (m, k, c), multiplied pairwise.
 
-    This is the package's one sum of products over GF(p^m), m > 1: the
-    products A[.., k] * B[k, c] are formed by one broadcast ``vmul`` and
-    summed over k by one ``vsum`` (digit-space reduction mod p), a block of
-    rows of A (or of stacked matrices) at a time, against the shared B (or
-    the matching block of B).
+    This is the package's one sum of products.  Over GF(p^m), m > 1, it is
+    one integer product in F_p coordinates: the base-p digits of A, (.., r,
+    k*m), times the F_p-expansion of B, (.., k*m, c*m), whose (l, j) block is
+    the multiplication matrix of B[l, j] (row i: the digits of
+    x^i * B[l, j], from one ``vmul`` of B by x^0, ..., x^(m-1)); the result
+    is reduced mod p and encoded.
     """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
-    if f.m == 1:
+    p, m = f.p, f.m
+    if m == 1:
         # entries < p <= 2^20 and desk-scale shapes keep int64 exact
-        return (A @ B) % f.p
-    out = np.empty(A.shape[:-1] + B.shape[-1:], dtype=np.int64)
-    step = max(1, MATMUL_CHUNK // max(math.prod(A.shape[1:]) * B.shape[-1], 1))
-    for s in range(0, len(A), step):
-        Bs = B if B.ndim == 2 else B[s:s + step]
-        out[s:s + step] = f.vsum(f.vmul(A[s:s + step, ..., None], Bs[..., None, :, :]), axis=-2)
-    return out
+        return (A @ B) % p
+    pows = p ** np.arange(m, dtype=np.int64)  # x^0, ..., x^(m-1), encoded
+    k, c = B.shape[-2:]
+    digits = f.vdigits(A).reshape(A.shape[:-1] + (k * m,))
+    E = np.swapaxes(f.vdigits(f.vmul(B[..., None], pows)), -3, -2)  # (.., k, i, c, digit)
+    out = digits @ E.reshape(B.shape[:-2] + (k * m, c * m)) % p
+    return out.reshape(A.shape[:-1] + (c, m)) @ pows
 
 
 def rref_batch(f: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,9 @@ shift sigma corresponds to multiplication by X.
 The convolution is a matrix product: a * b is the row a times the circulant
 of b, the n x n matrix B[i, k] = b_{(k-i) mod n}, and :meth:`CyclicRing.mul_rows`
 multiplies a whole stack of rows by it with one :func:`linalg.matmul`, the
-package's one sum of products over the field (no loop over positions).
+package's one sum of products over the field (no loop over positions): over
+GF(p^m), m > 1, one integer product of the rows' base-p digits by the
+(n*m, n*m) F_p-expansion of the circulant.
 """
 
 from __future__ import annotations

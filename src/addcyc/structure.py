@@ -279,14 +279,15 @@ class IdealAtlas:
         return self.idempotents[(i, j)]
 
     def j_idempotent(self, i: int) -> GroupAlgebraElement:
+        self._check_index(i, 0)
         return self.j_idempotents[i]
 
     def project(self, a: GroupAlgebraElement, i: int) -> GroupAlgebraElement:
         """Component of a in J_i (multiplication by the J_i identity)."""
-        return a * self.j_idempotents[i]
+        return a * self.j_idempotent(i)
 
     def in_ideal(self, a: GroupAlgebraElement, i: int, j: int | None = None) -> bool:
-        e = self.j_idempotents[i] if j is None else self.idempotents[(i, j)]
+        e = self.j_idempotent(i) if j is None else self.idempotent(i, j)
         return a * e == a
 
     def fixed_subfield_check(self, i: int, c: GroupAlgebraElement) -> bool:
@@ -329,6 +330,7 @@ class IdealAtlas:
 
     def k_basis(self, i: int) -> list[GroupAlgebraElement]:
         """An F_q-basis of K_i, lifted into the big algebra."""
+        self._check_index(i, 0)
         got = self._k_bases.get(i)
         if got is not None:
             return got

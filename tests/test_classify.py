@@ -507,3 +507,63 @@ def test_oracle_matches_reference_scan(n, q):
     ctx = context(n, q, 2)
     for mode in ("so", "sd"):
         assert classify.brute_force_oracle(n, q, mode, ctx) == reference_oracle(n, q, mode, ctx)
+
+
+def reference_nullspace(f, mat):
+    """Canonical basis of {v : mat @ v = 0}, one free column at a time."""
+    R, pivots = linalg.rref(f, mat)
+    free = [c for c in range(mat.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[k, pc] = f.neg(int(R[r, fc]))
+    return linalg.row_space(f, basis) if len(free) else basis
+
+
+def reference_partner_subspace(rows_j, full_mu, ctx):
+    """Basis rows of {v in J_mu : [c, v] = 0 = [v, c] for all c in the span
+    of rows_j}, one choice at a time; ``full_mu`` is the reduced J_mu."""
+    if rows_j.shape[0] == 0:
+        return full_mu
+    fq = ctx.field_q
+    A1 = linalg.matmul(fq, ctx.gram_apply(rows_j), full_mu.T)
+    A2 = linalg.matmul(fq, ctx.gram_apply_t(rows_j), full_mu.T)
+    N = reference_nullspace(fq, np.concatenate([A1, A2], axis=0))
+    if N.shape[0] == 0:
+        return np.zeros((0, ctx.n * ctx.t), dtype=np.int64)
+    return linalg.row_space(fq, linalg.matmul(fq, N, full_mu))
+
+
+def reference_pair_options(j, mode, ctx):
+    """The pair list with each 1-dim choice's partner computed on its own."""
+    mu_j = ctx.table.mu[j]
+    side_j = classify.all_subspace_choices(j, ctx)
+    side_mu = classify.all_subspace_choices(mu_j, ctx)
+    rows = classify._reduce_choices(side_j, ctx) | classify._reduce_choices(side_mu, ctx)
+    by_key = {(rows[c].shape, rows[c].tobytes()): c for c in side_mu}
+    zero_mu, full_mu = side_mu[0], side_mu[1]
+    pairs = []
+    for cj in side_j:
+        if cj.kind == "zero":
+            targets = side_mu if mode == "so" else [full_mu]
+        elif cj.kind == "full":
+            targets = [zero_mu]
+        else:
+            partner = reference_partner_subspace(rows[cj], rows[full_mu], ctx)
+            assert partner.shape[0] == ctx.table.d[j]
+            match = by_key[(partner.shape, partner.tobytes())]
+            targets = [zero_mu, match] if mode == "so" else [match]
+        pairs.extend((cj, t) for t in targets)
+    return pairs
+
+
+@pytest.mark.parametrize("n,q", [(7, 4), (7, 2), (8, 3), (15, 2), (13, 3)])
+def test_batched_partners_match_the_reference(n, q):
+    """The partners of all 1-dim choices of a side, found in one batch, give
+    the pair list of the one-choice-at-a-time reference, in its order."""
+    ctx = context(n, q, 2)
+    assert len(ctx.table.paired) == (2 if (n, q) == (13, 3) else 1)
+    for j in ctx.table.paired:
+        for mode in ("so", "sd"):
+            assert classify.pair_options(j, mode, ctx) == reference_pair_options(j, mode, ctx)

@@ -3,11 +3,14 @@
 The package ``__init__`` fixes one import order, which can hide a cycle
 between two modules; here each ``addcyc.<module>`` is imported in a fresh
 interpreter with the package's ``__init__`` bypassed, so only the module's
-own import graph runs.
+own import graph runs.  The main computations also run in a fresh
+interpreter without importing ``numpy.ma``, which ``np.unique``,
+``np.setdiff1d`` and ``np.isin`` load and which costs every cold call.
 """
 
 import importlib
 import importlib.util
+import os
 import pathlib
 import pkgutil
 import subprocess
@@ -53,3 +56,25 @@ def test_bench_layers_resolve():
         for part in path:
             owner = getattr(owner, part)
         assert leaf in vars(owner), f"addcyc.{modname}.{attr}"
+
+
+NO_MASKED_ARRAYS = """
+import sys
+from addcyc import classify, codes, refdata, structure
+from addcyc.bilinear import context
+list(classify.enumerate_codes(7, 4, "so", complete=True))
+classify.brute_force_oracle(7, 3, "sd")
+row = refdata.row_for(3, 7)
+codes.min_distance(codes.cyclic_span(row.generator, context(7, 3, paper=True)))
+structure.build_atlas(13, 3)
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_main_paths_do_not_import_numpy_ma():
+    env = dict(os.environ)
+    src = str(pathlib.Path(PACKAGE_DIRS[0]).parent)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,11 +1,15 @@
 """Vectorised field kernels against scalar references.
 
-``Field.vsum``, ``Field.vsub``, ``linalg.matmul`` (of matrices and of
+On every pair of elements of each listed field of order at most 2^8,
+``Field.vadd``, ``vsub``, ``vneg`` and ``vmul`` equal ``Field.add``, ``sub``,
+``neg`` and ``mul``.  ``Field.vsub``, ``linalg.matmul`` (of matrices and of
 stacks), ``DeltaContext.gram_apply`` and the group-algebra product are
 checked element by element against ``Field.add`` / ``Field.mul`` and a
-schoolbook cyclic convolution, over prime fields and extension fields of
-each digit count up to four; ``linalg.inverse`` is checked against a
-brute-force kernel search, and ``linalg.rref_batch`` against ``linalg.rref``.
+schoolbook cyclic convolution, over prime fields, extension fields of each
+digit count up to four, and GF(2^8) and GF(17^2) on both sides of
+``gf.CAYLEY_LIMIT``.  ``linalg.inverse`` is checked against a brute-force
+kernel search, ``linalg.rref_batch`` against ``linalg.rref``, and
+``linalg.nullspace`` of a stack against each of its matrices and their ranks.
 """
 
 import itertools
@@ -20,7 +24,7 @@ from addcyc.bilinear import DeltaContext
 from addcyc.errors import InvalidParameterError
 from addcyc.ring import cyclic_ring
 
-FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (3, 4), (5, 4)]
+FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (3, 4), (5, 4), (2, 8), (17, 2)]
 IDS = [f"GF({p ** m})" for p, m in FIELDS]
 
 KERNEL = settings(max_examples=15, deadline=None)
@@ -51,16 +55,20 @@ def scalar_matmul(f, A, B):
                     dtype=np.int64).reshape(A.shape[0], B.shape[1])
 
 
-@pytest.mark.parametrize("p, m", FIELDS, ids=IDS)
-@KERNEL
-@given(data=st.data())
-def test_vsum_matches_chained_add(p, m, data):
+SMALL = [(p, m) for p, m in FIELDS if p ** m <= 1 << 8]
+
+
+@pytest.mark.parametrize("p, m", SMALL, ids=[f"GF({p ** m})" for p, m in SMALL])
+def test_vector_ops_match_scalar_ops_on_every_pair(p, m):
     f = gf.field(p, m)
-    a = data.draw(elems(f, data.draw(shapes(max_rows=6))))
-    axis = data.draw(st.sampled_from([0, 1, -1, -2]))
-    got = f.vsum(a, axis=axis)
-    ref = a if axis in (0, -2) else a.T
-    assert got.tolist() == [scalar_sum(f, ref[:, j]) for j in range(ref.shape[1])]
+    a, b = (g.ravel() for g in np.meshgrid(np.arange(f.order), np.arange(f.order)))
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert f.vadd(a, b).tolist() == [f.add(x, y) for x, y in pairs]
+    assert f.vsub(a, b).tolist() == [f.sub(x, y) for x, y in pairs]
+    assert f.vmul(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
+    assert f.vneg(a).tolist() == [f.neg(x) for x in a.tolist()]
+    for got in (f.vadd(a, b), f.vsub(a, b), f.vmul(a, b), f.vneg(a)):
+        assert got.dtype == np.int64
 
 
 @pytest.mark.parametrize("p, m", FIELDS, ids=IDS)
@@ -96,7 +104,8 @@ def test_matmul_matches_scalar(p, m, data):
 
 
 def test_matmul_chunks_rows(monkeypatch):
-    """A product split into many row blocks equals the scalar product."""
+    """The product does not depend on ``MATMUL_CHUNK``, which bounds the
+    blocks of ``rref_batch``: a tiny chunk gives the scalar product."""
     f = gf.field(3, 2)
     rng = np.random.default_rng(5)
     A = rng.integers(0, f.order, size=(7, 4))
@@ -143,6 +152,24 @@ def test_rref_batch_matches_rref(p, m, data):
         want, pivots = linalg.rref(f, S[b])
         assert R[b].tobytes() == want.tobytes()
         assert ranks[b] == len(pivots)
+
+
+@pytest.mark.parametrize("p, m", RREF_FIELDS, ids=[f"GF({p ** m})" for p, m in RREF_FIELDS])
+@KERNEL
+@given(data=st.data())
+def test_nullspace_of_a_stack(p, m, data):
+    """For each matrix of a stack, and for it alone, the nonzero rows of its
+    null space are c - rank independent vectors that it maps to zero."""
+    f = gf.field(p, m)
+    S = data.draw(rref_stacks(f))
+    null = linalg.nullspace(f, S)
+    assert null.shape == (len(S),) + (S.shape[2],) * 2
+    for M, Z in zip(S, null):
+        assert linalg.nullspace(f, M).tolist() == Z.tolist()
+        basis = Z[Z.any(axis=1)]
+        assert len(basis) == S.shape[2] - linalg.rank(f, M)
+        assert not len(basis) or linalg.rank(f, basis) == len(basis)
+        assert not scalar_matmul(f, M, basis.T).any()
 
 
 def has_kernel_vector(f, A):

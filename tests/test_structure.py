@@ -145,6 +145,14 @@ def test_ideal_indices_outside_the_coset_table_are_refused():
             atlas.rho(i, j)
     with pytest.raises(InvalidParameterError):
         atlas.idempotent(1, 2)
+    x = atlas.ring.one()
+    for call in (lambda: atlas.j_idempotent(-1), lambda: atlas.j_idempotent(5),
+                 lambda: atlas.k_basis(-1), lambda: atlas.k_basis(5),
+                 lambda: atlas.project(x, -1), lambda: atlas.project(x, 5),
+                 lambda: atlas.in_ideal(x, -1), lambda: atlas.in_ideal(x, 5),
+                 lambda: atlas.in_ideal(x, 1, 2), lambda: atlas.in_ideal(x, -1, 0)):
+        with pytest.raises(InvalidParameterError):
+            call()
 
 
 def test_k_basis_and_fixed_subfield(atlas73):
