@@ -11,11 +11,11 @@ ctx = context(7, 3, 2, paper=True)
 C = codes.cyclic_span(ctx.atlas.idempotent(1, 0), ctx)
 d, exact = codes.min_distance(C)
 print(f"showcase code: length 7, |C| = 3^{C.k} = 9^3, d = {d} (exact={exact})")
-print("self-orthogonal:", codes.is_self_orthogonal(C, ctx))
+print("self-orthogonal:", codes.is_self_orthogonal(C))
 print("generator matrix:")
 print(codes.generator_matrix_text(C))
 
-dual = codes.dual_delta(C, ctx)
+dual = codes.dual_delta(C)
 print(f"\ndual code dimension: {dual.k} (= 14 - {C.k}); contains C:",
       C.is_subspace_of(dual))
 

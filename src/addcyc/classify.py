@@ -46,6 +46,10 @@ from .bilinear import DeltaContext, context
 from .codes import AdditiveCode
 from .errors import InvalidParameterError, TooLargeError
 from .ring import GroupAlgebraElement
+from .structure import build_coset_table, check_parameters
+
+#: most cyclic codes :func:`brute_force_oracle` scans
+ORACLE_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -62,10 +66,10 @@ class SubcodeChoice:
     label: str = ""
 
 
-def _check_mode(ctx: DeltaContext, mode: str) -> str:
-    """The classification mode, lowercased ("so" or "sd"), once ctx is
-    checked to be at t = 2."""
-    if ctx.t != 2:
+def _check_mode(t: int, mode: str) -> str:
+    """The classification mode, lowercased ("so" or "sd"), once t is
+    checked to be 2."""
+    if t != 2:
         raise InvalidParameterError("classification is implemented for t = 2 only")
     low = mode.lower() if isinstance(mode, str) else mode
     if low not in ("so", "sd"):
@@ -81,7 +85,7 @@ def _checked_context(n: int, q: int, mode: str,
     if (ctx.n, ctx.q) != (n, q):
         raise InvalidParameterError(f"context is for (n, q) = ({ctx.n}, {ctx.q}), "
                                     f"not ({n}, {q})")
-    return ctx, _check_mode(ctx, mode)
+    return ctx, _check_mode(ctx.t, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +201,7 @@ def subcode_options(i: int, mode: str, ctx: DeltaContext,
     oracle confirms.  ``complete=True`` includes that omitted option; the
     default reproduces the published classification.
     """
-    mode = _check_mode(ctx, mode)
+    mode = _check_mode(ctx.t, mode)
     tab = ctx.table
     q = ctx.q
     if tab.mu[i] != i:
@@ -264,7 +268,7 @@ def pair_options(j: int, mode: str, ctx: DeltaContext, *, reduced: dict | None =
     every choice on both sides are stored in ``reduced`` when it is given,
     so a caller assembling codes from the pairs reuses them.
     """
-    mode = _check_mode(ctx, mode)
+    mode = _check_mode(ctx.t, mode)
     tab = ctx.table
     mu_j = tab.mu[j]
     if mu_j == j:
@@ -330,9 +334,8 @@ def _assemble(ctx: DeltaContext, row_lists: list[list[np.ndarray]], mode: str):
             G = ctx.gram_apply(R.reshape(-1, width)).reshape(R.shape)
             M = linalg.matmul(ctx.field_q, G, R.transpose(0, 2, 1))
             assert not M.any(), "assembled profile failed the direct orthogonality check"
-        pivots = (R != 0).argmax(axis=2).tolist()
         for b, k in enumerate(idx):
-            out[k] = AdditiveCode(ctx, R[b], pivots[b])
+            out[k] = AdditiveCode(ctx, R[b])
     return out
 
 
@@ -376,9 +379,9 @@ def count_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
                 complete: bool = False) -> int:
     """Closed-form count of cyclic self-orthogonal / self-dual codes (t = 2).
 
-    Exact integer arithmetic on the coset table alone: the ideal atlas (and
-    with it the splitting field of X^n - 1) is never built.  The default
-    evaluates the published formulas
+    Exact integer arithmetic on the coset table alone: no DeltaContext (a
+    given ``ctx`` is only checked to be for (n, q)), ideal atlas or splitting
+    field of X^n - 1 is built.  The default evaluates the published formulas
     (a' * prod(q^(d_i/2)+2) * prod(3q^(d_j)+b') for "so" with a' = 2 or 4 and
     b' = 6 or 2 by the parity of d_j; prod(q^(d_i/2)+1) * prod(q^(d_j)+b')
     for "sd" with b' = 3 or 1).  ``complete=True`` evaluates the corrected
@@ -387,8 +390,12 @@ def count_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
     transposed pair contributes 3q^(d_j)+6 ("so") / q^(d_j)+3 ("sd")
     regardless of the parity of d_j.
     """
-    ctx, mode = _checked_context(n, q, mode, ctx)
-    tab = ctx.table
+    if ctx is None:
+        check_parameters(n, q, 2)
+        mode = _check_mode(2, mode)
+    else:
+        mode = _checked_context(n, q, mode, ctx)[1]
+    tab = build_coset_table(n, q, 2)
     n_identity = 1 + (1 if tab.i_sharp is not None else 0)
     if mode == "so":
         per_identity = 3 if (complete and q % 2 == 1) else 2
@@ -431,8 +438,7 @@ def _class_rows(i: int, ctx: DeltaContext) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows, axis=0), np.array([b.shape[0] for b in rows])
 
 
-def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
-                       *, limit: int = 1_000_000):
+def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = None):
     """Independent check: test ALL cyclic codes for orthogonality directly.
 
     Every cyclic code is a direct sum of arbitrary K_i-subspaces of the J_i,
@@ -450,8 +456,8 @@ def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = Non
     ctx, mode = _checked_context(n, q, mode, ctx)
     tab = ctx.table
     sizes = [q ** d + 3 for d in tab.d]
-    if math.prod(sizes) > limit:
-        raise TooLargeError(f"{math.prod(sizes)} cyclic codes exceed the oracle limit {limit}")
+    if math.prod(sizes) > ORACLE_LIMIT:
+        raise TooLargeError(f"{math.prod(sizes)} cyclic codes exceed the oracle limit {ORACLE_LIMIT}")
     fq = ctx.field_q
     k = tab.num_classes
     # class i: choice a has the rows starts[i][a] : starts[i][a] + dims[i][a]

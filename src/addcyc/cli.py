@@ -21,6 +21,13 @@ from .codes import EXHAUSTIVE_BUDGET, SAMPLE_COUNT, SAMPLE_SEED
 from .errors import InvalidParameterError
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _context(args) -> DeltaContext:
     return DeltaContext(args.n, args.q, getattr(args, "t", 2),
                         paper=args.paper_fields)
@@ -84,7 +91,7 @@ def _code_from_args(args, ctx) -> codes.AdditiveCode:
 def cmd_dual(args):
     ctx = _context(args)
     C = _code_from_args(args, ctx)
-    D = codes.dual_delta(C, ctx)
+    D = codes.dual_delta(C)
     payload = {"code": codes.code_record(C), "dual": codes.code_record(D)}
     text = (f"code: k_fq = {C.k}\n{codes.generator_matrix_text(C)}\n"
             f"dual: k_fq = {D.k}\n{codes.generator_matrix_text(D)}")
@@ -124,8 +131,7 @@ def cmd_enumerate(args):
 
 
 def cmd_count(args):
-    ctx = _context(args)
-    value = classify.count_codes(args.n, args.q, args.mode, ctx, complete=args.complete)
+    value = classify.count_codes(args.n, args.q, args.mode, complete=args.complete)
     _emit(args, {"count": value}, str(value))
 
 
@@ -220,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate classified codes (t = 2)")
     common(p)
     p.add_argument("--mode", choices=["so", "sd"], default="so")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_nonnegative)
     p.add_argument("--complete", action="store_true",
                    help="include the verified options missing from the published lists")
     p.set_defaults(func=cmd_enumerate)
@@ -234,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("goodcodes", help="classified codes with min distances")
     common(p)
     p.add_argument("--mode", choices=["so", "sd"], default="so")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_nonnegative)
     mindist_opts(p)
     p.set_defaults(func=cmd_goodcodes)
 

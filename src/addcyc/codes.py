@@ -1,9 +1,10 @@
 """F_q-linear codes over GF(q^t): subspaces of GF(q^t)^n closed under F_q.
 
-A code is stored as the reduced row echelon form, over F_q, of its basis in
-the tn-coordinate expansion (position-major, then basis component).  The
-canonical form makes equality, hashing and set semantics exact.  Duality is
-computed against the twisted trace form of the ambient DeltaContext.  The
+A code is stored as the nonzero rows of the reduced row echelon form, over
+F_q, of its basis in the tn-coordinate expansion (position-major, then basis
+component); their pivots are read off the rows.  The canonical form makes
+equality, hashing and set semantics exact.  Duality is always computed
+against the twisted trace form of the code's own DeltaContext.  The
 minimum Hamming distance is certified exactly by Brouwer-Zimmermann
 enumeration of one information set by information weight (as extended to
 additive codes by White and Grassl), with the cyclic-shift bound on cyclic
@@ -23,6 +24,7 @@ from .bilinear import DeltaContext
 from .errors import (
     EmptyCodeError,
     FieldMismatchError,
+    InvalidParameterError,
     NotCyclicError,
     TooLargeError,
 )
@@ -49,23 +51,21 @@ SAMPLE_SEED = 0
 
 
 class AdditiveCode:
-    """An F_q-linear subspace of GF(q^t)^n in canonical form."""
+    """An F_q-linear subspace of GF(q^t)^n, held as its nonzero RREF rows."""
 
-    __slots__ = ("ctx", "basis_exp", "pivots")
+    __slots__ = ("ctx", "basis_exp")
 
-    def __init__(self, ctx: DeltaContext, basis_exp: np.ndarray, pivots):
+    def __init__(self, ctx: DeltaContext, basis_exp: np.ndarray):
         self.ctx = ctx
         self.basis_exp = basis_exp
         self.basis_exp.setflags(write=False)
-        self.pivots = tuple(pivots)
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
     def from_expansion(cls, ctx: DeltaContext, rows) -> "AdditiveCode":
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, ctx.n * ctx.t)
-        R, pivots = linalg.rref(ctx.field_q, rows)
-        return cls(ctx, R[: len(pivots)], pivots)
+        return cls(ctx, linalg.row_space(ctx.field_q, rows))
 
     @classmethod
     def from_vectors(cls, ctx: DeltaContext, vectors) -> "AdditiveCode":
@@ -116,7 +116,8 @@ class AdditiveCode:
         return [self.ctx.ring.element(row) for row in self.basis_symbols()]
 
     def contains_expansion(self, v) -> bool:
-        return linalg.in_row_space(self.ctx.field_q, self.basis_exp, self.pivots, v)
+        """Whether v, or every row of a stack v, is in the code."""
+        return bool(linalg.in_row_space(self.ctx.field_q, self.basis_exp, v).all())
 
     def contains(self, v) -> bool:
         if isinstance(v, GroupAlgebraElement):
@@ -125,7 +126,7 @@ class AdditiveCode:
         return self.contains_expansion(v_exp)
 
     def is_subspace_of(self, other: "AdditiveCode") -> bool:
-        return all(other.contains_expansion(row) for row in self.basis_exp)
+        return other.contains_expansion(self.basis_exp)
 
     def __eq__(self, other):
         return (isinstance(other, AdditiveCode) and self.ctx is other.ctx
@@ -174,12 +175,12 @@ def is_cyclic(code: AdditiveCode) -> bool:
     if code.k == 0:
         return True
     shifted = code.ctx.expand(np.roll(code.basis_symbols(), 1, axis=1))
-    return all(code.contains_expansion(row) for row in shifted)
+    return code.contains_expansion(shifted)
 
 
-def dual_delta(code: AdditiveCode, ctx: DeltaContext | None = None) -> AdditiveCode:
-    """The dual code under the twisted trace form; dim C + dim dual = t*n."""
-    ctx = ctx or code.ctx
+def dual_delta(code: AdditiveCode) -> AdditiveCode:
+    """The dual code under its own trace form; dim C + dim dual = t*n."""
+    ctx = code.ctx
     if code.k == 0:
         return AdditiveCode.full(ctx)
     M = ctx.gram_apply(code.basis_exp)
@@ -189,21 +190,19 @@ def dual_delta(code: AdditiveCode, ctx: DeltaContext | None = None) -> AdditiveC
     return dual
 
 
-def is_self_orthogonal(code: AdditiveCode, ctx: DeltaContext | None = None) -> bool:
-    ctx = ctx or code.ctx
+def is_self_orthogonal(code: AdditiveCode) -> bool:
     if code.k == 0:
         return True
-    return not ctx.pair_matrix(code.basis_exp, code.basis_exp).any()
+    return not code.ctx.pair_matrix(code.basis_exp, code.basis_exp).any()
 
 
-def is_self_dual(code: AdditiveCode, ctx: DeltaContext | None = None) -> bool:
-    ctx = ctx or code.ctx
-    return 2 * code.k == ctx.t * ctx.n and is_self_orthogonal(code, ctx)
+def is_self_dual(code: AdditiveCode) -> bool:
+    return 2 * code.k == code.ctx.t * code.n and is_self_orthogonal(code)
 
 
-def decompose(code: AdditiveCode, ctx: DeltaContext | None = None) -> CodeDecomposition:
+def decompose(code: AdditiveCode) -> CodeDecomposition:
     """Split a cyclic code into its components C_i = C * (J_i identity)."""
-    ctx = ctx or code.ctx
+    ctx = code.ctx
     if not is_cyclic(code):
         raise NotCyclicError("decomposition requires a cyclic code")
     atlas = ctx.atlas
@@ -212,7 +211,7 @@ def decompose(code: AdditiveCode, ctx: DeltaContext | None = None) -> CodeDecomp
     for i in range(tab.num_classes):
         rows = ctx.ring.mul_rows(code.basis_symbols(), atlas.j_idempotent(i).coeffs)
         comp = AdditiveCode.from_expansion(ctx, ctx.expand(rows))
-        assert all(code.contains(r) for r in comp.basis_elements())
+        assert comp.is_subspace_of(code)
         di = tab.d[i]  # F_q-dimension of K_i
         assert comp.k % di == 0, "component dimension must be a K_i multiple"
         comps.append(comp)
@@ -422,6 +421,8 @@ def distance_certificate(code: AdditiveCode, *, budget: int = EXHAUSTIVE_BUDGET,
     exactly (lb = ub); otherwise ``samples`` seeded random combinations give
     an upper bound and lb is 1.
     """
+    if budget < 0 or samples < 0:
+        raise InvalidParameterError("budget and samples must be >= 0")
     if code.k == 0:
         raise EmptyCodeError("the zero code has no minimum distance")
     info = _InformationSet(code)

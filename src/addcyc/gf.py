@@ -354,7 +354,7 @@ class Field:
     that equal parameters yield the identical object.
     """
 
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...], generator: int | None = None):
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         if not sympy.isprime(p):
             raise InvalidParameterError(f"characteristic {p} is not prime")
         if m < 1:
@@ -379,13 +379,9 @@ class Field:
         # the (Q, m) table of their elements' digits
         self._add = self._sub = self._mul = self._digit_table = None
         x = p if m > 1 else (-modulus[0]) % p  # the element x
-        if generator is None:
-            generator = x if x_primitive else self._least_generator()
-        self.generator = generator
+        self.generator = x if x_primitive else self._least_generator()
         if self.order <= EAGER_TABLE_LIMIT:
             self._build_tables()
-        if not (x_primitive and generator == x):
-            self._check_generator()
 
     # -- construction helpers -------------------------------------------------
 
@@ -395,16 +391,6 @@ class Field:
             if all(self.pow(cand, q1 // r) != 1 for r in _order_factors(q1)):
                 return cand
         raise AssertionError("no generator found")
-
-    def _check_generator(self):
-        q1 = self.order - 1
-        if q1 == 1:
-            return
-        if self.pow(self.generator, q1) != 1:
-            raise InvalidParameterError("designated generator has wrong order")
-        for r in _order_factors(q1):
-            if self.pow(self.generator, q1 // r) == 1:
-                raise InvalidParameterError("designated generator is not primitive")
 
     # -- encode / decode ------------------------------------------------------
 
@@ -619,13 +605,13 @@ class Field:
 
 
 @functools.lru_cache(maxsize=None)
-def _field_cached(p: int, m: int, modulus: tuple[int, ...] | None, generator: int | None) -> Field:
+def _field_cached(p: int, m: int, modulus: tuple[int, ...] | None) -> Field:
     if modulus is None:
         modulus = least_primitive_modulus(p, m)
-    return Field(p, m, modulus, generator)
+    return Field(p, m, modulus)
 
 
-def field(p: int, m: int = 1, *, modulus=None, generator=None, paper: bool = False) -> Field:
+def field(p: int, m: int = 1, *, modulus=None, paper: bool = False) -> Field:
     """Construct (or fetch the cached) GF(p^m).
 
     ``paper=True`` selects the bundled reference modulus when one exists for
@@ -635,7 +621,7 @@ def field(p: int, m: int = 1, *, modulus=None, generator=None, paper: bool = Fal
         modulus = PAPER_MODULI[(p, m)]
     if modulus is not None:
         modulus = tuple(int(c) for c in modulus)
-    return _field_cached(p, m, modulus, generator)
+    return _field_cached(p, m, modulus)
 
 
 def prime_power(q: int) -> tuple[int, int]:
@@ -939,6 +925,6 @@ def parse_element(f: Field, token: str) -> int:
     if token.startswith("[") and token.endswith("]"):
         return f.encode(int(c) for c in token[1:-1].split(","))
     val = int(token)
-    if 0 <= val < f.p:
-        return val
-    return val % f.p
+    if not 0 <= val < f.p:
+        raise CoercionError(f"integer token {token!r} is outside [0, {f.p})")
+    return val

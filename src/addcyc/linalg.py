@@ -13,7 +13,8 @@ Over a prime field it is an integer matmul reduced mod p; over GF(p^m),
 m > 1, it is one integer matmul in F_p coordinates (the regular
 representation of GF(p^m) by m x m matrices over F_p), reduced mod p.
 :func:`nullspace` reads the null spaces of a whole stack off one
-:func:`rref_batch`.
+:func:`rref_batch`; :func:`in_row_space` tests a stack of vectors by one
+:func:`matmul`, with the pivots read off the RREF rows.
 """
 
 from __future__ import annotations
@@ -92,18 +93,19 @@ def nullspace(f: Field, mat: np.ndarray) -> np.ndarray:
     return null if mat.ndim == 3 else null[0]
 
 
-def reduce_vector(f: Field, R: np.ndarray, pivots, v: np.ndarray) -> np.ndarray:
-    """Residual of v after elimination against RREF rows R."""
-    v = np.array(v, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        c = int(v[pc])
-        if c:
-            v = f.vsub(v, f.vmul(np.int64(c), R[r]))
-    return v
+def reduce_vector(f: Field, R: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Residual of v (c,), or of each row of a stack (..., c), after
+    elimination against the nonzero RREF rows R: v - v[..., pivots] R, exact
+    as the pivot columns of R are unit vectors."""
+    v = np.asarray(v, dtype=np.int64)
+    pivots = (R != 0).argmax(axis=1)
+    return f.vsub(v, matmul(f, v[..., pivots], R))
 
 
-def in_row_space(f: Field, R: np.ndarray, pivots, v) -> bool:
-    return not reduce_vector(f, R, pivots, v).any()
+def in_row_space(f: Field, R: np.ndarray, v) -> np.ndarray:
+    """Whether v, or each row of a stack (..., c), lies in the row space of
+    the nonzero RREF rows R."""
+    return ~reduce_vector(f, R, v).any(axis=-1)
 
 
 #: elements of one block of :func:`rref_batch` (128 KB of int64).  Each step

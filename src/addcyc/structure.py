@@ -162,12 +162,12 @@ def tau_ideal_image(table: CosetTable, w: int, u: int, ij: tuple[int, int]) -> t
 class IdealAtlas:
     """Ideal decomposition data for R_n over F_q and F_{q^t}; built by build_atlas."""
 
-    def __init__(self, n, q, t, field_q, field_qt, *, paper=False):
-        check_parameters(n, q, t)
+    def __init__(self, n, q, t, *, paper=False):
+        p, e = check_parameters(n, q, t)
         self.n, self.q, self.t = n, q, t
         self.paper = paper
-        self.field_q = field_q
-        self.field_qt = field_qt
+        self.field_q = field_q = gf.field(p, e, paper=paper)
+        self.field_qt = field_qt = gf.field(p, e * t, paper=paper)
         self.ring = cyclic_ring(field_qt, n)
         self.ring_q = cyclic_ring(field_q, n)
         self.table = build_coset_table(n, q, t)
@@ -369,7 +369,4 @@ class IdealAtlas:
 
 def build_atlas(n: int, q: int, t: int = 2, *, paper: bool = False) -> IdealAtlas:
     """Construct the full ideal atlas for R_n over F_q and F_{q^t}."""
-    p, e = check_parameters(n, q, t)
-    field_q = gf.field(p, e, paper=paper)
-    field_qt = gf.field(p, e * t, paper=paper)
-    return IdealAtlas(n, q, t, field_q, field_qt, paper=paper)
+    return IdealAtlas(n, q, t, paper=paper)

@@ -83,13 +83,13 @@ def _counts() -> tuple[bool, str]:
     conditions, parts = {}, []
     for mode, want, direct in (("so", refdata.WORKED_COUNT_SO, codes.is_self_orthogonal),
                                ("sd", refdata.WORKED_COUNT_SD, codes.is_self_dual)):
-        count = classify.count_codes(7, 3, mode, ctx)
+        count = classify.count_codes(7, 3, mode)
         listed = list(classify.enumerate_codes(7, 3, mode, ctx))
         distinct = len({c.key() for c in listed})
         conditions[f"{mode}: count = enumerated = distinct = {want}"] = (
             count == len(listed) == distinct == want)
         conditions[f"{mode}: every code passes {direct.__name__}"] = all(
-            direct(c, ctx) for c in listed)
+            direct(c) for c in listed)
         parts.append(f"{mode} {count}/{len(listed)} ({distinct} distinct)")
     return _verdict(conditions, "count/enumerate: " + ", ".join(parts)
                     + "; each checked directly")
@@ -117,7 +117,7 @@ def _oracle() -> tuple[bool, str]:
         conditions.update({
             f"{mode}: oracle key set equals the complete enumeration": keys == set(complete),
             f"{mode}: oracle count equals the complete count and refdata":
-                count == classify.count_codes(7, 3, mode, ctx, complete=True)
+                count == classify.count_codes(7, 3, mode, complete=True)
                 == verified,
             f"{mode}: published codes are a strict subset": pub_keys < keys,
             f"{mode}: every extra code contains e_(0,0)":
@@ -148,7 +148,7 @@ def _showcase() -> tuple[bool, str]:
     ref = codes.code_from_vectors(refdata.WORKED_GOOD_MATRIX, ctx)
     d, exact = codes.min_distance(C)
     ok = (C.k == 6 and C == ref and exact and d == refdata.WORKED_GOOD_DISTANCE
-          and codes.is_self_orthogonal(C, ctx))
+          and codes.is_self_orthogonal(C))
     return ok, f"k_fq = {C.k}, |C| = 9^3, d = {d} (exact={exact}), matches printed matrix: {C == ref}"
 
 
@@ -164,7 +164,7 @@ def _table_row(row: refdata.GoodCodeRow, samples: int, seed: int) -> tuple[bool,
         d_ok = (row.q, row.n) in refdata.UNPROVED_ROWS and cert.ub >= row.d
         kind = f"sampled bound ({samples} draws)"
     conditions = {"cardinality": C.k == 2 * row.k, "cyclic": codes.is_cyclic(C),
-                  "self-orthogonal": codes.is_self_orthogonal(C, ctx), "d": d_ok}
+                  "self-orthogonal": codes.is_self_orthogonal(C), "d": d_ok}
     return _verdict(conditions, (
         f"(q={row.q}, n={row.n}): cardinality ({row.q}^2)^{row.k}, cyclic, "
         f"self-orthogonal, d {'=' if cert.exact else '>='} {row.d}: got {cert.ub} [{kind}]"))
@@ -176,7 +176,7 @@ def _cross_check() -> tuple[bool, str]:
     for mode in ("so", "sd"):
         count, keys = classify.brute_force_oracle(3, 2, mode, ctx)
         listed = {c.key() for c in classify.enumerate_codes(3, 2, mode, ctx)}
-        got.append((classify.count_codes(3, 2, mode, ctx), count, listed == keys))
+        got.append((classify.count_codes(3, 2, mode), count, listed == keys))
     return got == [(8, 8, True), (3, 3, True)], (
         f"(3, 2): formula {got[0][0]}/{got[1][0]}, oracle {got[0][1]}/{got[1][1]} over "
         f"35 cyclic codes, enumeration equals the oracle: {got[0][2] and got[1][2]}")

@@ -111,9 +111,9 @@ def test_c7_property_suites():
         # duality dimension identity on all enumerated codes
         tab = ctx.atlas.table
         for C in classify.enumerate_codes(n, q, "so", ctx):
-            D = codes.dual_delta(C, ctx)
-            kc = codes.decompose(C, ctx).k_over_K
-            kd = codes.decompose(D, ctx).k_over_K
+            D = codes.dual_delta(C)
+            kc = codes.decompose(C).k_over_K
+            kd = codes.decompose(D).k_over_K
             assert all(kc[i] + kd[tab.mu[i]] == 2 for i in range(tab.num_classes))
 
         # idempotent laws, exhaustive per atlas
@@ -138,6 +138,6 @@ def test_c7_property_suites():
             rows = [[rng.randrange(fqt.order) for _ in range(n)]
                     for _ in range(rng.randrange(1, 2 * n))]
             C = codes.code_from_vectors(rows, ctx)
-            assert C.k + codes.dual_delta(C, ctx).k == 2 * n
+            assert C.k + codes.dual_delta(C).k == 2 * n
     elapsed = time.perf_counter() - t0
     report(7, True, f"property suites on {PROPERTY_INSTANCES} in {elapsed:.0f}s")

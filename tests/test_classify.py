@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from addcyc import classify, codes, linalg
+from addcyc import bilinear, classify, codes, linalg
 from addcyc.bilinear import DeltaContext, context
+from addcyc.cli import main
 from addcyc.errors import InvalidParameterError, TooLargeError
 
 
@@ -110,6 +111,30 @@ def test_counts_big_integers():
     assert want > 2 ** 34
 
 
+@pytest.mark.parametrize("n, q", [(7, 3), (8, 3), (15, 2)])
+def test_counts_with_and_without_a_context_agree(n, q):
+    ctx = context(n, q, 2)
+    for mode, complete in itertools.product(("so", "sd"), (False, True)):
+        assert (classify.count_codes(n, q, mode, complete=complete)
+                == classify.count_codes(n, q, mode, ctx, complete=complete))
+
+
+def test_counting_builds_no_context(monkeypatch, capsys):
+    """Without a context, count_codes and the count command read only the
+    coset table; a DeltaContext at q = 4093 or 16381 tabulates q^2 elements."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a DeltaContext was built")
+
+    monkeypatch.setattr(bilinear.DeltaContext, "__init__", refuse)
+    q = 4093  # 4093 = 5 (mod 7) generates Z_7^*: one fixed class, d = 6
+    got = [classify.count_codes(7, q, mode, complete=complete)
+           for mode in ("so", "sd") for complete in (False, True)]
+    assert got == [2 * (q ** 3 + 2), 3 * (q ** 3 + 2), q ** 3 + 1, 2 * (q ** 3 + 1)]
+    q = 16381  # 16381 = 1 (mod 7): three transposed pairs, d = 1
+    assert main(["count", "-n", "7", "-q", str(q)]) == 0
+    assert capsys.readouterr().out.strip() == str(2 * (3 * q + 6) ** 3)
+
+
 @pytest.mark.parametrize("n,q,want", [
     (49, 3, [606700485890, 910050728835, 292889889712, 585779779424]),
     (47, 2, [50331660, 50331660, 8388611, 8388611]),
@@ -132,7 +157,7 @@ def test_sd_enumeration_matches_the_count_at_11_5_and_23_2():
         got = list(classify.enumerate_codes(n, q, "sd", ctx, complete=True))
         assert len(got) == classify.count_codes(n, q, "sd", ctx, complete=True)
         assert len({C.key() for C in got}) == len(got)
-        assert all(codes.is_self_dual(C, ctx) for C in got)
+        assert all(codes.is_self_dual(C) for C in got)
         assert ctx.table is ctx.atlas.table
 
 
@@ -240,15 +265,15 @@ def test_oracle_reference_discrepancy():
         C = codes.AdditiveCode.from_expansion(
             CTX73, np.frombuffer(data, dtype=np.int64).reshape(shape))
         assert C.key() == (shape, data)
-        assert C.is_subspace_of(codes.dual_delta(C, CTX73))
+        assert C.is_subspace_of(codes.dual_delta(C))
 
 
 def test_enumerated_codes_are_sound():
     # soundness via the dual: C subset of its dual (and equality for sd)
     for C in classify.enumerate_codes(7, 3, "so", CTX73, complete=True):
-        assert C.is_subspace_of(codes.dual_delta(C, CTX73))
+        assert C.is_subspace_of(codes.dual_delta(C))
     for C in classify.enumerate_codes(7, 3, "sd", CTX73, complete=True):
-        assert codes.dual_delta(C, CTX73) == C
+        assert codes.dual_delta(C) == C
 
 
 def test_sd_subset_of_so():
@@ -260,9 +285,9 @@ def test_sd_subset_of_so():
 def test_duality_dimension_identity_on_enumerated():
     tab = CTX73.atlas.table
     for C in classify.enumerate_codes(7, 3, "so", CTX73):
-        D = codes.dual_delta(C, CTX73)
-        kc = codes.decompose(C, CTX73).k_over_K
-        kd = codes.decompose(D, CTX73).k_over_K
+        D = codes.dual_delta(C)
+        kc = codes.decompose(C).k_over_K
+        kd = codes.decompose(D).k_over_K
         assert all(kc[i] + kd[tab.mu[i]] == 2 for i in range(tab.num_classes))
 
 
@@ -280,7 +305,7 @@ def test_pair_options_structure():
         rows = np.concatenate([classify.component_rows(cj, ctx),
                                classify.component_rows(cmu, ctx)], axis=0)
         code = codes.AdditiveCode.from_expansion(ctx, rows)
-        assert codes.is_self_orthogonal(code, ctx)
+        assert codes.is_self_orthogonal(code)
 
 
 def test_oracle_too_large():
@@ -326,8 +351,8 @@ def test_prime_power_base_cardinality(n, q):
         assert ckeys == okeys
         assert count == classify.count_codes(n, q, mode, ctx, complete=True)
     for C in classify.enumerate_codes(n, q, "sd", ctx):
-        assert codes.dual_delta(C, ctx) == C
-        dec = codes.decompose(C, ctx)
+        assert codes.dual_delta(C) == C
+        dec = codes.decompose(C)
         assert sum(k * ctx.atlas.table.d[i] for i, k in enumerate(dec.k_over_K)) == C.k
 
 

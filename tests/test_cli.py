@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from addcyc import refdata
 from addcyc.cli import main
 
@@ -104,6 +106,24 @@ def test_error_exit_code(capsys):
         assert code == 2 and err.startswith("error: ") and hypothesis in err, argv
     code, out, _ = run(capsys, "atlas", "-n", "7", "-q", "3", "-t", "3")
     assert code == 0 and out.startswith("n=7 q=3 t=3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("mindist", "--gen", "1,1,2,9"),       # used to read "9" as 0: d = 1
+    ("mindist", "--gen", "1,1,2,-1"),      # used to read "-1" as 2
+    ("mindist", "--gen", "1,1,2", "--samples", "-5", "--mindist-budget", "0"),
+    ("mindist", "--gen", "1,1,2", "--mindist-budget", "-1"),
+])
+def test_out_of_range_values_are_refused(capsys, argv):
+    code, out, err = run(capsys, argv[0], "-n", "7", "-q", "3", *argv[1:])
+    assert code == 2 and not out and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["enumerate", "goodcodes"])
+def test_negative_limit_is_refused(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-n", "7", "-q", "3", "--limit", "-1"])
+    assert exc.value.code == 2 and "--limit" in capsys.readouterr().err
 
 
 def test_deterministic_json(capsys):

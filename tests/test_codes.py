@@ -62,7 +62,7 @@ def test_cyclic_span_reference():
     assert C.k == 6 and is_cyclic(C)
     d, exact = min_distance(C)
     assert (d, exact) == (5, True)
-    assert is_self_orthogonal(C, CTX73) and not is_self_dual(C, CTX73)
+    assert is_self_orthogonal(C) and not is_self_dual(C)
 
 
 def test_cyclic_span_degenerate():
@@ -81,10 +81,10 @@ def test_is_cyclic():
 
 def test_dual_reference():
     C = cyclic_span(CTX73.atlas.idempotent(1, 0), CTX73)
-    D = dual_delta(C, CTX73)
+    D = dual_delta(C)
     assert D.k == 14 - 6
     assert C.is_subspace_of(D)
-    assert dual_delta(AdditiveCode.zero(CTX73), CTX73) == AdditiveCode.full(CTX73)
+    assert dual_delta(AdditiveCode.zero(CTX73)) == AdditiveCode.full(CTX73)
 
 
 @pytest.mark.parametrize("n,q", [(7, 3), (5, 2), (3, 5)])
@@ -93,9 +93,9 @@ def test_dual_dims_and_double_dual(n, q):
     rng = random.Random(10 * n + q)
     for _ in range(100):
         C = rand_code(ctx, rng)
-        D = dual_delta(C, ctx)
+        D = dual_delta(C)
         assert C.k + D.k == 2 * n
-        assert dual_delta(D, ctx) == C
+        assert dual_delta(D) == C
 
 
 def test_dual_of_cyclic_is_cyclic():
@@ -103,20 +103,20 @@ def test_dual_of_cyclic_is_cyclic():
     for _ in range(25):
         C = rand_cyclic_code(CTX73, rng)
         assert is_cyclic(C)
-        assert is_cyclic(dual_delta(C, CTX73))
+        assert is_cyclic(dual_delta(C))
 
 
 def test_decompose_reference():
     C = cyclic_span(CTX73.atlas.idempotent(1, 0), CTX73)
-    dec = codes.decompose(C, CTX73)
+    dec = codes.decompose(C)
     assert dec.k_over_K == [0, 1]
     F = AdditiveCode.full(CTX73)
-    assert codes.decompose(F, CTX73).k_over_K == [2, 2]
+    assert codes.decompose(F).k_over_K == [2, 2]
     Z = AdditiveCode.zero(CTX73)
-    assert codes.decompose(Z, CTX73).k_over_K == [0, 0]
+    assert codes.decompose(Z).k_over_K == [0, 0]
     v = [1, CTX73.field_qt.generator, 0, 0, 0, 0, 0]
     with pytest.raises(NotCyclicError):
-        codes.decompose(codes.code_from_vectors([v], CTX73), CTX73)
+        codes.decompose(codes.code_from_vectors([v], CTX73))
 
 
 def test_dual_component_dimension_identity():
@@ -125,9 +125,9 @@ def test_dual_component_dimension_identity():
     tab = CTX73.atlas.table
     for _ in range(20):
         C = rand_cyclic_code(CTX73, rng)
-        D = dual_delta(C, CTX73)
-        kc = codes.decompose(C, CTX73).k_over_K
-        kd = codes.decompose(D, CTX73).k_over_K
+        D = dual_delta(C)
+        kc = codes.decompose(C).k_over_K
+        kd = codes.decompose(D).k_over_K
         for i in range(tab.num_classes):
             assert kc[i] + kd[tab.mu[i]] == 2
 
@@ -183,12 +183,12 @@ def test_min_distance_empty():
 
 def test_orthogonality_predicates():
     Z = AdditiveCode.zero(CTX73)
-    assert is_self_orthogonal(Z, CTX73) and not is_self_dual(Z, CTX73)
+    assert is_self_orthogonal(Z) and not is_self_dual(Z)
     # a self-dual code from the classification: dimension must be 7
     sd = next(iter(classify.enumerate_codes(7, 3, "sd", CTX73)))
     assert sd.k == 7
-    assert is_self_dual(sd, CTX73)
-    assert dual_delta(sd, CTX73) == sd
+    assert is_self_dual(sd)
+    assert dual_delta(sd) == sd
 
 
 def test_componentwise_orthogonality_matches_global():
@@ -197,12 +197,12 @@ def test_componentwise_orthogonality_matches_global():
     rng = random.Random(21)
     for _ in range(40):
         C = rand_cyclic_code(CTX73, rng)
-        D = dual_delta(C, CTX73)
-        comp_c = codes.decompose(C, CTX73).components
-        comp_d = codes.decompose(D, CTX73).components
+        D = dual_delta(C)
+        comp_c = codes.decompose(C).components
+        comp_d = codes.decompose(D).components
         componentwise = all(cc.is_subspace_of(dd) for cc, dd in zip(comp_c, comp_d))
-        assert componentwise == is_self_orthogonal(C, CTX73)
-        if is_self_dual(C, CTX73):
+        assert componentwise == is_self_orthogonal(C)
+        if is_self_dual(C):
             assert all(cc == dd for cc, dd in zip(comp_c, comp_d))
 
 

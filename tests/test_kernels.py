@@ -8,8 +8,10 @@ checked element by element against ``Field.add`` / ``Field.mul`` and a
 schoolbook cyclic convolution, over prime fields, extension fields of each
 digit count up to four, and GF(2^8) and GF(17^2) on both sides of
 ``gf.CAYLEY_LIMIT``.  ``linalg.inverse`` is checked against a brute-force
-kernel search, ``linalg.rref_batch`` against ``linalg.rref``, and
-``linalg.nullspace`` of a stack against each of its matrices and their ranks.
+kernel search, ``linalg.rref_batch`` against ``linalg.rref``,
+``linalg.nullspace`` of a stack against each of its matrices and their ranks,
+and ``linalg.in_row_space`` / ``reduce_vector`` on stacks against the rank
+criterion and the per-pivot elimination loop.
 """
 
 import itertools
@@ -170,6 +172,45 @@ def test_nullspace_of_a_stack(p, m, data):
         assert len(basis) == S.shape[2] - linalg.rank(f, M)
         assert not len(basis) or linalg.rank(f, basis) == len(basis)
         assert not scalar_matmul(f, M, basis.T).any()
+
+
+def reference_reduce_vector(f, R, pivots, v):
+    """Elimination against the RREF rows R one pivot at a time."""
+    v = np.array(v, dtype=np.int64)
+    for r, pc in enumerate(pivots):
+        c = int(v[pc])
+        if c:
+            v = f.vsub(v, f.vmul(np.int64(c), R[r]))
+    return v
+
+
+@pytest.mark.parametrize("p, m", FIELDS, ids=IDS)
+@KERNEL
+@given(data=st.data())
+def test_membership_of_a_stack(p, m, data):
+    """For RREF rows R of every rank from zero rows to full, in_row_space on
+    a stack is the rank criterion rank([R; v]) == rank(R) row by row, and
+    reduce_vector is the per-pivot loop, on the stack and on one vector."""
+    f = gf.field(p, m)
+    c = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(0, c))
+    # k RREF rows on k pivot columns drawn anywhere
+    pivots = sorted(data.draw(st.sets(st.integers(0, c - 1), min_size=k, max_size=k)))
+    R = data.draw(elems(f, (k, c)))
+    for r, pc in enumerate(pivots):
+        R[r, :pc] = 0
+    R[:, pivots] = np.eye(k, dtype=np.int64)
+    assert linalg.rref(f, R)[1] == pivots
+    V = data.draw(elems(f, (data.draw(st.integers(1, 6)), c)))
+    # every other row a combination of the rows of R
+    V[::2] = linalg.matmul(f, data.draw(elems(f, (len(V), k))), R)[::2]
+    rank = linalg.rank(f, R)
+    want = [linalg.rank(f, np.vstack([R, v])) == rank for v in V]
+    assert linalg.in_row_space(f, R, V).tolist() == want
+    assert [bool(linalg.in_row_space(f, R, v)) for v in V] == want
+    reference = [reference_reduce_vector(f, R, pivots, v).tolist() for v in V]
+    assert linalg.reduce_vector(f, R, V).tolist() == reference
+    assert linalg.reduce_vector(f, R, V[0]).tolist() == reference[0]
 
 
 def has_kernel_vector(f, A):

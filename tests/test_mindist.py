@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from addcyc import codes, linalg, polyring, refdata
 from addcyc.bilinear import context
-from addcyc.errors import TooLargeError
+from addcyc.errors import InvalidParameterError, TooLargeError
 
 PRIMES = [2, 3, 5, 7, 131, 257]
 PRIME_POWERS = [4, 8, 9, 25]
@@ -148,3 +148,11 @@ def test_level_too_large_for_int64_counts_is_refused_only_when_needed(monkeypatc
     C = codes.cyclic_span(row.generator, context(11, 13, 2, paper=True))
     with pytest.raises(TooLargeError):
         codes.distance_certificate(C, budget=13 ** C.k)
+
+
+@pytest.mark.parametrize("limits", [{"samples": -5, "budget": 0}, {"budget": -1}])
+def test_negative_budget_or_samples_are_refused(limits):
+    """They used to report a bound from "-5 words"."""
+    C = codes.cyclic_span(refdata.row_for(3, 7).generator, context(7, 3, 2, paper=True))
+    with pytest.raises(InvalidParameterError):
+        codes.distance_certificate(C, **limits)
