@@ -96,39 +96,44 @@ def component_rows(choice: SubcodeChoice, ctx: DeltaContext) -> np.ndarray:
     """F_q-expanded basis rows of the chosen component subspace."""
     if choice.kind == "zero":
         return np.zeros((0, ctx.n * ctx.t), dtype=np.int64)
-    return component_stack([choice], ctx)[0]
+    return component_stack(choice.index, _k_bases([choice], ctx), ctx)[0]
 
 
-def component_stack(choices: list[SubcodeChoice], ctx: DeltaContext) -> np.ndarray:
-    """F_q-expanded rows of nonzero choices of one class and one kind, as an
-    (N, r, n*t) stack: entry a holds kappa * v for the F_q-basis kappa of
-    K_i and the K_i-basis v of choice a -- its vector (dim1), or x * f_i for
-    x in ``ctx.fq_basis`` (full; f_i the identity of J_i).  The ring is
-    commutative, so this is one :meth:`CyclicRing.mul_rows` per kappa.
-    """
-    i = choices[0].index
+def component_stack(i: int, V: np.ndarray, ctx: DeltaContext) -> np.ndarray:
+    """F_q-expanded rows of the subspaces of J_i with K_i-bases V (N, r, n):
+    entry a holds kappa * v for the F_q-basis kappa of K_i and the rows v of
+    V[a], by one :meth:`CyclicRing.mul_rows` per kappa."""
+    sym = np.stack([ctx.ring.mul_rows(V.reshape(-1, ctx.n), kappa.coeffs)
+                    for kappa in ctx.atlas.k_basis(i)], axis=1)
+    return ctx.expand(sym.reshape(len(V), -1, ctx.n))
+
+
+def _k_bases(choices: list[SubcodeChoice], ctx: DeltaContext) -> np.ndarray:
+    """The K_i-bases (N, r, n) of nonzero choices of one class and one kind:
+    each choice's vector (dim1), or x * f_i for x in ``ctx.fq_basis`` (full;
+    f_i the identity of J_i)."""
     if choices[0].kind == "full":
-        f_i = ctx.atlas.j_idempotent(i)
-        gens = [[f_i.scale(x).coeffs for x in ctx.fq_basis] for _ in choices]
-    else:
-        gens = [[c.vector.coeffs] for c in choices]
-    V = np.array(gens, dtype=np.int64).reshape(-1, ctx.n)
-    sym = np.stack([ctx.ring.mul_rows(V, kappa.coeffs) for kappa in ctx.atlas.k_basis(i)],
-                   axis=1)
-    return ctx.expand(sym.reshape(len(choices), -1, ctx.n))
+        f_i = ctx.atlas.j_idempotent(choices[0].index)
+        return np.array([[f_i.scale(x).coeffs for x in ctx.fq_basis]] * len(choices))
+    return np.array([[c.vector.coeffs] for c in choices], dtype=np.int64)
+
+
+def _reduced_rows(i: int, V: np.ndarray, ctx: DeltaContext) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced rows (RREF, zero rows dropped) of the subspaces of J_i with
+    K_i-bases V (N, r, n) stacked in one matrix, and the number of each."""
+    R, ranks = linalg.rref_batch(ctx.field_q, component_stack(i, V, ctx))
+    return R[np.arange(R.shape[1]) < ranks[:, None]], ranks
 
 
 def _reduce_choices(choices: list[SubcodeChoice], ctx: DeltaContext) -> dict:
     """Reduced basis rows (RREF, zero rows dropped) of each choice of one
-    class, in order: the choices of each nonzero kind are built by one
-    :func:`component_stack` and reduced by one :func:`linalg.rref_batch`.
-    """
+    class, in order; the choices of each nonzero kind are reduced together."""
     out = {c: component_rows(c, ctx) for c in choices if c.kind == "zero"}
     for kind in ("full", "dim1"):
         group = [c for c in choices if c.kind == kind]
         if group:
-            R, ranks = linalg.rref_batch(ctx.field_q, component_stack(group, ctx))
-            out.update((c, Rc[:k]) for c, Rc, k in zip(group, R, ranks))
+            flat, ranks = _reduced_rows(group[0].index, _k_bases(group, ctx), ctx)
+            out.update(zip(group, np.split(flat, np.cumsum(ranks)[:-1])))
     return {c: out[c] for c in choices}
 
 
@@ -155,6 +160,17 @@ def _dim1_choices(i: int, ctx: DeltaContext, rows: np.ndarray, label: str,
             for k, v in enumerate(rows)]
 
 
+def _one_dim_rows(i: int, ctx: DeltaContext) -> np.ndarray:
+    """Coefficient rows (N, n) of the K_i-basis vectors of the 1-dimensional
+    K_i-subspaces of J_i, in the order of :func:`one_dim_subspaces`."""
+    atlas, count = ctx.atlas, ctx.q ** ctx.table.d[i]
+    if ctx.table.s[i] == 1:
+        return _times_powers(atlas.idempotent(i, 0), atlas.rho(i, 0), count + 1)
+    e0, e1 = atlas.idempotent(i, 0), atlas.idempotent(i, 1)
+    rows = ctx.field_qt.vadd(np.array(e0.coeffs), _times_powers(e1, atlas.rho(i, 1), count - 1))
+    return np.vstack([e0.coeffs, e1.coeffs, rows])
+
+
 def one_dim_subspaces(i: int, ctx: DeltaContext):
     """All 1-dimensional K_i-subspaces of J_i, as SubcodeChoice values.
 
@@ -164,17 +180,11 @@ def one_dim_subspaces(i: int, ctx: DeltaContext):
     0 <= k <= q^(d_i) - 2.  The powers are formed by doubling
     (:func:`_times_powers`).
     """
-    atlas = ctx.atlas
-    tab = atlas.table
-    q = ctx.q
-    s_i, d_i = tab.s[i], tab.d[i]
-    if s_i == 1:
-        rows = _times_powers(atlas.idempotent(i, 0), atlas.rho(i, 0), q ** d_i + 1)
+    rows = _one_dim_rows(i, ctx)
+    if ctx.table.s[i] == 1:
         return _dim1_choices(i, ctx, rows, f"rho{i}^")
-    e0, e1 = atlas.idempotent(i, 0), atlas.idempotent(i, 1)
-    rows = ctx.field_qt.vadd(np.array(e0.coeffs), _times_powers(e1, atlas.rho(i, 1), q ** d_i - 1))
-    return ([SubcodeChoice(i, "dim1", e0, f"e{i},0"), SubcodeChoice(i, "dim1", e1, f"e{i},1")]
-            + _dim1_choices(i, ctx, rows, f"e{i},0+rho{i},1^"))
+    return (_dim1_choices(i, ctx, rows[:2], f"e{i},")
+            + _dim1_choices(i, ctx, rows[2:], f"e{i},0+rho{i},1^"))
 
 
 def all_subspace_choices(i: int, ctx: DeltaContext):
@@ -432,10 +442,12 @@ def _block_nonzero(M: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.
 
 
 def _class_rows(i: int, ctx: DeltaContext) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced rows of every K_i-subspace of J_i stacked in one matrix,
-    and the number of rows of each."""
-    rows = list(_reduce_choices(all_subspace_choices(i, ctx), ctx).values())
-    return np.concatenate(rows, axis=0), np.array([b.shape[0] for b in rows])
+    """The reduced rows of every K_i-subspace of J_i, in the order of
+    :func:`all_subspace_choices`, stacked in one matrix, and the number of
+    rows of each; the 1-dimensional ones from coefficient rows alone."""
+    full, full_dim = _reduced_rows(i, _k_bases([SubcodeChoice(i, "full")], ctx), ctx)
+    dim1, dim1_dims = _reduced_rows(i, _one_dim_rows(i, ctx)[:, None], ctx)
+    return np.concatenate([full, dim1]), np.concatenate([[0], full_dim, dim1_dims])
 
 
 def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = None):

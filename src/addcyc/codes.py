@@ -77,7 +77,7 @@ class AdditiveCode:
                     raise FieldMismatchError("vector over a different field")
                 rows.append(v.coeffs)
             elif isinstance(v, str):
-                rows.append([gf.parse_element(ctx.field_qt, tok) for tok in v.split(",")])
+                rows.append(gf.parse_elements(ctx.field_qt, v))
             else:
                 rows.append([int(c) for c in v])
         if not rows:

@@ -14,12 +14,12 @@ order exactly p^m - 1 modulo f, f is irreducible and x is primitive.  Only a
 modulus in which x is not primitive is proved irreducible another way, by
 Berlekamp's rank criterion on the same Frobenius matrix.  Fields with at most
 2^20 elements build discrete-log tables on demand, which also back the
-vectorised (numpy) operations used by the linear-algebra layer; extension
-fields with at most 2^8 elements add, subtract, negate and multiply vectors
-by one gather from a Q x Q Cayley table instead.  Above the tables a product
-is one convolution of the digit vectors, folded below degree m by a matrix
-of the reductions of x^m, ..., x^(2m-2).  The same kernel works
-on stacks of digit rows: it runs the order test on many candidate moduli at
+vectorised (numpy) operations used by the linear-algebra layer; fields with
+at most 2^8 elements, prime or not, add, subtract, negate and multiply
+vectors by one gather from a Q x Q Cayley table instead.  Above the tables a
+product is one convolution of the digit vectors, folded below degree m by a
+matrix of the reductions of x^m, ..., x^(2m-2).  The same kernel works on
+stacks of digit rows: it runs the order test on many candidate moduli at
 once, builds the tables and multiplies out the factors of X^n - 1.  The larger
 fields are only used transiently as splitting fields.
 """
@@ -27,6 +27,7 @@ fields are only used transiently as splitting fields.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,12 @@ PAPER_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 
 #: largest field that gets discrete-log tables (and hence vector products);
 #: above CAYLEY_LIMIT, vadd/vsub/vneg work digit by digit and vmul through the
-#: log/exp tables.
+#: log/exp tables (over a prime field, as a product mod p).
 TABLE_LIMIT = 1 << 20
 
-#: extension fields at most this big also get Q x Q Cayley tables of +, -
-#: and *, so that vadd, vsub, vneg and vmul are each one gather; their
-#: entries fit in one byte.
+#: fields at most this big, prime fields included, also get Q x Q Cayley
+#: tables of +, - and *, so that vadd, vsub, vneg and vmul are each one
+#: gather; their entries fit in one byte.
 CAYLEY_LIMIT = 1 << 8
 
 #: fields at most this big build their tables eagerly at construction.
@@ -517,11 +518,20 @@ class Field:
         log[exp] = np.arange(q1)
         self._exp = exp
         self._log = log
-        if m > 1 and self.order <= CAYLEY_LIMIT:
+        if self.order <= CAYLEY_LIMIT:
             self._digit_table = self.vdigits(np.arange(self.order))
-            a, b = np.divmod(np.arange(self.order ** 2), self.order)
-            tables = self._digitwise(a, b, 1), self._digitwise(a, b, -1), self.vmul(a, b)
-            self._add, self._sub, self._mul = (t.astype(np.uint8) for t in tables)
+            e = np.arange(self.order)
+            tables = self._digit_sum_table(1), self._digit_sum_table(-1), self.vmul(e[:, None], e)
+            self._add, self._sub, self._mul = (t.astype(np.uint8).ravel() for t in tables)
+
+    def _digit_sum_table(self, sign: int) -> np.ndarray:
+        """The Q x Q table of a + sign*b from the p x p table of F_p, one low
+        digit more per step (a Kronecker sum, no division)."""
+        p, e = self.p, np.arange(self.p)
+        base, out = np.add.outer(e, sign * e) % p, np.zeros((1, 1), dtype=np.int64)
+        for _ in range(self.m):
+            out = (p * out[:, None, :, None] + base[:, None]).reshape(len(out) * p, -1)
+        return out
 
     def _digitwise(self, a, b, sign: int) -> np.ndarray:
         """a + sign*b in one pass over the m base-p digits."""
@@ -923,8 +933,16 @@ def parse_element(f: Field, token: str) -> int:
     if token.startswith(("w^", "W^")):
         return f.pow(f.generator, int(token[2:]))
     if token.startswith("[") and token.endswith("]"):
-        return f.encode(int(c) for c in token[1:-1].split(","))
+        digits = [int(c) for c in token[1:-1].split(",")]
+        if len(digits) > f.m or not all(0 <= d < f.p for d in digits):
+            raise CoercionError(f"digit token {token!r}: not {f.m} or fewer digits in [0, {f.p})")
+        return f.encode(digits)
     val = int(token)
     if not 0 <= val < f.p:
         raise CoercionError(f"integer token {token!r} is outside [0, {f.p})")
     return val
+
+
+def parse_elements(f: Field, text: str) -> list[int]:
+    """Comma-separated tokens; a comma inside a bracketed token does not split."""
+    return [parse_element(f, tok) for tok in re.split(r",(?![^\[]*\])", text)]

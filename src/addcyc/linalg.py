@@ -2,9 +2,10 @@
 
 Matrices are 2-D int64 arrays of field encodings.  Row reduction, null
 spaces and membership tests all go through the field's table-backed vector
-operations, so the same code path serves prime fields and small extension
+operations, so the same code path serves prime fields and extension
 fields.  :func:`rref` reduces one matrix; :func:`rref_batch` reduces a stack
-of same-shape matrices with one vectorised elimination per column, and is
+of same-shape matrices by Gauss-Jordan by rows, one vectorised step per row
+of the stack, and sorts each matrix's rows by pivot column at the end; it is
 the routine for callers that hold many matrices at once.  :func:`matmul` is
 the package's one sum of products: the group-algebra product
 (:meth:`ring.CyclicRing.mul_rows`, a product by a circulant), the Gram
@@ -143,10 +144,10 @@ def rref_batch(f: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form of every matrix of an (m, r, c) stack.
 
     Returns (R, ranks): R[b] is byte-identical to ``rref(f, stack[b])[0]``
-    (zero rows at the bottom) and ranks[b] is its number of pivots.  Each
-    column is eliminated in all matrices at once, with a pivot row per
-    matrix; the stack is reduced in blocks of at most ``MATMUL_CHUNK``
-    elements.  The field must be table-backed (pivots are inverted through
+    (zero rows at the bottom) and ranks[b] is its number of pivots.  The
+    stack is reduced by rows, in blocks of at most ``MATMUL_CHUNK`` elements
+    (:func:`_rref_block`), and each block's rows are sorted by pivot column
+    at the end.  The field must be table-backed (pivots are inverted through
     ``Field.vpow``).
     """
     R = np.array(stack, dtype=np.int64)
@@ -161,30 +162,27 @@ def rref_batch(f: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rref_block(f: Field, R: np.ndarray) -> np.ndarray:
-    """Row-reduce the (m, r, c) block R in place; returns the ranks."""
+    """Row-reduce the (m, r, c) block R in place, by rows; returns the ranks.
+
+    Step i scales row i, already reduced against the earlier pivots, to a
+    leading 1 (a zero row stays zero, as vpow(0, -1) = 0) and clears that
+    column in every other row.  A pivot row stays zero left of its pivot, so
+    one stable sort by pivot column, zero rows last, gives the RREF.
+    """
     m, r, c = R.shape
-    row = np.zeros(m, dtype=np.int64)      # next pivot row of each matrix
-    below = np.arange(r)[None, :]
-    for col in range(c):
-        cand = (R[:, :, col] != 0) & (below >= row[:, None])
-        b = np.flatnonzero(cand.any(axis=1))
-        if b.size == 0:
-            if (row >= r).all():
-                break
-            continue
-        # the matrices with a pivot in this column; a view when that is all
-        sub = R if b.size == m else R[b]
-        at = np.arange(b.size)
-        rb, pb = row[b], cand[b].argmax(axis=1)
-        pivot = sub[at, pb]
-        sub[at, pb] = sub[at, rb]
-        pivot = f.vmul(f.vpow(pivot[:, col], -1)[:, None], pivot)
-        sub[at, rb] = pivot
-        coef = sub[:, :, col].copy()
-        coef[at, rb] = 0
-        R[b] = f.vsub(sub, f.vmul(coef[:, :, None], pivot[:, None, :]))
-        row[b] += 1
-    return row
+    at = np.arange(m)
+    for i in range(r):
+        row = R[:, i]
+        col = (row != 0).argmax(axis=1)
+        pivot = f.vmul(f.vpow(row[at, col], -1)[:, None], row)
+        coef = R[at, :, col]
+        coef[:, i] = 0
+        R[:] = f.vsub(R, f.vmul(coef[:, :, None], pivot[:, None, :]))
+        R[:, i] = pivot
+    nonzero = R.any(axis=2)
+    lead = np.where(nonzero, (R != 0).argmax(axis=2), c)
+    R[:] = np.take_along_axis(R, np.argsort(lead, axis=1, kind="stable")[:, :, None], axis=1)
+    return nonzero.sum(axis=1)
 
 
 def inverse(f: Field, A: np.ndarray) -> np.ndarray | None:

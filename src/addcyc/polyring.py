@@ -52,7 +52,7 @@ class Poly:
 
     @classmethod
     def from_tokens(cls, field, text: str):
-        return cls(field, (gf.parse_element(field, tok) for tok in text.split(",")))
+        return cls(field, gf.parse_elements(field, text))
 
     # -- basic queries ----------------------------------------------------------
 

@@ -86,7 +86,7 @@ class CyclicRing:
         return out
 
     def from_tokens(self, text: str) -> "GroupAlgebraElement":
-        vals = [gf.parse_element(self.field, tok) for tok in text.split(",")]
+        vals = gf.parse_elements(self.field, text)
         return self.element(vals + [0] * (self.n - len(vals)))
 
 

@@ -401,18 +401,30 @@ def test_component_rows_built_once_per_choice(n, q, monkeypatch):
     calls = {}
     raw_stack = classify.component_stack
 
-    def counted_stack(choices, ctx):
-        for choice in choices:
-            vec = None if choice.vector is None else choice.vector.coeffs
-            key = (choice.index, choice.kind, vec)
+    def counted_stack(i, V, ctx):
+        for basis in V:
+            key = (i, basis.shape, basis.tobytes())
             calls[key] = calls.get(key, 0) + 1
-        return raw_stack(choices, ctx)
+        return raw_stack(i, V, ctx)
 
     monkeypatch.setattr(classify, "component_stack", counted_stack)
     keys = {c.key() for c in classify.enumerate_codes(n, q, "so", ctx, complete=True)}
     assert calls and set(calls.values()) == {1}
     count, oracle_keys = classify.brute_force_oracle(n, q, "so", ctx)
     assert keys == oracle_keys and count == len(keys)
+
+
+@pytest.mark.parametrize("n,q", [(7, 3), (15, 2), (5, 7), (13, 2), (7, 4)])
+def test_class_rows_match_the_listed_choices(n, q):
+    """The oracle's class rows, built from coefficient arrays, are the
+    reduced rows of the listed subspace choices: same rows, row counts and
+    order."""
+    ctx = context(n, q, 2)
+    for i in range(ctx.table.num_classes):
+        flat, dims = classify._class_rows(i, ctx)
+        blocks = list(classify._reduce_choices(classify.all_subspace_choices(i, ctx), ctx).values())
+        assert dims.tolist() == [b.shape[0] for b in blocks]
+        assert flat.dtype == np.int64 and flat.tobytes() == np.concatenate(blocks).tobytes()
 
 
 #: fixed classes at these instances cover both orientations, the identity

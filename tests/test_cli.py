@@ -89,6 +89,16 @@ def test_goodcodes(capsys):
     assert any(r["k_fq"] == 10 and r["d"] == 6 and r["d_exact"] for r in data)
 
 
+def test_bracketed_generator_tokens(capsys):
+    """A --gen token may be a bracketed digit vector with commas inside; one
+    with more digits than GF(9) has exits 2 with a message."""
+    code, out, _ = run(capsys, "mindist", "-n", "7", "-q", "3", "--gen", "[1,1],1")
+    assert code == 0 and out.startswith("d = ")
+    code, out, err = run(capsys, "mindist", "-n", "7", "-q", "3", "--gen", "[1,1,1],1")
+    assert code == 2 and not out and err.startswith("error: ") and "digit token" in err
+    assert "invalid literal" not in err
+
+
 def test_error_exit_code(capsys):
     code, _, err = run(capsys, "factor", "-n", "6", "-q", "3")
     assert code == 2

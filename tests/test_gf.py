@@ -17,6 +17,7 @@ from addcyc.errors import (
     NotASubfieldError,
 )
 from addcyc.polyring import Poly
+from addcyc.ring import cyclic_ring
 
 F9 = gf.field(3, 2, paper=True)
 W = F9.generator
@@ -446,6 +447,29 @@ def test_integer_tokens_outside_the_prime_field_are_refused(token):
     read as 0 and "-1" as 2 in GF(9)."""
     with pytest.raises(CoercionError):
         gf.parse_element(F9, token)
+
+
+@pytest.mark.parametrize("token", ["[5]", "[1,1,1]", "[0,3]", "[-1]"])
+def test_digit_tokens_outside_the_field_are_refused(token):
+    """A bracketed token holds at most m digits, each in [0, p): in GF(9),
+    "[5]" used to read as 2 and "[1,1,1]" as 13, outside the field."""
+    with pytest.raises(CoercionError):
+        gf.parse_element(F9, token)
+    assert gf.parse_element(F9, "[1,2]") == 7 and gf.parse_element(F9, "[2]") == 2
+
+
+def test_printed_elements_above_the_tables_parse_back():
+    """Above gf.TABLE_LIMIT an element prints as its bracketed digits; a
+    comma inside the brackets does not split the tokens of a row."""
+    f = gf.field(3, 13)
+    assert f.order > gf.TABLE_LIMIT
+    row = [0, 1, 2, f.p, f.order - 1, f.pow(f.p, 5_000)]
+    text = ",".join(gf.format_element(f, a) for a in row)
+    assert "[" in text and gf.parse_elements(f, text) == row
+    ring = cyclic_ring(f, len(row))
+    assert list(ring.from_tokens(text).coeffs) == row
+    assert Poly.from_tokens(f, text).coeffs == tuple(row)
+    assert gf.parse_elements(F9, "w,[1,2],2") == [W, 7, 2]
 
 
 def test_field_spec_string():

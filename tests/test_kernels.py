@@ -1,16 +1,18 @@
 """Vectorised field kernels against scalar references.
 
-On every pair of elements of each listed field of order at most 2^8,
+On every pair of elements of each listed field of order at most 2^9 (prime
+fields and extension fields on both sides of ``gf.CAYLEY_LIMIT``),
 ``Field.vadd``, ``vsub``, ``vneg`` and ``vmul`` equal ``Field.add``, ``sub``,
 ``neg`` and ``mul``.  ``Field.vsub``, ``linalg.matmul`` (of matrices and of
 stacks), ``DeltaContext.gram_apply`` and the group-algebra product are
 checked element by element against ``Field.add`` / ``Field.mul`` and a
 schoolbook cyclic convolution, over prime fields, extension fields of each
-digit count up to four, and GF(2^8) and GF(17^2) on both sides of
-``gf.CAYLEY_LIMIT``.  ``linalg.inverse`` is checked against a brute-force
-kernel search, ``linalg.rref_batch`` against ``linalg.rref``,
-``linalg.nullspace`` of a stack against each of its matrices and their ranks,
-and ``linalg.in_row_space`` / ``reduce_vector`` on stacks against the rank
+digit count up to four, and GF(2^8), GF(251), GF(257) and GF(17^2) on both
+sides of ``gf.CAYLEY_LIMIT``.  ``linalg.inverse`` is checked against a
+brute-force kernel search, ``linalg.rref_batch`` against ``linalg.rref`` (on
+Cayley tables, on log tables and on integers mod p), ``linalg.nullspace`` of
+a stack against each of its matrices and their ranks, and
+``linalg.in_row_space`` / ``reduce_vector`` on stacks against the rank
 criterion and the per-pivot elimination loop.
 """
 
@@ -26,7 +28,8 @@ from addcyc.bilinear import DeltaContext
 from addcyc.errors import InvalidParameterError
 from addcyc.ring import cyclic_ring
 
-FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (3, 4), (5, 4), (2, 8), (17, 2)]
+FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (3, 4), (5, 4), (2, 8),
+          (251, 1), (257, 1), (17, 2)]
 IDS = [f"GF({p ** m})" for p, m in FIELDS]
 
 KERNEL = settings(max_examples=15, deadline=None)
@@ -57,7 +60,7 @@ def scalar_matmul(f, A, B):
                     dtype=np.int64).reshape(A.shape[0], B.shape[1])
 
 
-SMALL = [(p, m) for p, m in FIELDS if p ** m <= 1 << 8]
+SMALL = [(p, m) for p, m in FIELDS if p ** m <= 1 << 9]
 
 
 @pytest.mark.parametrize("p, m", SMALL, ids=[f"GF({p ** m})" for p, m in SMALL])
@@ -116,17 +119,21 @@ def test_matmul_chunks_rows(monkeypatch):
     assert linalg.matmul(f, A, B).tolist() == scalar_matmul(f, A, B).tolist()
 
 
-RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (131, 1)]
+RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (131, 1), (257, 1), (3, 6)]
 
 
 @st.composite
 def rref_stacks(draw, f):
-    """(m, r, c) stacks with rank-deficient members and zero columns."""
+    """(m, r, c) stacks with rank-deficient, all-zero members and zero
+    columns."""
     m = draw(st.integers(0, 4))
     r = draw(st.integers(1, 5))
-    c = draw(st.integers(1, 5))
+    c = draw(st.integers(1, 8))
     S = draw(elems(f, (m, r, c)))
     for b in range(m):
+        if draw(st.integers(0, 5)) == 0:
+            S[b] = 0
+            continue
         if r > 1 and draw(st.booleans()):
             # the last row a combination of the others
             S[b, -1] = scalar_matmul(f, draw(elems(f, (1, r - 1))), S[b, :-1])[0]
