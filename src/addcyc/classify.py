@@ -309,14 +309,15 @@ def pair_options(j: int, mode: str, ctx: DeltaContext, *, reduced: dict | None =
 # enumeration, counting, oracle
 # ---------------------------------------------------------------------------
 
-def _canonical_stacks(ctx: DeltaContext, dims: np.ndarray, blocks_of):
+def _canonical_stacks(ctx: DeltaContext, dims: np.ndarray, stack_of):
     """Canonical forms of direct sums of row blocks, a stack per dimension.
 
-    Code k is the sum of the reduced blocks ``blocks_of(k)``, of total
-    dimension ``dims[k]``.  Yields (idx, R): R[b] is the RREF of the
-    concatenated blocks of code idx[b], all of one dimension, in stacks of at
-    most ``MATMUL_CHUNK`` elements.  The sum is checked to be direct
-    (rank == dimension).
+    Code k is the sum of reduced row blocks, of total dimension ``dims[k]``;
+    ``stack_of(idx, dim)`` gives the concatenated blocks of the codes idx,
+    all of dimension dim, as a stack (len(idx), dim, width).  Yields (idx,
+    R): R[b] is the RREF of that stack's matrix b, in stacks of at most
+    ``MATMUL_CHUNK`` elements.  The sum is checked to be direct (rank ==
+    dimension).
     """
     width = ctx.n * ctx.t
     for dim in sorted(set(dims.tolist())):
@@ -324,10 +325,7 @@ def _canonical_stacks(ctx: DeltaContext, dims: np.ndarray, blocks_of):
         step = max(1, linalg.MATMUL_CHUNK // max(dim * width, 1))
         for s in range(0, len(idx), step):
             part = idx[s:s + step]
-            stack = np.empty((len(part), dim, width), dtype=np.int64)
-            for b, k in enumerate(part):
-                np.concatenate(blocks_of(k), axis=0, out=stack[b])
-            R, ranks = linalg.rref_batch(ctx.field_q, stack)
+            R, ranks = linalg.rref_batch(ctx.field_q, stack_of(part, dim))
             assert (ranks == dim).all(), "component sum must be direct"
             yield part, R
 
@@ -337,7 +335,14 @@ def _assemble(ctx: DeltaContext, row_lists: list[list[np.ndarray]], mode: str):
     self-orthogonal (and self-dual for "sd") by its Gram matrix."""
     out = [None] * len(row_lists)
     dims = np.array([sum(b.shape[0] for b in blocks) for blocks in row_lists])
-    for idx, R in _canonical_stacks(ctx, dims, row_lists.__getitem__):
+
+    def stack_of(part, dim):
+        stack = np.empty((len(part), dim, ctx.n * ctx.t), dtype=np.int64)
+        for b, k in enumerate(part):
+            np.concatenate(row_lists[k], axis=0, out=stack[b])
+        return stack
+
+    for idx, R in _canonical_stacks(ctx, dims, stack_of):
         _, dim, width = R.shape
         assert mode == "so" or 2 * dim == width, "self-dual codes have dimension t*n/2"
         if dim:
@@ -463,7 +468,8 @@ def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = Non
     its dimension is t*n/2): a broadcast AND over the grid of combinations.
     No mu-pairing or case list is used; every class pair is tested.  Every
     accepted combination is checked to be a direct sum and put in canonical
-    form.  Returns (count, set of canonical keys).
+    form, its rows gathered by index from one stack of all class rows.
+    Returns (count, set of canonical keys).
     """
     ctx, mode = _checked_context(n, q, mode, ctx)
     tab = ctx.table
@@ -503,13 +509,23 @@ def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = Non
         ok &= total_dim == n  # t*n/2, with t = 2
     combos = np.argwhere(ok)
     code_dim = sum(dims[i][combos[:, i]] for i in range(k))
-    combos = combos.tolist()
+    # rows_of[i][a, j] = offsets[i] + starts[i][a] + j, the row of every_row
+    # that is row j of choice a of class i, or -1 for j >= dims[i][a]; the
+    # rows are kept in the field's narrowest dtype, so the stacks gathered
+    # from them are small
+    every_row = np.concatenate(flat).astype(fq.vdtype)
+    offsets = np.cumsum([0] + [len(rows) for rows in flat])
+    rows_of = []
+    for i in range(k):
+        j = np.arange(dims[i].max())
+        rows_of.append(np.where(j < dims[i][:, None], offsets[i] + starts[i][:, None] + j, -1))
+
+    def stack_of(part, dim):
+        rows = np.concatenate([rows_of[i][combos[part, i]] for i in range(k)], axis=1)
+        return every_row[rows[rows >= 0].reshape(len(part), dim)]
+
     matched = set()
-
-    def blocks_of(c):
-        return [flat[i][starts[i][a]:starts[i][a] + dims[i][a]] for i, a in enumerate(combos[c])]
-
-    for _, R in _canonical_stacks(ctx, code_dim, blocks_of):
+    for _, R in _canonical_stacks(ctx, code_dim, stack_of):
         shape = R.shape[1:]
         matched.update((shape, R[b].tobytes()) for b in range(R.shape[0]))
     return len(combos), matched

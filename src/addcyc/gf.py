@@ -12,8 +12,10 @@ selected with ``paper=True`` for fields that appear in the bundled reference
 data.  A modulus is proved once, by the order of x: when f(0) != 0 and x has
 order exactly p^m - 1 modulo f, f is irreducible and x is primitive.  Only a
 modulus in which x is not primitive is proved irreducible another way, by
-Berlekamp's rank criterion on the same Frobenius matrix.  Fields with at most
-2^20 elements build discrete-log tables on demand, which also back the
+Berlekamp's rank criterion on the same Frobenius matrix.  The primes of
+p^m - 1 that the order test needs come from the module's own trial division,
+Brent's rho and BPSW primality test.  Fields with at most 2^20 elements
+build discrete-log tables on demand, which also back the
 vectorised (numpy) operations used by the linear-algebra layer; fields with
 at most 2^8 elements, prime or not, add, subtract, negate and multiply
 vectors by one gather from a Q x Q Cayley table instead.  Above the tables a
@@ -27,11 +29,13 @@ fields are only used transiently as splitting fields.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from . import linalg
 from .errors import (
@@ -164,6 +168,162 @@ def _power_rows(a: np.ndarray, count: int, red: np.ndarray, p: int) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
+# integers.  Every field order, splitting field and minimal ideal needs the
+# primes of some p^m - 1: trial division by the primes below 1000, Brent's
+# rho on what is left (R. P. Brent, BIT 20, 1980), and a primality test that
+# is Miller-Rabin with the 13 prime bases 2..41, deterministic below
+# _MR_BOUND (Sorenson and Webster, Math. Comp. 86, 2017), and BPSW above it
+# (Baillie and Wagstaff, Math. Comp. 35, 1980): Miller-Rabin to base 2 and a
+# strong Lucas test with Selfridge's parameters.
+# ---------------------------------------------------------------------------
+
+_SMALL_PRIMES = tuple(r for r in range(2, 1000) if all(r % s for s in range(2, math.isqrt(r) + 1)))
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_BOUND = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin to base a, for odd n > a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test with P = 1 and Q = (1 - D)/4, D the first of
+    5, -7, 9, -11, ... with (D/n) = -1, for odd n that is not a square."""
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # D and n share a factor, and n > |D|
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _is_prime(n: int) -> bool:
+    for r in _SMALL_PRIMES:
+        if n % r == 0:
+            return n == r
+    if n < 1000 ** 2:
+        return n > 1
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return (_strong_probable_prime(n, 2) and math.isqrt(n) ** 2 != n
+            and _strong_lucas_probable_prime(n))
+
+
+def _integer_root(n: int, e: int) -> int:
+    """The largest r with r^e <= n (Newton's method on integers)."""
+    r = 1 << -(-n.bit_length() // e)  # r^e > n
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n, which is not a perfect power:
+    Brent's cycle-finding on x -> x^2 + c, gcds taken over 128 steps at a
+    time, with c = 1, 2, ... until one splits n."""
+    for c in itertools.count(1):
+        y, r, g, acc = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = math.gcd(acc, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step it again one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+@functools.lru_cache(maxsize=None)
+def _order_factors(q_minus_1: int) -> tuple[int, ...]:
+    """The primes dividing q_minus_1 >= 1, in increasing order.
+
+    Cofactors left by trial division are split by Brent's rho, after a check
+    for exact powers.  Reach, on the 443 distinct q^m - 1 < 2^110 with q <= 32
+    a prime power (one run, 2-core Xeon VM, Python 3.11.7): those below 2^96
+    take 0.6 s in all (sympy's primefactors 1.6 s), the 61 above 7.0 s (sympy
+    4.4 s).  The longest is 2^101 - 1 at 3.4 s (sympy 0.2 s), whose smaller
+    prime, near 7.4e12, costs rho about 2.7e6 steps; rho's time grows as the
+    square root of the second largest prime factor.
+    """
+    n, primes = q_minus_1, set()
+    for r in _SMALL_PRIMES:
+        if n % r == 0:
+            primes.add(r)
+            while n % r == 0:
+                n //= r
+    rest = [n] if n > 1 else []
+    while rest:
+        n = rest.pop()
+        if _is_prime(n):
+            primes.add(n)
+            continue
+        # n has no factor below 1000, so it is at most a (log_1000 n)-th power
+        root = next((r for e in range(n.bit_length() // 9, 1, -1)
+                     if (r := _integer_root(n, e)) ** e == n), None)
+        if root is not None:
+            rest.append(root)
+        else:
+            f = _rho(n)
+            rest += [f, n // f]
+    return tuple(sorted(primes))
+
+
+# ---------------------------------------------------------------------------
 # the proof of a modulus.  If f(0) != 0 and x has multiplicative order
 # exactly p^m - 1 modulo f, then F_p[x]/(f) has p^m - 1 units, so it is a
 # field: f is irreducible and primitive.  The test and Berlekamp's criterion
@@ -173,6 +333,9 @@ def _power_rows(a: np.ndarray, count: int, red: np.ndarray, p: int) -> np.ndarra
 #: the sieve divides by the irreducibles of degree d0 at most, p^d0 <= this
 SIEVE_LIMIT = 256
 
+#: candidates the modulus search sieves at a time, at most, for p below it
+SIEVE_BLOCK = 1 << 6
+
 #: sieve survivors in the modulus search's first order test; each later test
 #: takes twice as many
 FIRST_CHUNK = 4
@@ -180,11 +343,6 @@ FIRST_CHUNK = 4
 #: (p, modulus) pairs the order test has accepted, so that each modulus is
 #: proved once per process
 _PROVED: set[tuple[int, tuple[int, ...]]] = set()
-
-
-@functools.lru_cache(maxsize=None)
-def _order_factors(q_minus_1: int) -> tuple[int, ...]:
-    return tuple(sympy.primefactors(q_minus_1))
 
 
 def _frobenius(low: np.ndarray, p: int):
@@ -296,13 +454,44 @@ def _has_small_factor(low: np.ndarray, p: int, d0: int) -> np.ndarray:
         return np.zeros(B, dtype=bool)
     R, groups = _sieve_matrix(p, m, d0)
     rem = np.concatenate([low, np.ones((B, 1), dtype=np.int64)], axis=1) @ R
-    rem %= p
-    out = np.zeros(B, dtype=bool)
+    return _divisible(rem % p == 0, groups)
+
+
+def _divisible(zero: np.ndarray, groups) -> np.ndarray:
+    """Whether some g of the sieve divides each row: all d digits of its
+    remainder mod g are zero, ``zero`` (B, sum k*d) marking the zero digits."""
+    out = np.zeros(len(zero), dtype=bool)
     col = 0
     for k, d in groups:
-        out |= (rem[:, col:col + k * d].reshape(B, k, d) == 0).all(axis=2).any(axis=1)
+        out |= zero[:, col:col + k * d].reshape(-1, k, d).all(axis=2).any(axis=1)
         col += k * d
     return out
+
+
+def _sieved_candidates(p: int, m: int):
+    """The candidates of :func:`least_primitive_modulus` in order, as blocks
+    of digit rows, less those with a monic irreducible factor g of degree d0
+    or less (p^d0 <= SIEVE_LIMIT, d0 <= m/2).
+
+    A block is the p^j candidates that share their high digits: at most
+    SIEVE_BLOCK, or, when p is larger, the p that differ only in a_0.  A
+    candidate is its low j digits plus its high part, so g divides it when
+    their remainders mod g are opposite: the low remainders are formed once,
+    and a block compares them with one row.
+    """
+    d0 = max(d for d in range(m // 2 + 1) if p ** d <= SIEVE_LIMIT)
+    j = max(i for i in range(1, m + 1) if i == 1 or p ** i <= SIEVE_BLOCK)
+    low = _low_digits(p, j)
+    if d0:
+        R, groups = _sieve_matrix(p, m, d0)
+        low_rem = (low @ R[:j] % p).astype(np.uint8)  # p <= SIEVE_LIMIT
+    for high in range(p ** (m - j)):
+        top = np.array([(high // p ** i) % p for i in range(m - j)], dtype=np.int64)
+        block = np.concatenate([low, np.tile(top, (len(low), 1))], axis=1)
+        if d0:
+            opposite = (-(top @ R[j:m] + R[m]) % p).astype(np.uint8)
+            block = block[~_divisible(low_rem == opposite, groups)]
+        yield block
 
 
 @functools.lru_cache(maxsize=None)
@@ -311,30 +500,24 @@ def least_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
 
     Candidates x^m + a_{m-1} x^{m-1} + ... + a_0 are ordered by the integer
     sum(a_i p^i); for m = 1 this yields x - g with g the least primitive root.
-    They are taken in blocks of p^j that share their high digits; a block
-    first drops every candidate with a monic irreducible factor of degree d0
-    or less (p^d0 <= SIEVE_LIMIT, d0 <= m/2), and the survivors go, in
-    order, through batched order tests of FIRST_CHUNK, then twice as many,
-    and so on.  The first that passes is the modulus.  A block's remainders
-    fill at most ``linalg.MATMUL_CHUNK`` entries.
+    The survivors of the sieve (:func:`_sieved_candidates`) go, in order,
+    through batched order tests of FIRST_CHUNK, then twice as many, and so
+    on.  The first that passes is the modulus.
     """
     if m == 1:
-        # sympy tests g^((p-1)/r) != 1 for every prime r itself: the order test
-        g = 1 if p == 2 else int(sympy.primitive_root(p))
+        # the least g with g^((p-1)/r) != 1 for every prime r | p - 1: the
+        # order test on x - g
+        g = next(g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1
+                                                 for r in _order_factors(p - 1)))
         _PROVED.add((p, ((-g) % p, 1)))
         return ((-g) % p, 1)
-    d0 = max(d for d in range(m // 2 + 1) if p ** d <= SIEVE_LIMIT)
-    width = _sieve_matrix(p, m, d0)[0].shape[1] if d0 else 1
-    j = max((i for i in range(m + 1) if p ** i * width <= linalg.MATMUL_CHUNK), default=0)
-    low = _low_digits(p, j)
     pending = np.zeros((0, m), dtype=np.int64)
     chunk = FIRST_CHUNK
-    last = p ** (m - j) - 1
-    for high in range(last + 1):
-        top = np.array([(high // p ** i) % p for i in range(m - j)], dtype=np.int64)
-        block = np.concatenate([low, np.tile(top, (len(low), 1))], axis=1)
-        pending = np.concatenate([pending, block[~_has_small_factor(block, p, d0)]])
-        while len(pending) >= chunk or (high == last and len(pending)):
+    blocks = _sieved_candidates(p, m)
+    while (block := next(blocks, None)) is not None or len(pending):
+        if block is not None:
+            pending = np.concatenate([pending, block])
+        while len(pending) >= chunk or (block is None and len(pending)):
             ok = _x_has_full_order(pending[:chunk], p)
             if ok.any():
                 digits = tuple(int(c) for c in pending[ok.argmax()]) + (1,)
@@ -356,7 +539,7 @@ class Field:
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
-        if not sympy.isprime(p):
+        if not _is_prime(p):
             raise InvalidParameterError(f"characteristic {p} is not prime")
         if m < 1:
             raise InvalidParameterError("extension degree must be >= 1")
@@ -554,38 +737,60 @@ class Field:
             return self._digit_table.take(a, axis=0)
         return np.asarray(a, dtype=np.int64)[..., None] // self.p ** np.arange(self.m) % self.p
 
-    def _gather(self, table: np.ndarray, a, b) -> np.ndarray:
-        """a op b read from a flat Cayley table, entry a * order + b."""
-        idx = np.asarray(a, dtype=np.int64) * self.order + np.asarray(b, dtype=np.int64)
-        return table.take(idx).astype(np.int64)
+    @property
+    def vdtype(self):
+        """The dtype of the ``out`` buffers of vmul and vsub: that of the
+        Cayley tables when the field has them."""
+        return np.int64 if self._mul is None else self._mul.dtype
+
+    def _gather(self, table: np.ndarray, a, b, out, index) -> np.ndarray:
+        """a op b read from a flat Cayley table, entry a * order + b; with the
+        buffers ``out`` and ``index``, the result and the index are written
+        there."""
+        if out is None:
+            idx = np.asarray(a, dtype=np.int64) * self.order + np.asarray(b, dtype=np.int64)
+            return table.take(idx).astype(np.int64)
+        np.add(np.multiply(a, self.order, out=index), b, out=index)
+        return table.take(index, out=out, mode="clip")
 
     def vadd(self, a, b) -> np.ndarray:
         if self._add is not None:
-            return self._gather(self._add, a, b)
+            return self._gather(self._add, a, b, None, None)
         return self._digitwise(a, b, 1)
 
-    def vsub(self, a, b) -> np.ndarray:
+    def vsub(self, a, b, out=None, index=None) -> np.ndarray:
+        """a - b; see :meth:`vmul` for ``out`` and ``index``."""
         if self._sub is not None:
-            return self._gather(self._sub, a, b)
-        return self._digitwise(a, b, -1)
+            return self._gather(self._sub, a, b, out, index)
+        return self._into(out, self._digitwise(a, b, -1))
 
     def vneg(self, a) -> np.ndarray:
         return self.vsub(0, a)
 
-    def vmul(self, a, b) -> np.ndarray:
+    def vmul(self, a, b, out=None, index=None) -> np.ndarray:
+        """a * b.  Given ``out``, an array of the broadcast shape and dtype
+        ``vdtype``, and ``index``, an intp array of that shape, the product is
+        written to ``out`` and returned; through the Cayley tables nothing of
+        that shape is allocated."""
         if self._mul is not None:
-            return self._gather(self._mul, a, b)
+            return self._gather(self._mul, a, b, out, index)
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.m == 1:
-            return (a * b) % self.p
+            return self._into(out, (a * b) % self.p)
         self._build_tables()
         q1 = self.order - 1
         mask = (a == 0) | (b == 0)
         la = self._log[np.where(a == 0, 1, a)]
         lb = self._log[np.where(b == 0, 1, b)]
-        out = self._exp[(la + lb) % q1]
-        return np.where(mask, 0, out)
+        return self._into(out, np.where(mask, 0, self._exp[(la + lb) % q1]))
+
+    @staticmethod
+    def _into(out, result: np.ndarray) -> np.ndarray:
+        if out is None:
+            return result
+        out[...] = result
+        return out
 
     def vpow(self, a, e: int) -> np.ndarray:
         """Element-wise a^e for a fixed exponent (vectorised via a cached LUT)."""
@@ -635,12 +840,16 @@ def field(p: int, m: int = 1, *, modulus=None, paper: bool = False) -> Field:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e; InvalidParameterError unless q is a prime power."""
-    fac = sympy.factorint(q) if q >= 2 else {}
-    if len(fac) != 1:
-        raise InvalidParameterError(f"q = {q} is not a prime power")
-    (p, e), = fac.items()
-    return p, e
+    """(p, e) with q = p^e; InvalidParameterError unless q is a prime power.
+
+    Only the exact e-th roots of q, e <= log2 q, are tested for primality,
+    so a large q is never factored."""
+    q = operator.index(q)
+    for e in range(1, q.bit_length()):
+        p = _integer_root(q, e)
+        if p ** e == q and _is_prime(p):
+            return p, e
+    raise InvalidParameterError(f"q = {q} is not a prime power")
 
 
 def field_of_order(q: int, *, paper: bool = False) -> Field:

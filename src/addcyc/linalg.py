@@ -109,9 +109,10 @@ def in_row_space(f: Field, R: np.ndarray, v) -> np.ndarray:
     return ~reduce_vector(f, R, v).any(axis=-1)
 
 
-#: elements of one block of :func:`rref_batch` (128 KB of int64).  Each step
-#: makes several temporaries of this size: at 2^18 they raised the peak
-#: memory of the batched classification by 7-10 %.
+#: elements of one block of :func:`rref_batch` (128 KB of int64).  The steps
+#: of a block work in two buffers of this size, made once per call; when each
+#: step made several temporaries, 2^18 raised the peak memory of the batched
+#: classification by 7-10 %.
 MATMUL_CHUNK = 1 << 14
 
 
@@ -156,18 +157,25 @@ def rref_batch(f: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if R.size == 0:
         return R, ranks
     step = max(1, MATMUL_CHUNK // (r * c))
+    # the block-sized arrays of every step, made once: the products and the
+    # index of the field's gathers
+    prod = np.empty((min(step, m), r, c), dtype=f.vdtype)
+    index = np.empty(prod.shape, dtype=np.intp)
     for s in range(0, m, step):
-        ranks[s:s + step] = _rref_block(f, R[s:s + step])
+        block = R[s:s + step]
+        ranks[s:s + step] = _rref_block(f, block, prod[:len(block)], index[:len(block)])
     return R, ranks
 
 
-def _rref_block(f: Field, R: np.ndarray) -> np.ndarray:
+def _rref_block(f: Field, R: np.ndarray, prod: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Row-reduce the (m, r, c) block R in place, by rows; returns the ranks.
 
     Step i scales row i, already reduced against the earlier pivots, to a
     leading 1 (a zero row stays zero, as vpow(0, -1) = 0) and clears that
-    column in every other row.  A pivot row stays zero left of its pivot, so
-    one stable sort by pivot column, zero rows last, gives the RREF.
+    column in every other row: the products go to ``prod`` and the
+    differences back into R, through the gather buffer ``index``.  A pivot
+    row stays zero left of its pivot, so one stable sort by pivot column,
+    zero rows last, gives the RREF.
     """
     m, r, c = R.shape
     at = np.arange(m)
@@ -177,11 +185,14 @@ def _rref_block(f: Field, R: np.ndarray) -> np.ndarray:
         pivot = f.vmul(f.vpow(row[at, col], -1)[:, None], row)
         coef = R[at, :, col]
         coef[:, i] = 0
-        R[:] = f.vsub(R, f.vmul(coef[:, :, None], pivot[:, None, :]))
+        f.vmul(coef[:, :, None], pivot[:, None, :], out=prod, index=index)
+        R[:] = f.vsub(R, prod, out=prod, index=index)
         R[:, i] = pivot
     nonzero = R.any(axis=2)
     lead = np.where(nonzero, (R != 0).argmax(axis=2), c)
-    R[:] = np.take_along_axis(R, np.argsort(lead, axis=1, kind="stable")[:, :, None], axis=1)
+    # row k moves to its place in the sort, through the product buffer
+    prod[...] = R
+    R[at[:, None], np.argsort(np.argsort(lead, axis=1, kind="stable"), axis=1)] = prod
     return nonzero.sum(axis=1)
 
 

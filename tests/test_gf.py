@@ -310,6 +310,19 @@ def test_sieve_against_rabin(p, m):
             assert rej == (least <= d0), (digits, d0)
 
 
+@pytest.mark.parametrize("block", [gf.SIEVE_BLOCK, 4])
+@pytest.mark.parametrize("p,m", [(2, 9), (2, 12), (3, 6), (3, 7), (5, 4), (17, 3), (257, 2)])
+def test_block_sieve_keeps_what_the_sieve_keeps(p, m, block, monkeypatch):
+    """The search's sieve, by the low digits' remainders and one row per
+    block, keeps exactly the candidates that the direct sieve keeps, in
+    order."""
+    monkeypatch.setattr(gf, "SIEVE_BLOCK", block)
+    d0 = max(d for d in range(m // 2 + 1) if p ** d <= gf.SIEVE_LIMIT)
+    cands = gf._low_digits(p, m)
+    kept = np.concatenate(list(gf._sieved_candidates(p, m)))
+    assert kept.tolist() == cands[~gf._has_small_factor(cands, p, d0)].tolist()
+
+
 def _order_of_x(digits, p):
     """Multiplicative order of x modulo the monic polynomial with low
     coefficients ``digits``, by repeated multiplication; None when x is not
@@ -420,6 +433,62 @@ def test_big_field_mul_pow_against_sympy(p, m, data):
     e = data.draw(st.one_of(st.sampled_from([0, 1, p - 1, f.order - 2]),
                             st.integers(0, f.order)))
     assert f.pow(a, e) == _from_sympy(f, gf_pow_mod(_sympy_digits(f, a), e, mod, p, ZZ))
+
+
+# ---------------------------------------------------------------------------
+# the integer layer (primality, factoring, primitive roots), against sympy
+# ---------------------------------------------------------------------------
+
+PRIME_POWERS_TO_32 = [q for q in range(2, 33) if len(sympy.factorint(q)) == 1]
+
+
+def test_order_factors_against_sympy():
+    """Every q^m - 1 < 2^80 with q <= 32 a prime power: 482 cases."""
+    cases = [(q, m) for q in PRIME_POWERS_TO_32 for m in range(1, 81) if q ** m - 1 < 2 ** 80]
+    assert len(cases) == 482
+    for q, m in cases:
+        n = q ** m - 1
+        assert gf._order_factors.__wrapped__(n) == tuple(sympy.primefactors(n)), (q, m)
+
+
+def test_is_prime_against_sympy():
+    assert [n for n in range(200_000) if gf._is_prime(n)] == list(sympy.primerange(200_000))
+
+
+@pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051,
+                               318665857834031151167461, 3317044064679887385961981])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    """Strong pseudoprimes to the prime bases 2; 2..7; 2..23; 2..37; and
+    2..41, the last the bound from which BPSW takes over."""
+    assert not gf._is_prime(n)
+
+
+@pytest.mark.parametrize("e", [61, 89, 127])
+def test_is_prime_accepts_mersenne_primes(e):
+    assert gf._is_prime(2 ** e - 1)
+
+
+@pytest.mark.parametrize("r", [2 ** 31 - 1, 2 ** 61 - 1])
+def test_order_factors_of_a_prime_square(r):
+    assert gf._order_factors.__wrapped__(r * r) == (r,)
+    assert gf._order_factors.__wrapped__(3 * r * r) == (3, r)
+
+
+def test_least_primitive_root_against_sympy():
+    """The modulus x - g of GF(p): g is the least primitive root."""
+    for p in sympy.primerange(3, 1 << 16):
+        mod = gf.least_primitive_modulus.__wrapped__(p, 1)
+        assert mod == ((-sympy.primitive_root(p)) % p, 1), p
+
+
+def test_prime_power():
+    assert gf.prime_power(np.int64(9)) == (3, 2)
+    for q in PRIME_POWERS_TO_32 + [2 ** 61 - 1, (2 ** 61 - 1) ** 3, 2 ** 127, 3 ** 80]:
+        p, e = gf.prime_power(q)
+        assert p ** e == q and sympy.isprime(p)
+    for q in [-4, 0, 1, 6, 12, 36, (2 ** 61 - 1) * (2 ** 31 - 1), 3 * 2 ** 61]:
+        with pytest.raises(InvalidParameterError):
+            gf.prime_power(q)
 
 
 def test_field_validation():

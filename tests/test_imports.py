@@ -5,7 +5,8 @@ between two modules; here each ``addcyc.<module>`` is imported in a fresh
 interpreter with the package's ``__init__`` bypassed, so only the module's
 own import graph runs.  The main computations also run in a fresh
 interpreter without importing ``numpy.ma``, which ``np.unique``,
-``np.setdiff1d`` and ``np.isin`` load and which costs every cold call.
+``np.setdiff1d`` and ``np.isin`` load and which costs every cold call, or
+sympy, whose import alone took longer than the rest of ``import addcyc``.
 """
 
 import importlib
@@ -60,6 +61,8 @@ def test_bench_layers_resolve():
 
 NO_MASKED_ARRAYS = """
 import sys
+import addcyc
+assert "sympy" not in sys.modules, "import addcyc imported sympy"
 from addcyc import classify, codes, refdata, structure
 from addcyc.bilinear import context
 list(classify.enumerate_codes(7, 4, "so", complete=True))
@@ -68,10 +71,12 @@ row = refdata.row_for(3, 7)
 codes.min_distance(codes.cyclic_span(row.generator, context(7, 3, paper=True)))
 structure.build_atlas(13, 3)
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+assert "sympy" not in sys.modules, "sympy was imported"
 """
 
 
 def test_main_paths_do_not_import_numpy_ma():
+    """Nor sympy, which only the tests use as a reference."""
     env = dict(os.environ)
     src = str(pathlib.Path(PACKAGE_DIRS[0]).parent)
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
