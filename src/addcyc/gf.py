@@ -10,9 +10,13 @@ modulus is the lexicographically least monic primitive polynomial of degree m
 over F_p (so x itself generates); a built-in table of reference moduli is
 selected with ``paper=True`` for fields that appear in the bundled reference
 data.  A modulus is proved once, by the order of x: when f(0) != 0 and x has
-order exactly p^m - 1 modulo f, f is irreducible and x is primitive.  Only a
-modulus in which x is not primitive is proved irreducible another way, by
-Berlekamp's rank criterion on the same Frobenius matrix.  The primes of
+order exactly p^m - 1 modulo f, f is irreducible and x is primitive.  The
+powers of x the proof needs come from linear maps over F_p: the Frobenius
+matrix Q of f (z -> z^p) and the matrices of multiplication by x^d, read from
+a table of x^0, ..., x^(2m-2) mod f, so that x^e is m steps of Horner's rule
+on the base-p digits of e.  Only a modulus in which x is not primitive is
+proved irreducible another way, by Berlekamp's rank criterion on the same
+Frobenius matrix.  The primes of
 p^m - 1 that the order test needs come from the module's own trial division,
 Brent's rho and BPSW primality test.  Fields with at most 2^20 elements
 build discrete-log tables on demand, which also back the
@@ -114,14 +118,20 @@ def _shift_index(m: int) -> np.ndarray:
     return np.arange(2 * m - 1)[None, :] - np.arange(m)[:, None] + m - 1
 
 
+def _shifted(b: np.ndarray) -> np.ndarray:
+    """The coefficients (..., m, 2m-1) of b x^0, ..., b x^(m-1) in F_p[x],
+    unreduced, for rows b (..., m)."""
+    m = b.shape[-1]
+    pad = np.zeros(b.shape[:-1] + (m - 1,), dtype=b.dtype)
+    return np.concatenate([pad, b, pad], axis=-1)[..., _shift_index(m)]
+
+
 def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficients (..., 2m-1) of the products a * b in F_p[x], unreduced:
     a (..., m) times one row b (m,), or row by row times a stack b."""
     if a.ndim == 1 and b.ndim == 1:
         return np.convolve(a, b)
-    m = b.shape[-1]
-    pad = np.zeros(b.shape[:-1] + (m - 1,), dtype=b.dtype)
-    shifted = np.concatenate([pad, b, pad], axis=-1)[..., _shift_index(m)]
+    shifted = _shifted(b)
     return a @ shifted if b.ndim == 1 else (a[..., None, :] @ shifted)[..., 0, :]
 
 
@@ -327,7 +337,9 @@ def _order_factors(q_minus_1: int) -> tuple[int, ...]:
 # the proof of a modulus.  If f(0) != 0 and x has multiplicative order
 # exactly p^m - 1 modulo f, then F_p[x]/(f) has p^m - 1 units, so it is a
 # field: f is irreducible and primitive.  The test and Berlekamp's criterion
-# both start from the Frobenius matrix Q of f (row i: x^(ip) mod f).
+# both start from the Frobenius matrix Q of f (row i: x^(ip) mod f); z -> z^p
+# is F_p-linear, so the test forms every power by products with Q (von zur
+# Gathen and Gerhard, Modern Computer Algebra, ch. 14).
 # ---------------------------------------------------------------------------
 
 #: the sieve divides by the irreducibles of degree d0 at most, p^d0 <= this
@@ -347,46 +359,98 @@ _PROVED: set[tuple[int, tuple[int, ...]]] = set()
 
 def _frobenius(low: np.ndarray, p: int):
     """For the monic f of degree m with low coefficients ``low`` (B, m):
-    their reduction matrices, the digits of x mod f, the Frobenius matrices
-    Q (B, m, m), and whether x^(p^m) = x mod f, computed as x Q^m."""
-    m = low.shape[1]
+
+    - the shift table E (B, 2m-1, m), row k the digits of x^k mod f, that is
+      the identity over the reduction matrix; its slice E[:, d:d+m] is the
+      matrix of multiplication by x^d for d < m;
+    - the digits of x mod f;
+    - the Frobenius matrices Q (B, m, m), row i = x^(ip) mod f, so that a row
+      z times Q is z^p;
+    - whether x^(p^m) = x mod f, computed as x Q^m.
+
+    The rows of Q with ip <= 2m - 2 are read from E; each later row is the
+    one before it times the matrix of multiplication by x^p.
+    """
+    B, m = low.shape
     low = low.astype(_digit_dtype(p, m))
-    red = _reductions(low, p)
+    eye = np.broadcast_to(np.eye(m, dtype=low.dtype), (B, m, m))
+    E = np.concatenate([eye, _reductions(low, p)], axis=1)
     x = np.zeros_like(low)
     if m > 1:
         x[:, 1] = 1
     else:
         x[:, 0] = (-low[:, 0]) % p
-    Q = _power_rows(_powmod(x, p, red, p), m, red, p)
+    known = min(m, (2 * m - 2) // p + 1)
+    Q = np.empty_like(eye)
+    Q[:, :known] = E[:, : p * known : p]
+    if known < m:
+        x_p = _x_power_matrices([p], E, x, p)[:, 0]
+        for i in range(known, m):
+            Q[:, i] = (Q[:, i - 1, None] @ x_p)[:, 0] % p
     y = x
     for _ in range(m):
         y = (y[:, None, :] @ Q)[:, 0] % p
-    return red, x, Q, (y == x).all(axis=1)
+    return E, x, Q, (y == x).all(axis=1)
+
+
+def _x_power_matrices(ds, E: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """The matrices (B, len(ds), m, m) of multiplication by x^d mod each f,
+    for the increasing ints d >= 0 in ``ds``, given the shift tables E and
+    the digits x of x mod f.
+
+    For d < m the matrix is a slice of E.  A larger d (only when p >= m) gets
+    x^d from one square-and-multiply shared by all of them, and its matrix,
+    row i = x^d x^i, from x^d's shifted coefficients read through E.
+    """
+    m = E.shape[-1]
+    small = [d for d in ds if d < m]
+    large = ds[len(small):]
+    mats = E[:, np.array(small, dtype=np.intp)[:, None] + np.arange(m)]
+    if not large:
+        return mats
+    red = E[:, m:]
+    powers = np.zeros(x.shape[:1] + (len(large), m), dtype=x.dtype)
+    powers[..., 0] = 1
+    top = large[-1].bit_length()
+    for bit in range(top):
+        sel = [k for k, d in enumerate(large) if d >> bit & 1]
+        if sel:
+            powers[:, sel] = _mulmod(powers[:, sel], x[:, None, :], red[:, None], p)
+        if bit + 1 < top:
+            x = _mulmod(x, x, red, p)
+    return np.concatenate([mats, _shifted(powers) @ E[:, None] % p], axis=1)
 
 
 def _x_has_full_order(low: np.ndarray, p: int) -> np.ndarray:
     """The order test, for each row of low coefficients (B, m) of a monic f:
     f(0) != 0, x^(p^m) = x, and x^((p^m-1)/r) != 1 mod f for every prime
-    r | p^m - 1.  The powers for all r are formed together, by one
-    square-and-multiply over the rows that pass the first two conditions."""
+    r | p^m - 1.
+
+    The powers are formed by linear maps, for all r together, over the rows
+    that pass the first two conditions: with the base-p digits e_{m-1} ...
+    e_0 of an exponent, Horner's rule z -> z^p x^(e_i) runs from z = 1 down
+    the m digits, and each step is one product by M_d = Q X_d, Q the
+    Frobenius matrix and X_d the matrix of multiplication by x^d, formed
+    once for each distinct digit d.
+    """
     m = low.shape[1]
-    red, x, _, ok = _frobenius(low, p)
+    E, x, Q, ok = _frobenius(low, p)
     ok &= low[:, 0] != 0
     q1 = p ** m - 1
-    exps = [q1 // r for r in _order_factors(q1)]
+    digits = [[e // p ** i % p for i in range(m)] for e in (q1 // r for r in _order_factors(q1))]
     rows = np.flatnonzero(ok)
-    if rows.size and exps:
-        base, red = x[rows], red[rows]
-        res = np.zeros((rows.size, len(exps), m), dtype=x.dtype)
-        res[..., 0] = 1
-        for bit in range(max(exps).bit_length()):
-            sel = [k for k, e in enumerate(exps) if e >> bit & 1]
-            if sel:
-                res[:, sel] = _mulmod(res[:, sel], base[:, None, :], red[:, None], p)
-            base = _mulmod(base, base, red, p)
+    if rows.size and digits:
+        ds = sorted({d for row in digits for d in row})
+        where = {d: k for k, d in enumerate(ds)}
+        index = np.array([[where[d] for d in row] for row in digits], dtype=np.intp)
+        steps = Q[rows, None] @ _x_power_matrices(ds, E[rows], x[rows], p) % p
+        z = np.zeros((rows.size, len(digits), m), dtype=x.dtype)
+        z[..., 0] = 1
+        for i in reversed(range(m)):
+            z = (z[..., None, :] @ steps[:, index[:, i]])[..., 0, :] % p
         one = np.zeros(m, dtype=x.dtype)
         one[0] = 1
-        ok[rows] = ~(res == one).all(axis=2).any(axis=1)
+        ok[rows] = ~(z == one).all(axis=2).any(axis=1)
     return ok
 
 
@@ -502,7 +566,8 @@ def least_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     sum(a_i p^i); for m = 1 this yields x - g with g the least primitive root.
     The survivors of the sieve (:func:`_sieved_candidates`) go, in order,
     through batched order tests of FIRST_CHUNK, then twice as many, and so
-    on.  The first that passes is the modulus.
+    on.  The first that passes is the modulus.  For m = 2 the candidates
+    x^2 + a_0 are dropped before any test: none of them is primitive.
     """
     if m == 1:
         # the least g with g^((p-1)/r) != 1 for every prime r | p - 1: the
@@ -516,6 +581,10 @@ def least_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     blocks = _sieved_candidates(p, m)
     while (block := next(blocks, None)) is not None or len(pending):
         if block is not None:
+            if m == 2:
+                # x^2 + a_0 is never primitive: x^2 = -a_0 lies in F_p, so
+                # the order of x divides 2(p - 1) < p^2 - 1
+                block = block[block[:, 1] != 0]
             pending = np.concatenate([pending, block])
         while len(pending) >= chunk or (block is None and len(pending)):
             ok = _x_has_full_order(pending[:chunk], p)

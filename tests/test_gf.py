@@ -262,8 +262,9 @@ def test_least_primitive_modulus_brute_force(p, m):
 
 
 #: least_primitive_modulus values for splitting-field degrees and large p:
-#: the first four as computed by the schoolbook F_p[x] search, the rest by the
-#: search that sieved candidates and proved them by Rabin's test (sympy)
+#: the first four as computed by the schoolbook F_p[x] search, the next seven
+#: by the search that sieved candidates and proved them by Rabin's test
+#: (sympy), the last four by the order test's binary square-and-multiply
 RECORDED_MODULI = {
     (3, 18): (2, 2, 2, 0, 0, 1) + (0,) * 12 + (1,),
     (3, 28): (2, 2, 0, 0, 1, 1) + (0,) * 22 + (1,),
@@ -276,6 +277,10 @@ RECORDED_MODULI = {
     (17, 6): (12, 1, 0, 0, 0, 0, 1),
     (131, 2): (14, 1, 1),
     (257, 3): (5, 1, 0, 1),
+    (4099, 2): (12, 1, 1),
+    (16381, 2): (18, 1, 1),
+    (2, 60): (1, 1) + (0,) * 58 + (1,),
+    (3, 40): (2, 1) + (0,) * 38 + (1,),
 }
 
 
@@ -340,11 +345,13 @@ def _order_of_x(digits, p):
 
 
 @pytest.mark.parametrize("p,m", [(2, m) for m in range(1, 9)] + [(3, m) for m in range(1, 6)]
-                         + [(5, m) for m in range(1, 4)])
+                         + [(5, m) for m in range(1, 4)]
+                         + [(7, 2), (11, 2), (13, 2), (17, 2), (19, 2), (7, 3)])
 def test_modulus_proofs_against_sympy(p, m):
     """The order test accepts exactly the irreducible polynomials (sympy's
     Rabin test) in which x has order p^m - 1 (by repeated multiplication),
-    and Berlekamp's criterion accepts exactly the irreducible ones."""
+    and Berlekamp's criterion accepts exactly the irreducible ones.  With
+    p > m, the last six reach base-p digits outside the shift table."""
     low = _monic(p, m)
     order_test = gf._x_has_full_order(np.array(low, dtype=np.int64), p).tolist()
     for digits, accepted in zip(low, order_test):
@@ -352,6 +359,82 @@ def test_modulus_proofs_against_sympy(p, m):
         irreducible = gf_irreducible_p(list(reversed(mod)), p, ZZ)
         assert accepted == (irreducible and _order_of_x(digits, p) == p ** m - 1), mod
         assert gf._is_irreducible(mod, p) == irreducible, mod
+
+
+def _order_test_by_square_and_multiply(low, p):
+    """The three conditions of the order test for each row of low
+    coefficients (B, m), m >= 2, by schoolbook products and long division
+    mod f, one binary square-and-multiply per exponent, with sympy's primes
+    of p^m - 1: (f(0) != 0, x^(p^m) = x, x^((p^m-1)/r) != 1 for every r)."""
+    low = np.asarray(low, dtype=np.int64)
+    B, m = low.shape
+
+    def mulmod(a, b):
+        c = np.zeros((B, 2 * m - 1), dtype=np.int64)
+        for i in range(m):
+            c[:, i:i + m] = (c[:, i:i + m] + a[:, i:i + 1] * b) % p
+        for k in range(2 * m - 2, m - 1, -1):  # x^k = -x^(k-m) (a_0 + ... + a_{m-1} x^(m-1))
+            c[:, k - m:k] = (c[:, k - m:k] - c[:, k:k + 1] * low) % p
+        return c[:, :m]
+
+    def power(e):
+        result, base = np.zeros((B, m), dtype=np.int64), x.copy()
+        result[:, 0] = 1
+        while e:
+            if e & 1:
+                result = mulmod(result, base)
+            base, e = mulmod(base, base), e >> 1
+        return result
+
+    x = np.zeros((B, m), dtype=np.int64)
+    x[:, 1] = 1
+    q1 = p ** m - 1
+    one = power(0)
+    order_ok = np.ones(B, dtype=bool)
+    for r in sympy.primefactors(q1):
+        order_ok &= ~(power(q1 // r) == one).all(axis=1)
+    return low[:, 0] != 0, (power(p ** m) == x).all(axis=1), order_ok
+
+
+def _monic_product(*polys, p):
+    """Low coefficients of the product of monic polynomials (low to high, monic)."""
+    out = np.array([1], dtype=np.int64)
+    for f in polys:
+        out = np.convolve(out, np.array(f, dtype=np.int64)) % p
+    return out[:-1].tolist()
+
+
+def _reciprocal(f, p):
+    """The monic reciprocal x^deg f(1/x) / f(0) of a monic f with f(0) != 0."""
+    inv = pow(f[0], -1, p)
+    return tuple(c * inv % p for c in reversed(f))
+
+
+@pytest.mark.parametrize("p,m", [(2, 46), (3, 28), (5, 20), (131, 3), (16381, 2)])
+def test_order_test_against_square_and_multiply(p, m):
+    """The Horner order test agrees with a square-and-multiply reference on a
+    seeded random stack that holds rows failing each of its three
+    conditions, and primitive rows that pass them all."""
+    rng = np.random.default_rng(p * 100 + m)
+    prim = gf.least_primitive_modulus(p, m)
+    rows = rng.integers(0, p, size=(12, m)).tolist()
+    rows += [list(prim[:-1]), list(_reciprocal(prim, p)[:-1]), [0] + list(prim[1:-1])]
+    if m % 2 == 0 and m > 2:
+        # g g* for a primitive g of degree m/2: squarefree, its factors' degrees
+        # divide m, and x has order dividing p^(m/2) - 1
+        g = gf.least_primitive_modulus(p, m // 2)
+        rows.append(_monic_product(g, _reciprocal(g, p), p=p))
+    else:
+        a, b, c = (int(v) for v in rng.choice(np.arange(1, p), size=3, replace=False))
+        roots = [a, b, c][:m]
+        rows.append(_monic_product(*[((-r) % p, 1) for r in roots], p=p))  # distinct roots in F_p*
+        square = [((-a) % p, 1)] * 2 + [((-b) % p, 1)] * (m - 2)  # (x-a)^2 (x-b)^(m-2)
+        rows.append(_monic_product(*square, p=p))
+    nonzero, fixed, full = _order_test_by_square_and_multiply(rows, p)
+    want = nonzero & fixed & full
+    assert gf._x_has_full_order(np.array(rows, dtype=np.int64), p).tolist() == want.tolist()
+    assert want.any()
+    assert (~nonzero).any() and (nonzero & ~fixed).any() and (nonzero & fixed & ~full).any()
 
 
 def test_field_from_modulus_in_which_x_is_not_primitive():
