@@ -125,16 +125,19 @@ def _reduced_rows(i: int, V: np.ndarray, ctx: DeltaContext) -> tuple[np.ndarray,
     return R[np.arange(R.shape[1]) < ranks[:, None]], ranks
 
 
-def _reduce_choices(choices: list[SubcodeChoice], ctx: DeltaContext) -> dict:
+def _reduce_choices(choices: list[SubcodeChoice], ctx: DeltaContext) -> list[np.ndarray]:
     """Reduced basis rows (RREF, zero rows dropped) of each choice of one
-    class, in order; the choices of each nonzero kind are reduced together."""
-    out = {c: component_rows(c, ctx) for c in choices if c.kind == "zero"}
+    class, a list in the order of ``choices``; the choices of each nonzero
+    kind are reduced together."""
+    out = [component_rows(c, ctx) if c.kind == "zero" else None for c in choices]
     for kind in ("full", "dim1"):
-        group = [c for c in choices if c.kind == kind]
-        if group:
-            flat, ranks = _reduced_rows(group[0].index, _k_bases(group, ctx), ctx)
-            out.update(zip(group, np.split(flat, np.cumsum(ranks)[:-1])))
-    return {c: out[c] for c in choices}
+        at = [a for a, c in enumerate(choices) if c.kind == kind]
+        if at:
+            flat, ranks = _reduced_rows(choices[at[0]].index,
+                                        _k_bases([choices[a] for a in at], ctx), ctx)
+            for a, rows in zip(at, np.split(flat, np.cumsum(ranks)[:-1])):
+                out[a] = rows
+    return out
 
 
 def _times_powers(first: GroupAlgebraElement, base: GroupAlgebraElement,
@@ -264,7 +267,7 @@ def _partners(stack: np.ndarray, full_mu: np.ndarray, ctx: DeltaContext) -> list
     return [Ra[:k] for Ra, k in zip(R, ranks)]
 
 
-def pair_options(j: int, mode: str, ctx: DeltaContext, *, reduced: dict | None = None):
+def pair_options(j: int, mode: str, ctx: DeltaContext, *, rows: list | None = None):
     """Admissible (C_j, C_mu(j)) pairs for a transposed class pair.
 
     A class fixed by mu has no partner and raises InvalidParameterError;
@@ -274,9 +277,9 @@ def pair_options(j: int, mode: str, ctx: DeltaContext, *, reduced: dict | None =
     K-dimensions must additionally sum to 2.  The partners of all the
     1-dimensional choices of side j are computed together
     (:func:`_partners`), and each is checked to be 1-dimensional over K and
-    one of the listed subspaces of side mu(j).  The reduced basis rows of
-    every choice on both sides are stored in ``reduced`` when it is given,
-    so a caller assembling codes from the pairs reuses them.
+    one of the listed subspaces of side mu(j).  When ``rows`` is given, it
+    is extended with the reduced basis rows of the two components of each
+    pair, in order, so a caller assembling codes from the pairs reuses them.
     """
     mode = _check_mode(ctx.t, mode)
     tab = ctx.table
@@ -286,23 +289,24 @@ def pair_options(j: int, mode: str, ctx: DeltaContext, *, reduced: dict | None =
     d_fq = tab.d[j]  # F_q-dimension of a 1-dim K-subspace
     side_j = all_subspace_choices(j, ctx)
     side_mu = all_subspace_choices(mu_j, ctx)
-    rows = _reduce_choices(side_j, ctx) | _reduce_choices(side_mu, ctx)
-    if reduced is not None:
-        reduced.update(rows)
-    by_key = {(rows[c].shape, rows[c].tobytes()): c for c in side_mu}
+    rows_j, rows_mu = _reduce_choices(side_j, ctx), _reduce_choices(side_mu, ctx)
+    by_key = {(R.shape, R.tobytes()): b for b, R in enumerate(rows_mu)}
     assert len(by_key) == len(side_mu), "listed subspaces must be distinct"
-    zero_j, full_j, *dim1 = side_j
-    zero_mu, full_mu = side_mu[0], side_mu[1]
-    pairs = [(zero_j, t) for t in (side_mu if mode == "so" else [full_mu])]
-    pairs.append((full_j, zero_mu))
-    partners = _partners(np.stack([rows[c] for c in dim1]), rows[full_mu], ctx)
-    for cj, partner in zip(dim1, partners):
+    # pairs of positions; each side lists the zero choice, the full one, then
+    # the 1-dim ones
+    zero, full = 0, 1
+    pairs = [(zero, b) for b in (range(len(side_mu)) if mode == "so" else [full])]
+    pairs.append((full, zero))
+    partners = _partners(np.stack(rows_j[2:]), rows_mu[full], ctx)
+    for a, partner in enumerate(partners, start=2):
         assert partner.shape[0] == d_fq, \
             "orthogonal partner of a 1-dim component must be 1-dim over K"
         match = by_key.get((partner.shape, partner.tobytes()))
         assert match is not None, "partner subspace must be one of the listed subspaces"
-        pairs.extend((cj, t) for t in ([zero_mu, match] if mode == "so" else [match]))
-    return pairs
+        pairs.extend((a, b) for b in ([zero, match] if mode == "so" else [match]))
+    if rows is not None:
+        rows.extend((rows_j[a], rows_mu[b]) for a, b in pairs)
+    return [(side_j[a], side_mu[b]) for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -315,19 +319,15 @@ def _canonical_stacks(ctx: DeltaContext, dims: np.ndarray, stack_of):
     Code k is the sum of reduced row blocks, of total dimension ``dims[k]``;
     ``stack_of(idx, dim)`` gives the concatenated blocks of the codes idx,
     all of dimension dim, as a stack (len(idx), dim, width).  Yields (idx,
-    R): R[b] is the RREF of that stack's matrix b, in stacks of at most
-    ``MATMUL_CHUNK`` elements.  The sum is checked to be direct (rank ==
-    dimension).
+    R) once per dimension: R[b] is the RREF of matrix b of the whole group's
+    stack, from one :func:`linalg.rref_batch`, which bounds its own blocks.
+    The sum is checked to be direct (rank == dimension).
     """
-    width = ctx.n * ctx.t
     for dim in sorted(set(dims.tolist())):
         idx = np.flatnonzero(dims == dim)
-        step = max(1, linalg.MATMUL_CHUNK // max(dim * width, 1))
-        for s in range(0, len(idx), step):
-            part = idx[s:s + step]
-            R, ranks = linalg.rref_batch(ctx.field_q, stack_of(part, dim))
-            assert (ranks == dim).all(), "component sum must be direct"
-            yield part, R
+        R, ranks = linalg.rref_batch(ctx.field_q, stack_of(idx, dim))
+        assert (ranks == dim).all(), "component sum must be direct"
+        yield idx, R
 
 
 def _assemble(ctx: DeltaContext, row_lists: list[list[np.ndarray]], mode: str):
@@ -368,21 +368,22 @@ def enumerate_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
     """
     ctx, mode = _checked_context(n, q, mode, ctx)
     tab = ctx.table
-    blocks: list[list[tuple[SubcodeChoice, ...]]] = []
-    reduced: dict = {}  # a component's rows depend only on its choice
+    # each option of a class or pair as the reduced rows of its components,
+    # by position, so that a profile is assembled without a lookup
+    blocks: list[list[tuple[np.ndarray, ...]]] = []
     singles = [0] + ([tab.i_sharp] if tab.i_sharp is not None else []) + list(tab.fixed)
     for i in sorted(singles):
         opts = subcode_options(i, mode, ctx, complete)
-        reduced.update(_reduce_choices(opts, ctx))
-        blocks.append([(c,) for c in opts])
+        blocks.append([(rows,) for rows in _reduce_choices(opts, ctx)])
     for j in tab.paired:
-        blocks.append(pair_options(j, mode, ctx, reduced=reduced))
+        blocks.append([])
+        pair_options(j, mode, ctx, rows=blocks[-1])
     profiles = itertools.product(*blocks)
-    # profiles per batch: as many n*t x n*t matrices as fit in MATMUL_CHUNK
-    chunk = max(1, linalg.MATMUL_CHUNK // (n * 2) ** 2)
+    # profiles per batch: as many n*t x n*t matrices as fit in RREF_BLOCK
+    chunk = max(1, linalg.RREF_BLOCK // (n * 2) ** 2)
     seen = set()
     while batch := list(itertools.islice(profiles, chunk)):
-        row_lists = [[reduced[c] for group in profile for c in group] for profile in batch]
+        row_lists = [[rows for group in profile for rows in group] for profile in batch]
         for code in _assemble(ctx, row_lists, mode):
             key = code.key()
             assert key not in seen, "profile enumeration emitted a duplicate subspace"

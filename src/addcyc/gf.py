@@ -474,9 +474,11 @@ def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     return bool(fixed[0]) and linalg.rank(field(p), kernel) == m - 1
 
 
-def _low_digits(p: int, j: int) -> np.ndarray:
-    """All p^j digit vectors of length j, row c holding the digits of c."""
-    return np.indices((p,) * j, dtype=np.int64)[::-1].reshape(j, p ** j).T
+def _low_digits(p: int, j: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """The digit vectors of length j of c = start, ..., stop - 1, one row
+    each, low digit first; all p^j of them by default."""
+    c = np.arange(start, p ** j if stop is None else stop, dtype=np.int64)
+    return c[:, None] // p ** np.arange(j, dtype=np.int64) % p
 
 
 @functools.lru_cache(maxsize=None)
@@ -535,27 +537,34 @@ def _divisible(zero: np.ndarray, groups) -> np.ndarray:
 def _sieved_candidates(p: int, m: int):
     """The candidates of :func:`least_primitive_modulus` in order, as blocks
     of digit rows, less those with a monic irreducible factor g of degree d0
-    or less (p^d0 <= SIEVE_LIMIT, d0 <= m/2).
+    or less (p^d0 <= SIEVE_LIMIT, d0 <= m/2) and, for m = 2, less x^2 + a_0,
+    the integers below p.  None of those is primitive: x^2 = -a_0 lies in
+    F_p, so the order of x divides 2(p - 1) < p^2 - 1.
 
-    A block is the p^j candidates that share their high digits: at most
-    SIEVE_BLOCK, or, when p is larger, the p that differ only in a_0.  A
-    candidate is its low j digits plus its high part, so g divides it when
-    their remainders mod g are opposite: the low remainders are formed once,
-    and a block compares them with one row.
+    A block holds candidates that share their high digits: the p^j that
+    differ in their low j digits when p^j <= SIEVE_BLOCK, and otherwise (j =
+    1) at most SIEVE_BLOCK consecutive values of a_0.  A candidate is its
+    low j digits plus its high part, so g divides it when their remainders
+    mod g are opposite: the low remainders are formed once, and a block
+    compares them with one row.
     """
     d0 = max(d for d in range(m // 2 + 1) if p ** d <= SIEVE_LIMIT)
     j = max(i for i in range(1, m + 1) if i == 1 or p ** i <= SIEVE_BLOCK)
-    low = _low_digits(p, j)
+    size = p ** j
+    start = p if m == 2 else 0
     if d0:
         R, groups = _sieve_matrix(p, m, d0)
-        low_rem = (low @ R[:j] % p).astype(np.uint8)  # p <= SIEVE_LIMIT
-    for high in range(p ** (m - j)):
+        low_rem = (_low_digits(p, j) @ R[:j] % p).astype(np.uint8)  # p <= SIEVE_LIMIT
+    for high in range(start // size, p ** (m - j)):
         top = np.array([(high // p ** i) % p for i in range(m - j)], dtype=np.int64)
-        block = np.concatenate([low, np.tile(top, (len(low), 1))], axis=1)
         if d0:
             opposite = (-(top @ R[j:m] + R[m]) % p).astype(np.uint8)
-            block = block[~_divisible(low_rem == opposite, groups)]
-        yield block
+        for lo in range(max(start - high * size, 0), size, SIEVE_BLOCK):
+            hi = min(lo + SIEVE_BLOCK, size)
+            block = np.concatenate([_low_digits(p, j, lo, hi), np.tile(top, (hi - lo, 1))], axis=1)
+            if d0:
+                block = block[~_divisible(low_rem[lo:hi] == opposite, groups)]
+            yield block
 
 
 @functools.lru_cache(maxsize=None)
@@ -567,7 +576,7 @@ def least_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     The survivors of the sieve (:func:`_sieved_candidates`) go, in order,
     through batched order tests of FIRST_CHUNK, then twice as many, and so
     on.  The first that passes is the modulus.  For m = 2 the candidates
-    x^2 + a_0 are dropped before any test: none of them is primitive.
+    x^2 + a_0 are never tested: none of them is primitive.
     """
     if m == 1:
         # the least g with g^((p-1)/r) != 1 for every prime r | p - 1: the
@@ -581,10 +590,6 @@ def least_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     blocks = _sieved_candidates(p, m)
     while (block := next(blocks, None)) is not None or len(pending):
         if block is not None:
-            if m == 2:
-                # x^2 + a_0 is never primitive: x^2 = -a_0 lies in F_p, so
-                # the order of x divides 2(p - 1) < p^2 - 1
-                block = block[block[:, 1] != 0]
             pending = np.concatenate([pending, block])
         while len(pending) >= chunk or (block is None and len(pending)):
             ok = _x_has_full_order(pending[:chunk], p)
@@ -819,7 +824,9 @@ class Field:
         if out is None:
             idx = np.asarray(a, dtype=np.int64) * self.order + np.asarray(b, dtype=np.int64)
             return table.take(idx).astype(np.int64)
-        np.add(np.multiply(a, self.order, out=index), b, out=index)
+        # the index is formed in intp whatever the operands' dtype: in a
+        # uint8 operand's own dtype, a * order would wrap
+        np.add(np.multiply(a, self.order, out=index, dtype=np.intp), b, out=index, dtype=np.intp)
         return table.take(index, out=out, mode="clip")
 
     def vadd(self, a, b) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Exact linear algebra over a Field, vectorised with numpy.
 
-Matrices are 2-D int64 arrays of field encodings.  Row reduction, null
-spaces and membership tests all go through the field's table-backed vector
-operations, so the same code path serves prime fields and extension
-fields.  :func:`rref` reduces one matrix; :func:`rref_batch` reduces a stack
-of same-shape matrices by Gauss-Jordan by rows, one vectorised step per row
-of the stack, and sorts each matrix's rows by pivot column at the end; it is
-the routine for callers that hold many matrices at once.  :func:`matmul` is
+Matrices are 2-D int64 arrays of field encodings.  :func:`rref` reduces
+one matrix, a column at a time, through the field's scalar inverse and
+vector operations.  :func:`rref_batch` reduces a stack of same-shape
+matrices by Gauss-Jordan by rows, the batch axis innermost, and sorts each
+matrix's rows by pivot column at the end; it is the routine for callers that
+hold many matrices at once.  Over a prime field it works in machine
+integers reduced mod p lazily, with no tables, for every p whose products
+int64 holds; over GF(p^m), m > 1, it goes through the field's table-backed
+vector operations, and so is limited to fields with tables.  :func:`matmul` is
 the package's one sum of products: the group-algebra product
 (:meth:`ring.CyclicRing.mul_rows`, a product by a circulant), the Gram
 products and the component subspaces of the classification all run on it.
@@ -24,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, TooLargeError
 
 if TYPE_CHECKING:
     from .gf import Field
@@ -109,11 +111,12 @@ def in_row_space(f: Field, R: np.ndarray, v) -> np.ndarray:
     return ~reduce_vector(f, R, v).any(axis=-1)
 
 
-#: elements of one block of :func:`rref_batch` (128 KB of int64).  The steps
-#: of a block work in two buffers of this size, made once per call; when each
-#: step made several temporaries, 2^18 raised the peak memory of the batched
-#: classification by 7-10 %.
-MATMUL_CHUNK = 1 << 14
+#: elements of one block of :func:`rref_batch`, at most.  A block and its
+#: product buffer have this size, in the block's dtype (int8 over F_2 up to
+#: 125 rows); the caller's whole stack and its int64 RREF are held besides.
+#: With it the oracle workload's peak memory is 0.9 MB above the 41.4 MB of
+#: the 2^14-element blocks that held int64.
+RREF_BLOCK = 1 << 16
 
 
 def matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -142,58 +145,125 @@ def matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def rref_batch(f: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form of every matrix of an (m, r, c) stack.
+    """Reduced row echelon form of every matrix of an (N, r, c) stack.
 
     Returns (R, ranks): R[b] is byte-identical to ``rref(f, stack[b])[0]``
     (zero rows at the bottom) and ranks[b] is its number of pivots.  The
-    stack is reduced by rows, in blocks of at most ``MATMUL_CHUNK`` elements
-    (:func:`_rref_block`), and each block's rows are sorted by pivot column
-    at the end.  The field must be table-backed (pivots are inverted through
-    ``Field.vpow``).
+    stack is reduced in blocks of at most ``RREF_BLOCK`` elements, each
+    copied once into an (r, c, N') array with the batch axis innermost
+    (:func:`_rref_block`), so that every step of Gauss-Jordan by rows is a
+    few operations along N'.  Each row's leading column is fixed at its own
+    step, and one stable sort on it, zero rows last, gives the RREF.  Over a
+    prime field the block is integers reduced mod p lazily, with pivots
+    inverted by a Fermat power, for every p that int64 can hold; over
+    GF(p^m), m > 1, it goes through the field's table-backed vector
+    operations.
     """
-    R = np.array(stack, dtype=np.int64)
-    m, r, c = R.shape
-    ranks = np.zeros(m, dtype=np.int64)
+    stack = np.asarray(stack)
+    N, r, c = stack.shape
+    R = np.empty((N, r, c), dtype=np.int64)
+    ranks = np.zeros(N, dtype=np.int64)
     if R.size == 0:
         return R, ranks
-    step = max(1, MATMUL_CHUNK // (r * c))
-    # the block-sized arrays of every step, made once: the products and the
-    # index of the field's gathers
-    prod = np.empty((min(step, m), r, c), dtype=f.vdtype)
-    index = np.empty(prod.shape, dtype=np.intp)
-    for s in range(0, m, step):
-        block = R[s:s + step]
-        ranks[s:s + step] = _rref_block(f, block, prod[:len(block)], index[:len(block)])
+    dtype = _block_dtype(f, r)
+    step = max(1, RREF_BLOCK // (r * c))
+    for s in range(0, N, step):
+        part = stack[s:s + step]
+        B = np.empty((r, c, len(part)), dtype=dtype)
+        B[...] = part.transpose(1, 2, 0)
+        lead = _rref_block(f, B)
+        order = np.argsort(lead, axis=0, kind="stable")
+        R[s:s + step] = B[order, :, np.arange(len(part))].transpose(1, 0, 2)
+        ranks[s:s + step] = (lead < c).sum(axis=0)
     return R, ranks
 
 
-def _rref_block(f: Field, R: np.ndarray, prod: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Row-reduce the (m, r, c) block R in place, by rows; returns the ranks.
+def _block_dtype(f: Field, r: int):
+    """The dtype of an :func:`rref_batch` block with r rows: the field's
+    ``vdtype`` over GF(p^m), m > 1; over a prime field the narrowest signed
+    integer that holds r*(p-1)^2 + p, a bound on every entry of a block
+    reduced lazily (see :func:`_rref_block`)."""
+    if f.m > 1:
+        return f.vdtype
+    bound = r * (f.p - 1) ** 2 + f.p
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    raise TooLargeError(f"row reduction of {r} rows over F_{f.p} could overflow int64")
+
+
+def _rref_block(f: Field, B: np.ndarray) -> np.ndarray:
+    """Row-reduce the (r, c, N) block B in place, the batch axis innermost;
+    returns the leading column of each row (r, N), c for a zero row.
 
     Step i scales row i, already reduced against the earlier pivots, to a
-    leading 1 (a zero row stays zero, as vpow(0, -1) = 0) and clears that
-    column in every other row: the products go to ``prod`` and the
-    differences back into R, through the gather buffer ``index``.  A pivot
-    row stays zero left of its pivot, so one stable sort by pivot column,
-    zero rows last, gives the RREF.
+    leading 1 (a zero row stays zero) and subtracts its multiples from every
+    other row.  A pivot row stays zero left of its pivot and keeps its
+    leading 1 (the later pivot rows are zero in its column), so its leading
+    column is the one found at its step.
+
+    Over a prime field only the pivot row and the coefficient column are
+    reduced mod p at a step; the other entries take at most r - 1 products
+    below p^2 and stay in (-r*(p-1)^2, p), the bound of :func:`_block_dtype`,
+    until the one reduction at the end.
     """
-    m, r, c = R.shape
-    at = np.arange(m)
+    r, c, N = B.shape
+    batch = np.arange(N)
+    lead = np.empty((r, N), dtype=np.intp)
+    prod = np.empty_like(B)
+    prime = f.m == 1
+    index = None if prime else np.empty(B.shape, dtype=np.intp)
     for i in range(r):
-        row = R[:, i]
-        col = (row != 0).argmax(axis=1)
-        pivot = f.vmul(f.vpow(row[at, col], -1)[:, None], row)
-        coef = R[at, :, col]
-        coef[:, i] = 0
-        f.vmul(coef[:, :, None], pivot[:, None, :], out=prod, index=index)
-        R[:] = f.vsub(R, prod, out=prod, index=index)
-        R[:, i] = pivot
-    nonzero = R.any(axis=2)
-    lead = np.where(nonzero, (R != 0).argmax(axis=2), c)
-    # row k moves to its place in the sort, through the product buffer
-    prod[...] = R
-    R[at[:, None], np.argsort(np.argsort(lead, axis=1, kind="stable"), axis=1)] = prod
-    return nonzero.sum(axis=1)
+        row = B[i]
+        if prime:
+            _mod_p(row, f.p, prod[i])
+        col = (row != 0).argmax(axis=0)
+        # the pivot column of each matrix, as positions in a flat (c, N) row;
+        # a take along it keeps the batch axis innermost
+        at = col * N + batch
+        value = row.reshape(-1).take(at)
+        lead[i] = np.where(value != 0, col, c)
+        if prime:
+            row *= _inverse_mod_p(value, f.p)
+            _mod_p(row, f.p, prod[i])
+            coef = _mod_p(B.reshape(r, -1).take(at, axis=1), f.p)
+            coef[i] = 0
+            np.multiply(coef[:, None], row, out=prod)
+            B -= prod
+        else:
+            row[...] = f.vmul(f.vpow(value, -1), row)
+            coef = B.reshape(r, -1).take(at, axis=1)
+            coef[i] = 0
+            f.vmul(coef[:, None], row, out=prod, index=index)
+            f.vsub(B, prod, out=B, index=index)
+    if prime:
+        _mod_p(B, f.p, prod)
+    return lead
+
+
+def _mod_p(x: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """x mod p in place, returned, as x - (x // p) * p, through ``scratch``
+    when given: numpy's integer remainder is far slower than a floor
+    division by a constant (520 us against 20 us on 65,400 int32 elements,
+    on a 2-core Xeon)."""
+    q = np.floor_divide(x, p, out=scratch)
+    q *= p
+    x -= q
+    return x
+
+
+def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """a^(p-2) mod p elementwise, by square-and-multiply: the inverse of each
+    nonzero a (a zero a gives 0, or 1 when p = 2)."""
+    out = np.ones_like(a)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = _mod_p(out * a, p)
+        e >>= 1
+        if e:
+            a = _mod_p(a * a, p)
+    return out
 
 
 def inverse(f: Field, A: np.ndarray) -> np.ndarray | None:

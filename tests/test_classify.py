@@ -184,7 +184,7 @@ def test_code_sets_do_not_depend_on_rho():
                 key = frozenset((c.kind, c.vector) for c in choices)
                 if key not in spaces:
                     spaces[key] = frozenset(R.tobytes() for R in
-                                            classify._reduce_choices(choices, ctx).values())
+                                            classify._reduce_choices(choices, ctx))
                 assert len(spaces[key]) == len(choices)
                 out.append(spaces[key])
         return out
@@ -422,7 +422,7 @@ def test_class_rows_match_the_listed_choices(n, q):
     ctx = context(n, q, 2)
     for i in range(ctx.table.num_classes):
         flat, dims = classify._class_rows(i, ctx)
-        blocks = list(classify._reduce_choices(classify.all_subspace_choices(i, ctx), ctx).values())
+        blocks = classify._reduce_choices(classify.all_subspace_choices(i, ctx), ctx)
         assert dims.tolist() == [b.shape[0] for b in blocks]
         assert flat.dtype == np.int64 and flat.tobytes() == np.concatenate(blocks).tobytes()
 
@@ -472,7 +472,7 @@ def test_full_choice_spans_the_component(n, q, paper):
         full = classify.SubcodeChoice(i, "full", None, "J")
         want = linalg.row_space(fq, j_spanning_rows(i, ctx))
         assert want.shape[0] == ctx.t * ctx.table.d[i]
-        assert classify._reduce_choices([full], ctx)[full].tolist() == want.tolist()
+        assert classify._reduce_choices([full], ctx)[0].tolist() == want.tolist()
         assert linalg.row_space(fq, classify.component_rows(full, ctx)).tolist() == want.tolist()
 
 
@@ -577,7 +577,8 @@ def reference_pair_options(j, mode, ctx):
     mu_j = ctx.table.mu[j]
     side_j = classify.all_subspace_choices(j, ctx)
     side_mu = classify.all_subspace_choices(mu_j, ctx)
-    rows = classify._reduce_choices(side_j, ctx) | classify._reduce_choices(side_mu, ctx)
+    rows = dict(zip(side_j + side_mu, classify._reduce_choices(side_j, ctx)
+                    + classify._reduce_choices(side_mu, ctx)))
     by_key = {(rows[c].shape, rows[c].tobytes()): c for c in side_mu}
     zero_mu, full_mu = side_mu[0], side_mu[1]
     pairs = []

@@ -1,6 +1,11 @@
 """Field arithmetic, trace maps, the twist element and embeddings."""
 
+import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -320,12 +325,54 @@ def test_sieve_against_rabin(p, m):
 def test_block_sieve_keeps_what_the_sieve_keeps(p, m, block, monkeypatch):
     """The search's sieve, by the low digits' remainders and one row per
     block, keeps exactly the candidates that the direct sieve keeps, in
-    order."""
+    order; for m = 2 these start at x^2 + x, past the x^2 + a_0 that are
+    never primitive."""
     monkeypatch.setattr(gf, "SIEVE_BLOCK", block)
     d0 = max(d for d in range(m // 2 + 1) if p ** d <= gf.SIEVE_LIMIT)
-    cands = gf._low_digits(p, m)
+    cands = gf._low_digits(p, m)[p if m == 2 else 0:]
     kept = np.concatenate(list(gf._sieved_candidates(p, m)))
     assert kept.tolist() == cands[~gf._has_small_factor(cands, p, d0)].tolist()
+
+
+@pytest.mark.parametrize("p, m", [(4099, 2), (65537, 2), (4099, 3)])
+def test_sieve_blocks_stay_within_the_block_bound(p, m):
+    """Above SIEVE_BLOCK, the p candidates that differ only in a_0 come in
+    blocks of at most SIEVE_BLOCK, in order: x^2 + x + a_0 first at m = 2,
+    x^3 + a_0 at m = 3."""
+    blocks = list(itertools.islice(gf._sieved_candidates(p, m), 200))
+    assert max(len(b) for b in blocks) == gf.SIEVE_BLOCK
+    start = p if m == 2 else 0
+    values = np.concatenate(blocks) @ p ** np.arange(m)
+    assert values.tolist() == list(range(start, start + len(values)))
+
+
+BIG_PRIME_SEARCH = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from addcyc import errors, gf
+typed = tuple(v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception))
+try:
+    print(gf.least_primitive_modulus(4294967311, 2))
+except typed as exc:
+    print(type(exc).__name__)
+"""
+
+
+def test_modulus_search_for_a_large_prime_fits_in_4_gib():
+    """GF(4294967311^2): the search under a 4 GiB address-space cap returns
+    a proved modulus or raises a typed error; it used to ask numpy for one
+    32 GiB block of all the candidates that differ only in a_0."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = str(pathlib.Path(gf.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", BIG_PRIME_SEARCH], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = proc.stdout.strip()
+    if out.startswith("("):
+        mod = tuple(int(c) for c in out.strip("()").split(","))
+        assert len(mod) == 3 and mod[-1] == 1
+        assert gf._x_has_full_order(np.array([mod[:-1]], dtype=np.int64), 4294967311)[0]
 
 
 def _order_of_x(digits, p):

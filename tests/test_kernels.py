@@ -10,7 +10,10 @@ schoolbook cyclic convolution, over prime fields, extension fields of each
 digit count up to four, and GF(2^8), GF(251), GF(257) and GF(17^2) on both
 sides of ``gf.CAYLEY_LIMIT``.  ``linalg.inverse`` is checked against a
 brute-force kernel search, ``linalg.rref_batch`` against ``linalg.rref`` (on
-Cayley tables, on log tables and on integers mod p), ``linalg.nullspace`` of
+Cayley tables, on log tables, and on integers mod p in each integer dtype,
+above ``gf.TABLE_LIMIT`` too, with its refusal past int64),
+``Field.vmul``/``vsub`` into buffers on uint8 operands against the
+unbuffered result, ``linalg.nullspace`` of
 a stack against each of its matrices and their ranks, and
 ``linalg.in_row_space`` / ``reduce_vector`` on stacks against the rank
 criterion and the per-pivot elimination loop.
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 
 from addcyc import gf, linalg
 from addcyc.bilinear import DeltaContext
-from addcyc.errors import InvalidParameterError
+from addcyc.errors import InvalidParameterError, TooLargeError
 from addcyc.ring import cyclic_ring
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (3, 4), (5, 4), (2, 8),
@@ -76,6 +79,21 @@ def test_vector_ops_match_scalar_ops_on_every_pair(p, m):
         assert got.dtype == np.int64
 
 
+@pytest.mark.parametrize("p, m", [(5, 2), (251, 1), (2, 8)], ids=["GF(25)", "GF(251)", "GF(256)"])
+def test_buffered_gathers_take_uint8_operands(p, m):
+    """vmul and vsub into ``out``/``index`` buffers, with every pair of
+    operands in the field's own uint8 ``vdtype``, equal the unbuffered
+    int64 results (a uint8 index a * order + b would wrap)."""
+    f = gf.field(p, m)
+    assert f.vdtype == np.uint8
+    a, b = (g.astype(np.uint8) for g in np.meshgrid(np.arange(f.order), np.arange(f.order)))
+    for op in (f.vmul, f.vsub):
+        out, index = np.empty(a.shape, dtype=f.vdtype), np.empty(a.shape, dtype=np.intp)
+        got = op(a, b, out=out, index=index)
+        assert got is out
+        assert got.tolist() == op(a.astype(np.int64), b.astype(np.int64)).tolist()
+
+
 @pytest.mark.parametrize("p, m", FIELDS, ids=IDS)
 @KERNEL
 @given(data=st.data())
@@ -108,18 +126,17 @@ def test_matmul_matches_scalar(p, m, data):
     assert [g.tolist() for g in got] == [scalar_matmul(f, a, b).tolist() for a, b in zip(As, Bs)]
 
 
-def test_matmul_chunks_rows(monkeypatch):
-    """The product does not depend on ``MATMUL_CHUNK``, which bounds the
-    blocks of ``rref_batch``: a tiny chunk gives the scalar product."""
+def test_matmul_matches_scalar_on_a_seeded_pair():
+    """A seeded 7 x 4 by 4 x 3 product over GF(9) is the scalar product."""
     f = gf.field(3, 2)
     rng = np.random.default_rng(5)
     A = rng.integers(0, f.order, size=(7, 4))
     B = rng.integers(0, f.order, size=(4, 3))
-    monkeypatch.setattr(linalg, "MATMUL_CHUNK", 12)
     assert linalg.matmul(f, A, B).tolist() == scalar_matmul(f, A, B).tolist()
 
 
-RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (131, 1), (257, 1), (3, 6)]
+RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (131, 1), (257, 1), (3, 6),
+               (46349, 1), (1048583, 1)]
 
 
 @st.composite
@@ -150,10 +167,10 @@ def test_rref_batch_matches_rref(p, m, data):
     its rank; a small chunk splits the stack into many blocks."""
     f = gf.field(p, m)
     S = data.draw(rref_stacks(f))
-    chunk = data.draw(st.sampled_from([linalg.MATMUL_CHUNK, 1, 2 * S[0].size if len(S) else 1]))
+    chunk = data.draw(st.sampled_from([linalg.RREF_BLOCK, 1, 2 * S[0].size if len(S) else 1]))
     before = S.copy()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "MATMUL_CHUNK", chunk)
+        mp.setattr(linalg, "RREF_BLOCK", chunk)
         R, ranks = linalg.rref_batch(f, S)
     assert R.shape == S.shape and R.dtype == np.int64 and ranks.shape == (len(S),)
     assert (S == before).all()
@@ -161,6 +178,49 @@ def test_rref_batch_matches_rref(p, m, data):
         want, pivots = linalg.rref(f, S[b])
         assert R[b].tobytes() == want.tobytes()
         assert ranks[b] == len(pivots)
+
+
+#: (p, r, dtype): r * (p-1)^2 + p at the top of each integer dtype of a
+#: prime-field block of r rows, and just past it
+DTYPE_EDGES = [(7, 3, np.int8), (7, 4, np.int16), (181, 1, np.int16), (61, 10, np.int32),
+               (16381, 8, np.int32), (16381, 9, np.int64), (46349, 1, np.int64)]
+
+
+@pytest.mark.parametrize("p, r, dtype", DTYPE_EDGES,
+                         ids=[f"GF({p})-r{r}" for p, r, _ in DTYPE_EDGES])
+def test_rref_batch_at_the_dtype_edges(p, r, dtype):
+    """A prime-field block takes the narrowest integer dtype that holds
+    r*(p-1)^2 + p, and dense seeded stacks reduced in it, whole and split
+    into one-matrix blocks, equal the single-matrix RREF."""
+    f = gf.field(p)
+    assert linalg._block_dtype(f, r) == dtype
+    rng = np.random.default_rng(p + r)
+    S = rng.integers(0, p, size=(40, r, r + 3))
+    S[::4] = (p - 1) * rng.integers(0, 2, size=(10, r, r + 3))
+    if r > 1:
+        # every fourth matrix rank-deficient: its last row a combination
+        S[1::4, -1] = linalg.matmul(f, rng.integers(0, p, size=(10, 1, r - 1)), S[1::4, :-1])[:, 0]
+    want = [linalg.rref(f, M) for M in S]
+    for block in (linalg.RREF_BLOCK, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "RREF_BLOCK", block)
+            R, ranks = linalg.rref_batch(f, S)
+        assert [M.tobytes() for M in R] == [w.tobytes() for w, _ in want]
+        assert ranks.tolist() == [len(pivots) for _, pivots in want]
+
+
+def test_rref_batch_refuses_what_int64_cannot_hold():
+    """Where r*(p-1)^2 + p reaches 2^63 the kernel raises TooLargeError
+    rather than wrap; one row of the same field still reduces, as ``rref``
+    does."""
+    p = 2147483659  # the least prime above 2^31
+    f = gf.field(p)
+    S = np.array([[[0, p - 1, 5]], [[p - 2, 3, 0]]], dtype=np.int64)
+    R, ranks = linalg.rref_batch(f, S)
+    assert [M.tolist() for M in R] == [linalg.rref(f, M)[0].tolist() for M in S]
+    assert ranks.tolist() == [1, 1]
+    with pytest.raises(TooLargeError):
+        linalg.rref_batch(f, np.concatenate([S, S], axis=1))
 
 
 @pytest.mark.parametrize("p, m", RREF_FIELDS, ids=[f"GF({p ** m})" for p, m in RREF_FIELDS])
@@ -291,8 +351,7 @@ def test_gram_apply_on_a_context_uses_its_gram_block():
 @given(data=st.data())
 def test_ring_product_matches_schoolbook(p, m, data):
     """Products of a stack of rows by one element and by a stack of
-    elements (the circulant product, split into many row blocks by a small
-    chunk) and of two elements."""
+    elements (the circulant product) and of two elements."""
     f = gf.field(p, m)
     n = data.draw(st.integers(1, 7))
     R = cyclic_ring(f, n)
@@ -306,11 +365,8 @@ def test_ring_product_matches_schoolbook(p, m, data):
         return [scalar_sum(f, (f.mul(int(x[i]), int(b[(k - i) % n])) for i in range(n)))
                 for k in range(n)]
 
-    chunk = data.draw(st.sampled_from([linalg.MATMUL_CHUNK, 1, 2 * n * n]))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "MATMUL_CHUNK", chunk)
-        got = R.mul_rows(rows, b)
-        got_stack = R.mul_rows(rows[:, None], stack)[:, 0]
+    got = R.mul_rows(rows, b)
+    got_stack = R.mul_rows(rows[:, None], stack)[:, 0]
     assert got.shape == got_stack.shape == rows.shape
     assert got.tolist() == [schoolbook(x) for x in rows]
     assert got_stack.tolist() == [schoolbook(x, y) for x, y in zip(rows, stack)]
