@@ -336,11 +336,14 @@ class _InformationSet:
     def __init__(self, code: AdditiveCode):
         ctx = code.ctx
         self.p, self.n, self.met = ctx.p, ctx.n, ctx.field_qt.m
-        R, pivots = linalg.rref(gf.field(self.p), _prime_generator_digits(code))
-        self.gen = R[:len(pivots)]
-        position = np.asarray(pivots) // self.met
+        # over a prime field the expansion basis is 1, x, ..., x^(t-1) (x
+        # generates every field a context builds), so the F_p generator is
+        # the base-p digits of the basis rows: basis_exp, already reduced
+        self.gen = (code.basis_exp if ctx.e == 1 else
+                    linalg.row_space(gf.field(self.p), _prime_generator_digits(code)))
+        position = (self.gen != 0).argmax(axis=1) // self.met
         self.starts = np.flatnonzero(np.diff(position, prepend=-1))
-        self.sizes = np.diff(self.starts, append=len(pivots))
+        self.sizes = np.diff(self.starts, append=len(self.gen))
         self.cyclic = is_cyclic(code)
         # words certify() forms at most, one per F_p* class: level w has
         # e_w(p^z_b - 1) / (p - 1), e_w the elementary symmetric sum over the

@@ -467,8 +467,6 @@ def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     """Berlekamp's criterion.  When x^(p^m) = x mod f, f divides x^(p^m) - x
     and is squarefree, and then it has m - rank(Q - I) irreducible factors."""
     m = len(mod) - 1
-    if (p - 1) ** 2 >= 2 ** 63:
-        raise TooLargeError(f"irreducibility test over F_{p} needs p^2 < 2^63")
     _, _, Q, fixed = _frobenius(np.array([mod[:-1]], dtype=np.int64), p)
     kernel = (Q[0].astype(np.int64) - np.eye(m, dtype=np.int64)) % p
     return bool(fixed[0]) and linalg.rank(field(p), kernel) == m - 1
@@ -853,6 +851,8 @@ class Field:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.m == 1:
+            if (self.p - 1) ** 2 >= 2 ** 63:
+                raise TooLargeError(f"products over F_{self.p} could overflow int64")
             return self._into(out, (a * b) % self.p)
         self._build_tables()
         q1 = self.order - 1

@@ -1,23 +1,24 @@
 """Exact linear algebra over a Field, vectorised with numpy.
 
-Matrices are 2-D int64 arrays of field encodings.  :func:`rref` reduces
-one matrix, a column at a time, through the field's scalar inverse and
-vector operations.  :func:`rref_batch` reduces a stack of same-shape
-matrices by Gauss-Jordan by rows, the batch axis innermost, and sorts each
-matrix's rows by pivot column at the end; it is the routine for callers that
-hold many matrices at once.  Over a prime field it works in machine
-integers reduced mod p lazily, with no tables, for every p whose products
-int64 holds; over GF(p^m), m > 1, it goes through the field's table-backed
-vector operations, and so is limited to fields with tables.  :func:`matmul` is
-the package's one sum of products: the group-algebra product
-(:meth:`ring.CyclicRing.mul_rows`, a product by a circulant), the Gram
-products and the component subspaces of the classification all run on it.
-Over a prime field it is an integer matmul reduced mod p; over GF(p^m),
-m > 1, it is one integer matmul in F_p coordinates (the regular
-representation of GF(p^m) by m x m matrices over F_p), reduced mod p.
-:func:`nullspace` reads the null spaces of a whole stack off one
-:func:`rref_batch`; :func:`in_row_space` tests a stack of vectors by one
-:func:`matmul`, with the pivots read off the RREF rows.
+Matrices are 2-D int64 arrays of field encodings.  :func:`rref_batch` is
+the package's one row reduction: it reduces a stack of same-shape matrices
+by Gauss-Jordan by rows, the batch axis innermost, and sorts each matrix's
+rows by pivot column at the end.  :func:`rref` is a stack of one through
+it, and :func:`row_space`, :func:`rank`, :func:`inverse` and :func:`solve`
+read :func:`rref`.  Over a prime field the reduction works in machine
+integers reduced mod p lazily, with no tables, wherever the lazy sums of r
+rows fit int64 (r*(p-1)^2 + p < 2^63); over GF(p^m), m > 1, it goes
+through the field's table-backed vector operations, and so is limited to
+fields with tables.  :func:`matmul` is the package's one sum of products:
+the group-algebra product (:meth:`ring.CyclicRing.mul_rows`, a product by
+a circulant), the Gram products and the component subspaces of the
+classification all run on it.  Over a prime field it is an integer matmul
+reduced mod p; over GF(p^m), m > 1, it is one integer matmul in F_p
+coordinates (the regular representation of GF(p^m) by m x m matrices over
+F_p), reduced mod p; where its sums could pass int64 it raises
+TooLargeError.  :func:`nullspace` reads the null spaces of a whole stack
+off one :func:`rref_batch`; :func:`in_row_space` tests a stack of vectors
+by one :func:`matmul`, with the pivots read off the RREF rows.
 """
 
 from __future__ import annotations
@@ -36,34 +37,12 @@ def rref(f: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (R, pivot_columns).
 
     Zero rows are kept at the bottom of R; the nonzero rows are the canonical
-    basis of the row space (unique per subspace).
+    basis of the row space (unique per subspace).  This is :func:`rref_batch`
+    on a stack of one, with the pivots read off the rows.
     """
-    R = np.array(mat, dtype=np.int64)
-    if R.size == 0:
-        return R, []
-    nrows, ncols = R.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        nz = np.nonzero(R[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            R[[row, piv]] = R[[piv, row]]
-        inv = f.inv(int(R[row, col]))
-        if inv != 1:
-            R[row] = f.vmul(R[row], np.int64(inv))
-        coef = R[:, col].copy()
-        coef[row] = 0
-        mask = coef != 0
-        if mask.any():
-            R[mask] = f.vsub(R[mask], f.vmul(coef[mask, None], R[row][None, :]))
-        pivots.append(col)
-        row += 1
-    return R, pivots
+    R, ranks = rref_batch(f, np.asarray(mat, dtype=np.int64)[None])
+    R, rank = R[0], ranks[0]
+    return R, (R[:rank] != 0).argmax(axis=1).tolist() if rank else []
 
 
 def row_space(f: Field, mat: np.ndarray) -> np.ndarray:
@@ -128,27 +107,29 @@ def matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     k*m), times the F_p-expansion of B, (.., k*m, c*m), whose (l, j) block is
     the multiplication matrix of B[l, j] (row i: the digits of
     x^i * B[l, j], from one ``vmul`` of B by x^0, ..., x^(m-1)); the result
-    is reduced mod p and encoded.
+    is reduced mod p and encoded.  Where a sum of k*m products below p^2
+    could reach 2^63, it raises TooLargeError rather than wrap.
     """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     p, m = f.p, f.m
-    if m == 1:
-        # entries < p <= 2^20 and desk-scale shapes keep int64 exact
-        return (A @ B) % p
-    pows = p ** np.arange(m, dtype=np.int64)  # x^0, ..., x^(m-1), encoded
     k, c = B.shape[-2:]
+    if k * m * (p - 1) ** 2 >= 2 ** 63:
+        raise TooLargeError(f"a sum of {k * m} products over F_{p} could overflow int64")
+    if m == 1:
+        return _mod_p(A @ B, p)
+    pows = p ** np.arange(m, dtype=np.int64)  # x^0, ..., x^(m-1), encoded
     digits = f.vdigits(A).reshape(A.shape[:-1] + (k * m,))
     E = np.swapaxes(f.vdigits(f.vmul(B[..., None], pows)), -3, -2)  # (.., k, i, c, digit)
-    out = digits @ E.reshape(B.shape[:-2] + (k * m, c * m)) % p
+    out = _mod_p(digits @ E.reshape(B.shape[:-2] + (k * m, c * m)), p)
     return out.reshape(A.shape[:-1] + (c, m)) @ pows
 
 
 def rref_batch(f: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form of every matrix of an (N, r, c) stack.
 
-    Returns (R, ranks): R[b] is byte-identical to ``rref(f, stack[b])[0]``
-    (zero rows at the bottom) and ranks[b] is its number of pivots.  The
+    Returns (R, ranks): R[b] is the int64 RREF of stack[b], zero rows at
+    the bottom, and ranks[b] is its number of pivots.  The
     stack is reduced in blocks of at most ``RREF_BLOCK`` elements, each
     copied once into an (r, c, N') array with the batch axis innermost
     (:func:`_rref_block`), so that every step of Gauss-Jordan by rows is a
@@ -282,12 +263,10 @@ def solve(f: Field, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """One solution x of A x = b, or None when inconsistent."""
     A = np.asarray(A, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64).reshape(-1, 1)
-    aug = np.concatenate([A, b], axis=1)
-    R, pivots = rref(f, aug)
+    R, pivots = rref(f, np.concatenate([A, b], axis=1))
     ncols = A.shape[1]
     if ncols in pivots:
         return None
     x = np.zeros(ncols, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r, ncols]
+    x[pivots] = R[:len(pivots), ncols]
     return x

@@ -10,6 +10,7 @@ from addcyc import bilinear, classify, codes, linalg
 from addcyc.bilinear import DeltaContext, context
 from addcyc.cli import main
 from addcyc.errors import InvalidParameterError, TooLargeError
+from test_kernels import reference_rref
 
 
 CTX73 = context(7, 3, 2, paper=True)
@@ -547,15 +548,16 @@ def test_oracle_matches_reference_scan(n, q):
 
 
 def reference_nullspace(f, mat):
-    """Canonical basis of {v : mat @ v = 0}, one free column at a time."""
-    R, pivots = linalg.rref(f, mat)
+    """Canonical basis of {v : mat @ v = 0}, one free column at a time, from
+    the reference Gauss-Jordan."""
+    R, pivots = reference_rref(f, mat)
     free = [c for c in range(mat.shape[1]) if c not in pivots]
     basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
     for k, fc in enumerate(free):
         basis[k, fc] = 1
         for r, pc in enumerate(pivots):
             basis[k, pc] = f.neg(int(R[r, fc]))
-    return linalg.row_space(f, basis) if len(free) else basis
+    return reference_rref(f, basis)[0]
 
 
 def reference_partner_subspace(rows_j, full_mu, ctx):

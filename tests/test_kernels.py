@@ -9,14 +9,18 @@ checked element by element against ``Field.add`` / ``Field.mul`` and a
 schoolbook cyclic convolution, over prime fields, extension fields of each
 digit count up to four, and GF(2^8), GF(251), GF(257) and GF(17^2) on both
 sides of ``gf.CAYLEY_LIMIT``.  ``linalg.inverse`` is checked against a
-brute-force kernel search, ``linalg.rref_batch`` against ``linalg.rref`` (on
-Cayley tables, on log tables, and on integers mod p in each integer dtype,
-above ``gf.TABLE_LIMIT`` too, with its refusal past int64),
-``Field.vmul``/``vsub`` into buffers on uint8 operands against the
-unbuffered result, ``linalg.nullspace`` of
-a stack against each of its matrices and their ranks, and
-``linalg.in_row_space`` / ``reduce_vector`` on stacks against the rank
-criterion and the per-pivot elimination loop.
+brute-force kernel search.  ``linalg.rref_batch``, the package's one row
+reduction, and ``linalg.rref``, a stack of one through it, are checked
+against a plain Gauss-Jordan on Python integers through ``Field.inv`` /
+``mul`` / ``sub`` (on Cayley tables, on log tables, and on integers mod p
+in each integer dtype, above ``gf.TABLE_LIMIT`` too, with the refusal past
+int64).  ``Field.vmul``/``vsub`` into buffers on uint8 operands are checked
+against the unbuffered result, ``linalg.nullspace`` of a stack against each
+of its matrices and their reference ranks, ``linalg.in_row_space`` /
+``reduce_vector`` on stacks against the reference rank criterion and the
+per-pivot elimination loop, and the prime-field products of ``matmul`` and
+``Field.vmul`` at the largest p they take against Python integers, with
+their refusal past it.
 """
 
 import itertools
@@ -61,6 +65,31 @@ def scalar_matmul(f, A, B):
                                      for k in range(A.shape[1])))
                       for j in range(B.shape[1])] for i in range(A.shape[0])],
                     dtype=np.int64).reshape(A.shape[0], B.shape[1])
+
+
+def reference_rref(f, mat):
+    """(R, pivots) of an (r, c) matrix by Gauss-Jordan a column at a time,
+    on Python integers through the scalar ``Field.inv``/``mul``/``sub``;
+    zero rows at the bottom."""
+    R = np.asarray(mat, dtype=np.int64).tolist()
+    pivots = []
+    for col in range(np.shape(mat)[1]):
+        top = len(pivots)
+        below = [i for i in range(top, len(R)) if R[i][col]]
+        if not below:
+            continue
+        R[top], R[below[0]] = R[below[0]], R[top]
+        inv = f.inv(R[top][col])
+        R[top] = [f.mul(inv, x) for x in R[top]]
+        for i, row in enumerate(R):
+            if i != top and row[col]:
+                R[i] = [f.sub(x, f.mul(row[col], y)) for x, y in zip(row, R[top])]
+        pivots.append(col)
+    return np.array(R, dtype=np.int64).reshape(np.shape(mat)), pivots
+
+
+def reference_rank(f, mat):
+    return len(reference_rref(f, mat)[1])
 
 
 SMALL = [(p, m) for p, m in FIELDS if p ** m <= 1 << 9]
@@ -126,6 +155,29 @@ def test_matmul_matches_scalar(p, m, data):
     assert [g.tolist() for g in got] == [scalar_matmul(f, a, b).tolist() for a, b in zip(As, Bs)]
 
 
+def test_prime_field_products_up_to_the_int64_edge():
+    """At the largest p whose sums of k products below p^2 int64 holds,
+    ``matmul`` (here the ring product, k = n = 3) and ``vmul`` (k = 1) equal
+    Python integers; at a larger p they raise TooLargeError rather than
+    wrap."""
+    p = 1753413037  # the largest prime with 3 (p-1)^2 < 2^63
+    assert 3 * (p - 1) ** 2 < 2 ** 63 <= 3 * (2147483647 - 1) ** 2
+    x = [p - 1, p - 2, p - 3]
+    a = cyclic_ring(gf.field(p), 3).element(x)
+    square = a * a
+    assert list(square.coeffs) == [sum(x[i] * x[(k - i) % 3] for i in range(3)) % p
+                                   for k in range(3)]
+    big = cyclic_ring(gf.field(2147483647), 3).element([2147483646, 2147483645, 2147483644])
+    with pytest.raises(TooLargeError):
+        big * big
+    p = 3037000493  # the largest prime with (p-1)^2 < 2^63
+    a = [p - 1, p - 2, p - 3, 12345678901 % p]
+    assert gf.field(p).vmul(np.array(a)[:, None], np.array(a)).tolist() == [
+        [x * y % p for y in a] for x in a]
+    with pytest.raises(TooLargeError):
+        gf.field(4294967311).vmul(4294967309, 4294967308)
+
+
 def test_matmul_matches_scalar_on_a_seeded_pair():
     """A seeded 7 x 4 by 4 x 3 product over GF(9) is the scalar product."""
     f = gf.field(3, 2)
@@ -163,8 +215,9 @@ def rref_stacks(draw, f):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_rref_batch_matches_rref(p, m, data):
-    """Each reduced matrix is byte-identical to the single-matrix RREF, with
-    its rank; a small chunk splits the stack into many blocks."""
+    """Each reduced matrix is byte-identical to the reference RREF, with its
+    rank, and so is ``rref`` of it, with its pivots; a small chunk splits
+    the stack into many blocks."""
     f = gf.field(p, m)
     S = data.draw(rref_stacks(f))
     chunk = data.draw(st.sampled_from([linalg.RREF_BLOCK, 1, 2 * S[0].size if len(S) else 1]))
@@ -175,9 +228,11 @@ def test_rref_batch_matches_rref(p, m, data):
     assert R.shape == S.shape and R.dtype == np.int64 and ranks.shape == (len(S),)
     assert (S == before).all()
     for b in range(len(S)):
-        want, pivots = linalg.rref(f, S[b])
+        want, pivots = reference_rref(f, S[b])
         assert R[b].tobytes() == want.tobytes()
         assert ranks[b] == len(pivots)
+        one, one_pivots = linalg.rref(f, S[b])
+        assert one.tobytes() == want.tobytes() and one_pivots == pivots
 
 
 #: (p, r, dtype): r * (p-1)^2 + p at the top of each integer dtype of a
@@ -191,7 +246,7 @@ DTYPE_EDGES = [(7, 3, np.int8), (7, 4, np.int16), (181, 1, np.int16), (61, 10, n
 def test_rref_batch_at_the_dtype_edges(p, r, dtype):
     """A prime-field block takes the narrowest integer dtype that holds
     r*(p-1)^2 + p, and dense seeded stacks reduced in it, whole and split
-    into one-matrix blocks, equal the single-matrix RREF."""
+    into one-matrix blocks, equal the reference RREF."""
     f = gf.field(p)
     assert linalg._block_dtype(f, r) == dtype
     rng = np.random.default_rng(p + r)
@@ -200,7 +255,7 @@ def test_rref_batch_at_the_dtype_edges(p, r, dtype):
     if r > 1:
         # every fourth matrix rank-deficient: its last row a combination
         S[1::4, -1] = linalg.matmul(f, rng.integers(0, p, size=(10, 1, r - 1)), S[1::4, :-1])[:, 0]
-    want = [linalg.rref(f, M) for M in S]
+    want = [reference_rref(f, M) for M in S]
     for block in (linalg.RREF_BLOCK, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "RREF_BLOCK", block)
@@ -211,16 +266,19 @@ def test_rref_batch_at_the_dtype_edges(p, r, dtype):
 
 def test_rref_batch_refuses_what_int64_cannot_hold():
     """Where r*(p-1)^2 + p reaches 2^63 the kernel raises TooLargeError
-    rather than wrap; one row of the same field still reduces, as ``rref``
-    does."""
+    rather than wrap, and so do ``rref`` and ``rank``, which run on it; one
+    row of the same field still reduces."""
     p = 2147483659  # the least prime above 2^31
     f = gf.field(p)
     S = np.array([[[0, p - 1, 5]], [[p - 2, 3, 0]]], dtype=np.int64)
     R, ranks = linalg.rref_batch(f, S)
-    assert [M.tolist() for M in R] == [linalg.rref(f, M)[0].tolist() for M in S]
+    assert [M.tolist() for M in R] == [reference_rref(f, M)[0].tolist() for M in S]
     assert ranks.tolist() == [1, 1]
+    assert linalg.rank(f, S[0]) == 1
     with pytest.raises(TooLargeError):
         linalg.rref_batch(f, np.concatenate([S, S], axis=1))
+    with pytest.raises(TooLargeError):
+        linalg.rank(f, S[:, 0])
 
 
 @pytest.mark.parametrize("p, m", RREF_FIELDS, ids=[f"GF({p ** m})" for p, m in RREF_FIELDS])
@@ -236,8 +294,8 @@ def test_nullspace_of_a_stack(p, m, data):
     for M, Z in zip(S, null):
         assert linalg.nullspace(f, M).tolist() == Z.tolist()
         basis = Z[Z.any(axis=1)]
-        assert len(basis) == S.shape[2] - linalg.rank(f, M)
-        assert not len(basis) or linalg.rank(f, basis) == len(basis)
+        assert len(basis) == S.shape[2] - reference_rank(f, M)
+        assert not len(basis) or reference_rank(f, basis) == len(basis)
         assert not scalar_matmul(f, M, basis.T).any()
 
 
@@ -267,12 +325,11 @@ def test_membership_of_a_stack(p, m, data):
     for r, pc in enumerate(pivots):
         R[r, :pc] = 0
     R[:, pivots] = np.eye(k, dtype=np.int64)
-    assert linalg.rref(f, R)[1] == pivots
+    assert reference_rref(f, R)[1] == pivots
     V = data.draw(elems(f, (data.draw(st.integers(1, 6)), c)))
     # every other row a combination of the rows of R
     V[::2] = linalg.matmul(f, data.draw(elems(f, (len(V), k))), R)[::2]
-    rank = linalg.rank(f, R)
-    want = [linalg.rank(f, np.vstack([R, v])) == rank for v in V]
+    want = [reference_rank(f, np.vstack([R, v])) == k for v in V]
     assert linalg.in_row_space(f, R, V).tolist() == want
     assert [bool(linalg.in_row_space(f, R, v)) for v in V] == want
     reference = [reference_reduce_vector(f, R, pivots, v).tolist() for v in V]
@@ -310,6 +367,15 @@ def test_inverse_matches_brute_force(p, m, data):
 def test_inverse_rejects_non_square():
     with pytest.raises(InvalidParameterError):
         linalg.inverse(gf.field(3), np.ones((2, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (2, 2)])
+def test_rref_of_empty_and_zero_matrices(shape):
+    """A matrix with no rows, no columns or no nonzero entry has no pivots."""
+    f = gf.field(3)
+    R, pivots = linalg.rref(f, np.zeros(shape, dtype=np.int64))
+    assert R.shape == shape and not R.any() and pivots == []
+    assert linalg.inverse(f, np.zeros((0, 0), dtype=np.int64)).shape == (0, 0)
 
 
 def gram_host(f, t):

@@ -81,6 +81,9 @@ def test_certificate_matches_brute_force(q, cyclic, seed, data):
     C = (cyclic_case if cyclic else random_case)(ctx, rng, limit)
     if C.k == 0:
         return
+    if ctx.e == 1:
+        # the F_p generator the certificate reads is the code's own basis
+        assert codes._prime_generator_digits(C).tolist() == C.basis_exp.tolist()
     weights = brute_force_weights(C)
     d = int(weights.min())
     cert = codes.distance_certificate(C, budget=q ** C.k)
