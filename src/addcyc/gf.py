@@ -869,10 +869,23 @@ class Field:
         return out
 
     def vpow(self, a, e: int) -> np.ndarray:
-        """Element-wise a^e for a fixed exponent (vectorised via a cached LUT)."""
-        a = np.asarray(a, dtype=np.int64)
+        """Element-wise a^e for a fixed exponent, 0^e = 0: one gather from a
+        cached table of every element's power.  A prime field without
+        tables (above TABLE_LIMIT, or above EAGER_TABLE_LIMIT until they are
+        built) takes square-and-multiply mod p instead."""
         q1 = self.order - 1
         e_red = e % q1 if q1 else 0
+        if self.m == 1 and self._exp is None:
+            if q1 ** 2 >= 2 ** 63:
+                raise TooLargeError(f"products over F_{self.p} could overflow int64")
+            a = np.asarray(a, dtype=np.int64)
+            out = (a != 0).astype(np.int64)
+            while e_red:
+                if e_red & 1:
+                    out = out * a % self.p
+                e_red >>= 1
+                a = a * a % self.p
+            return out
         lut = self._pow_luts.get(e_red)
         if lut is None:
             self._build_tables()
@@ -883,7 +896,7 @@ class Field:
             if e_red == 0:
                 lut[1:] = 1
             self._pow_luts[e_red] = lut
-        return lut[a]
+        return lut.take(a)
 
     # -- misc -----------------------------------------------------------------
 

@@ -135,10 +135,9 @@ def rref_batch(f: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (:func:`_rref_block`), so that every step of Gauss-Jordan by rows is a
     few operations along N'.  Each row's leading column is fixed at its own
     step, and one stable sort on it, zero rows last, gives the RREF.  Over a
-    prime field the block is integers reduced mod p lazily, with pivots
-    inverted by a Fermat power, for every p that int64 can hold; over
-    GF(p^m), m > 1, it goes through the field's table-backed vector
-    operations.
+    prime field the block is integers reduced mod p lazily, for every p that
+    int64 can hold; over GF(p^m), m > 1, it goes through the field's
+    table-backed vector operations.
     """
     stack = np.asarray(stack)
     N, r, c = stack.shape
@@ -177,11 +176,12 @@ def _rref_block(f: Field, B: np.ndarray) -> np.ndarray:
     """Row-reduce the (r, c, N) block B in place, the batch axis innermost;
     returns the leading column of each row (r, N), c for a zero row.
 
-    Step i scales row i, already reduced against the earlier pivots, to a
-    leading 1 (a zero row stays zero) and subtracts its multiples from every
-    other row.  A pivot row stays zero left of its pivot and keeps its
-    leading 1 (the later pivot rows are zero in its column), so its leading
-    column is the one found at its step.
+    Step i scales row i, already reduced against the earlier pivots, by the
+    inverse of its leading entry (``Field.vpow``) to a leading 1 (a zero row
+    stays zero) and subtracts its multiples from every other row.  A pivot
+    row stays zero left of its pivot and keeps its leading 1 (the later
+    pivot rows are zero in its column), so its leading column is the one
+    found at its step.
 
     Over a prime field only the pivot row and the coefficient column are
     reduced mod p at a step; the other entries take at most r - 1 products
@@ -205,7 +205,7 @@ def _rref_block(f: Field, B: np.ndarray) -> np.ndarray:
         value = row.reshape(-1).take(at)
         lead[i] = np.where(value != 0, col, c)
         if prime:
-            row *= _inverse_mod_p(value, f.p)
+            row *= f.vpow(value, -1).astype(B.dtype)
             _mod_p(row, f.p, prod[i])
             coef = _mod_p(B.reshape(r, -1).take(at, axis=1), f.p)
             coef[i] = 0
@@ -231,20 +231,6 @@ def _mod_p(x: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndarr
     q *= p
     x -= q
     return x
-
-
-def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    """a^(p-2) mod p elementwise, by square-and-multiply: the inverse of each
-    nonzero a (a zero a gives 0, or 1 when p = 2)."""
-    out = np.ones_like(a)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = _mod_p(out * a, p)
-        e >>= 1
-        if e:
-            a = _mod_p(a * a, p)
-    return out
 
 
 def inverse(f: Field, A: np.ndarray) -> np.ndarray | None:

@@ -5,15 +5,20 @@ zeros; the zero polynomial has an empty coefficient tuple.  X^n - 1 is
 factored through its roots: the coset structure of the exponents of a fixed
 primitive n-th root of unity in a splitting field yields the irreducible
 factors together with the coset associated to each, which is the association
-everything downstream keys on.  The splitting field and the root are pinned
-deterministically (default or reference modulus, generator^((Q^ord-1)/n)), so
-factor labels are reproducible.
+everything downstream keys on, and the same root gives the idempotent of each
+coset by an inverse discrete Fourier transform.  The splitting field and the
+root are pinned deterministically (default or reference modulus,
+generator^((Q^ord-1)/n)), so factor labels are reproducible.  Division with
+remainder, sums and products of polynomials remain for checks: the factors
+multiply back to X^n - 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import gf
 from .errors import FieldMismatchError, NotCoprimeError
@@ -92,13 +97,6 @@ class Poly:
         return Poly(f, (f.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
                         for i in range(n)))
 
-    def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, (f.neg(c) for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         f = self.field
@@ -112,10 +110,6 @@ class Poly:
                     if bj:
                         out[i + j] = f.add(out[i + j], f.mul(ai, bj))
         return Poly(f, out)
-
-    def scale(self, c: int) -> "Poly":
-        f = self.field
-        return Poly(f, (f.mul(c, x) for x in self.coeffs))
 
     def __divmod__(self, other: "Poly"):
         self._check(other)
@@ -140,35 +134,6 @@ class Poly:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero() or self.coeffs[-1] == 1:
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
-
-    def gcd(self, other: "Poly") -> "Poly":
-        self._check(other)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def xgcd(self, other: "Poly"):
-        """Returns (g, u, v) monic with u*self + v*other = g."""
-        self._check(other)
-        f = self.field
-        r0, r1 = self, other
-        s0, s1 = Poly.one(f), Poly.zero(f)
-        t0, t1 = Poly.zero(f), Poly.one(f)
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.is_zero():
-            return r0, s0, t0
-        lead_inv = f.inv(r0.coeffs[-1])
-        return r0.monic(), s0.scale(lead_inv), t0.scale(lead_inv)
 
     def eval(self, point: int) -> int:
         f = self.field
@@ -236,6 +201,32 @@ def minimal_poly(coset, sd: SplittingData, target: gf.Field) -> Poly:
     prod = Poly(split, gf.linear_factor_product(split, sd.eta_prime, coset))
     retract = gf.subfield_map(target, split).retract
     return prod.map_coeffs(retract, target)
+
+
+def idempotents(cosets, sd: SplittingData, target: gf.Field) -> list[tuple[int, ...]]:
+    """For each coset C, the idempotent e_C of F[X]/(X^n - 1) that is 1 at the
+    roots eta'^s, s in C, and 0 at the other n-th roots of unity: the inverse
+    discrete Fourier transform e_C[k] = n^(-1) * sum_{s in C} eta'^(-k*s),
+    k < n (MacWilliams and Sloane, ch. 8), as n coefficients in ``target``.
+
+    The powers of eta' are the digit rows of one doubling in the splitting
+    field; each coset sums |C| of them, gathered at the exponents -k*s mod n,
+    and scales the sum by n^(-1) in F_p, so no field product is made.  A
+    CoercionError signals a coset that is not closed under |target|.
+    """
+    split, n = sd.splitting_field, sd.n
+    p = split.p
+    powers = gf._power_rows(split._digits(sd.eta_prime), n, split._red, p)
+    k, n_inv = np.arange(n), pow(n, -1, p)
+    # encodings are sums of digits times p^i, exact in int64 up to 2^63
+    weights = np.array([p ** i for i in range(split.m)],
+                       dtype=np.int64 if split.order <= 2 ** 63 else object)
+    retract = gf.subfield_map(target, split).retract
+    out = []
+    for coset in cosets:
+        total = sum(powers[-k * s % n] for s in coset) % p * n_inv % p
+        out.append(tuple(retract(int(y)) for y in total @ weights))
+    return out
 
 
 def factor_xn_minus_1(n: int, f: gf.Field, *, paper: bool = False):

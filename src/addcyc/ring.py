@@ -22,7 +22,6 @@ import numpy as np
 
 from . import gf, linalg
 from .errors import FieldMismatchError, LengthMismatchError, NotCoprimeError
-from .polyring import Poly
 
 
 class CyclicRing:
@@ -55,14 +54,6 @@ class CyclicRing:
         coeffs = [0] * self.n
         coeffs[k % self.n] = 1
         return GroupAlgebraElement(self, tuple(coeffs))
-
-    def from_poly(self, poly: Poly) -> "GroupAlgebraElement":
-        if poly.field is not self.field:
-            raise FieldMismatchError("polynomial over a different field")
-        if poly.degree >= self.n:
-            raise LengthMismatchError("polynomial degree exceeds n - 1")
-        coeffs = poly.coeffs + (0,) * (self.n - len(poly.coeffs))
-        return GroupAlgebraElement(self, coeffs)
 
     def mul_rows(self, rows: np.ndarray, b) -> np.ndarray:
         """Products by the circulant of b, B[i, k] = b[(k - i) mod n]: a

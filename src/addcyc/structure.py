@@ -4,9 +4,17 @@ For gcd(n, q) = 1 the group algebras R_n over F_q and over F_{q^t} are
 semisimple and split into minimal ideals indexed by cyclotomic cosets.  The
 IdealAtlas bundles everything downstream layers need: the cosets with their
 dimension data, the negation-induced involution mu on coset indices, the
-generator polynomials of the minimal ideals, their primitive idempotents,
-designated primitive elements of each ideal-as-field, and the orientation of
-the ideals under the coefficient-conjugating automorphisms tau.
+irreducible factors of X^n - 1 over both fields, the primitive idempotents
+of the minimal ideals, designated primitive elements of each ideal-as-field,
+and the orientation of the ideals under the coefficient-conjugating
+automorphisms tau.
+
+The idempotents come from the same pinned root eta' as the factors, by one
+inverse discrete Fourier transform (:func:`polyring.idempotents`): e_{i,j}
+is 1 at the roots of M_{i,j} and 0 at the other n-th roots of unity, and the
+J_i identity f_i = sum_j e_{i,j} is the transform of the whole q-coset.  No
+polynomial is divided.  K_i, the small-algebra part of J_i, is
+F_q[X]/(m_i) with f_i as its 1, spanned by X^k * f_i, k < d_i.
 
 Each minimal ideal I_{i,j} of the big algebra is a finite field of
 q^(t*D_i) elements: it is GF(q^t)[Y]/(M_{i,j}) through Y -> X * e_{i,j}.
@@ -27,7 +35,7 @@ import numpy as np
 
 from . import gf
 from .errors import InvalidParameterError, NotCoprimeError, NotInIdealError
-from .polyring import Poly, minimal_poly, require_coprime, splitting_data
+from .polyring import Poly, idempotents, minimal_poly, require_coprime, splitting_data
 from .ring import GroupAlgebraElement, cyclic_ring
 
 #: candidates in the first block of the primitive-element search; each later
@@ -173,51 +181,40 @@ class IdealAtlas:
         self.table = build_coset_table(n, q, t)
         self.sd = splitting_data(n, field_qt, paper=paper)
 
-        # irreducible factors and ideal generators over both fields; the
-        # coarse factors m_i are built from the same splitting-field root as
-        # the fine factors M_{i,j}, which keeps the coset <-> factor
-        # associations of the two factorisations mutually consistent
-        # (m_i = prod_j M_{i,j} holds by construction, and the coercion of
-        # that product down to F_q checks it really has F_q coefficients).
-        xn1_q = Poly.x_pow_n_minus_1(field_q, n)
-        xn1_qt = Poly.x_pow_n_minus_1(field_qt, n)
+        # irreducible factors over both fields; the coarse factors m_i are
+        # built from the same splitting-field root as the fine factors
+        # M_{i,j}, which keeps the coset <-> factor associations of the two
+        # factorisations mutually consistent (m_i = prod_j M_{i,j} holds by
+        # construction, and the coercion of that product down to F_q checks
+        # it really has F_q coefficients).
         retract_q = gf.subfield_map(field_q, field_qt).retract
         self.M_poly: dict[tuple[int, int], Poly] = {}
-        self.M_hat: dict[tuple[int, int], Poly] = {}
         self.m_poly: list[Poly] = []
         for i, subs in enumerate(self.table.subcosets):
             prod = Poly.one(field_qt)
             for j, sub in enumerate(subs):
                 M = minimal_poly(sub, self.sd, field_qt)
                 self.M_poly[(i, j)] = M
-                self.M_hat[(i, j)] = xn1_qt // M
                 prod = prod * M
             m_i = prod.map_coeffs(retract_q, field_q)
             assert m_i.degree == self.table.d[i]
             self.m_poly.append(m_i)
-        self.m_hat = [xn1_q // p for p in self.m_poly]
-        self.factors_q = list(zip(self.m_poly, self.table.cosets))
         check = Poly.one(field_q)
         for p_i in self.m_poly:
             check = check * p_i
-        assert check == xn1_q, "coarse factors must multiply back to X^n - 1"
+        assert check == Poly.x_pow_n_minus_1(field_q, n), \
+            "coarse factors must multiply back to X^n - 1"
 
-        # primitive idempotents e_{i,j} via the extended Euclidean identity
-        self.idempotents: dict[tuple[int, int], GroupAlgebraElement] = {}
-        for (i, j), Mhat in self.M_hat.items():
-            g, u, _ = Mhat.xgcd(self.M_poly[(i, j)])
-            assert g == Poly.one(field_qt), "generator and complement must be coprime"
-            e = self.ring.from_poly((u * Mhat) % xn1_qt)
-            self.idempotents[(i, j)] = e
+        # the primitive idempotents e_{i,j} (one per subcoset) and the J_i
+        # identities f_i (one per q-coset, tau_{q,1}-fixed, so they live in
+        # the small algebra too), by one inverse DFT at the pinned root
+        subcosets = [sub for subs in self.table.subcosets for sub in subs]
+        rows = idempotents(subcosets + list(self.table.cosets), self.sd, field_qt)
+        self.idempotents: dict[tuple[int, int], GroupAlgebraElement] = {
+            ij: self.ring.element(row) for ij, row in zip(self.M_poly, rows)}
+        self.j_idempotents: list[GroupAlgebraElement] = [
+            self.ring.element(row) for row in rows[len(subcosets):]]
         self._validate_idempotents()
-
-        # J_i identities (tau_{q,1}-fixed, so they live in the small algebra too)
-        self.j_idempotents: list[GroupAlgebraElement] = []
-        for i in range(self.table.num_classes):
-            f = self.ring.zero()
-            for j in range(self.table.s[i]):
-                f = f + self.idempotents[(i, j)]
-            self.j_idempotents.append(f)
 
         # orientation of tau_{1,-1} on the split fixed classes (t = 2 only)
         self.tau_orientation: list[str | None] = []
@@ -230,23 +227,22 @@ class IdealAtlas:
                 self.tau_orientation.append(None)
 
         self._rho: dict[tuple[int, int], GroupAlgebraElement] = {}
-        self._k_bases: dict[int, list[GroupAlgebraElement]] = {}
         self._validate_structure()
 
     # -- validation ------------------------------------------------------------
 
     def _validate_idempotents(self):
-        one = self.ring.one()
-        total = self.ring.zero()
-        items = list(self.idempotents.items())
-        for (i, j), e in items:
-            assert e * e == e, f"e_{i},{j} is not idempotent"
-            total = total + e
-        for a in range(len(items)):
-            for b in range(a + 1, len(items)):
-                prod = items[a][1] * items[b][1]
-                assert prod.is_zero(), "distinct primitive idempotents must annihilate"
-        assert total == one, "idempotents must sum to 1"
+        """The e_{i,j} are idempotent, annihilate one another and sum to 1:
+        the product of the whole stack E by each e_a must hold e_a in row a
+        and zeros elsewhere."""
+        E = np.array([e.coeffs for e in self.idempotents.values()], dtype=np.int64)
+        for a, ij in enumerate(self.idempotents):
+            prod = self.ring.mul_rows(E, E[a])
+            assert (prod[a] == E[a]).all(), f"e_{ij} is not idempotent"
+            prod[a] = 0
+            assert not prod.any(), "distinct primitive idempotents must annihilate"
+        total = functools.reduce(self.ring.field.vadd, E)
+        assert (total == self.ring.one().coeffs).all(), "idempotents must sum to 1"
 
     def _validate_structure(self):
         tab = self.table
@@ -329,16 +325,10 @@ class IdealAtlas:
         return self._rho[(i, j)]
 
     def k_basis(self, i: int) -> list[GroupAlgebraElement]:
-        """An F_q-basis of K_i, lifted into the big algebra."""
-        self._check_index(i, 0)
-        got = self._k_bases.get(i)
-        if got is not None:
-            return got
-        emb = gf.subfield_map(self.field_q, self.field_qt).embed
-        gen = self.ring.from_poly(self.m_hat[i].map_coeffs(emb, self.field_qt))
-        basis = [gen.shift(k) for k in range(self.table.d[i])]
-        self._k_bases[i] = basis
-        return basis
+        """An F_q-basis of K_i, lifted into the big algebra: X^k * f_i,
+        k < d_i, as K_i = F_q[X]/(m_i) with the J_i identity f_i as its 1."""
+        f_i = self.j_idempotent(i)
+        return [f_i.shift(k) for k in range(self.table.d[i])]
 
     # -- rendering ----------------------------------------------------------------
 

@@ -178,6 +178,24 @@ def test_prime_field_products_up_to_the_int64_edge():
         gf.field(4294967311).vmul(4294967309, 4294967308)
 
 
+@pytest.mark.parametrize("p", [46349, 1048583, 3037000493])
+def test_prime_field_powers_without_tables(p):
+    """``vpow`` on a prime field without tables (above the eager limit
+    before they are built, and above TABLE_LIMIT) equals ``pow`` on Python
+    integers, with 0^e = 0; where the tables can be built, their gather
+    gives the same; past the int64 edge it raises TooLargeError."""
+    f, tables = (gf.Field(p, 1, gf.field(p).modulus) for _ in range(2))
+    if p <= gf.TABLE_LIMIT:
+        tables._build_tables()
+    a = np.array([0, 1, 2, p - 1, p - 2, 12345678901 % p])
+    for e in (-1, 0, 1, 2, p - 2, 3 * p + 5):
+        want = [0] + [pow(int(x), e % (p - 1), p) for x in a[1:]]
+        assert f.vpow(a, e).tolist() == want and f._exp is None
+        assert tables.vpow(a, e).tolist() == want
+    with pytest.raises(TooLargeError):
+        gf.field(4294967311).vpow(4294967309, -1)
+
+
 def test_matmul_matches_scalar_on_a_seeded_pair():
     """A seeded 7 x 4 by 4 x 3 product over GF(9) is the scalar product."""
     f = gf.field(3, 2)

@@ -2,10 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 import sympy
 
+from addcyc import gf, linalg
+from addcyc.bilinear import context
 from addcyc.errors import InvalidParameterError, NotCoprimeError, NotInIdealError
+from addcyc.polyring import Poly
 from addcyc.structure import build_atlas, build_coset_table, cyclotomic_cosets, tau_ideal_image
 
 
@@ -155,18 +159,51 @@ def test_ideal_indices_outside_the_coset_table_are_refused():
             call()
 
 
-def test_k_basis_and_fixed_subfield(atlas73):
-    import numpy as np
-    from addcyc import linalg
-    from addcyc.bilinear import DeltaContext
-    ctx = DeltaContext(7, 3, 2, paper=True)
-    for i in range(2):
-        basis = atlas73.k_basis(i)
-        assert len(basis) == atlas73.table.d[i]
-        rows = ctx.expand(np.array([b.coeffs for b in basis]))
-        assert linalg.rank(ctx.field_q, rows) == atlas73.table.d[i]
-        for b in basis:
-            assert atlas73.fixed_subfield_check(i, b)
+def _in_ring(ring, poly):
+    """poly reduced mod X^n - 1, as an element of ring."""
+    rem = poly % Poly.x_pow_n_minus_1(poly.field, ring.n)
+    return ring.element(rem.coeffs + (0,) * (ring.n - len(rem.coeffs)))
+
+
+@pytest.mark.parametrize("n,q,t,paper", [
+    (7, 3, 2, True), (5, 3, 2, False), (8, 3, 2, False), (13, 2, 2, False),
+    (7, 2, 4, False), (2, 3, 6, False), (1, 3, 2, False), (47, 3, 2, False)])
+def test_each_idempotent_annihilates_its_own_factor_only(n, q, t, paper):
+    """e_{i,j} * M_{i',j'} = 0 in the ring exactly when (i', j') = (i, j),
+    and f_i * m_i = 0.  This ties each idempotent to its factor: idempotents
+    that are 1 at the roots of the wrong factors pass every check of
+    idempotence, orthogonality and sum.  (47, 3) has a splitting field,
+    GF(3^46), of more than 2^63 elements."""
+    atlas = build_atlas(n, q, t, paper=paper)
+    M = {ij: _in_ring(atlas.ring, poly) for ij, poly in atlas.M_poly.items()}
+    for ij, e in atlas.idempotents.items():
+        for kl, M_kl in M.items():
+            assert (e * M_kl).is_zero() == (kl == ij), (ij, kl)
+    emb = gf.subfield_map(atlas.field_q, atlas.field_qt).embed
+    for i, m_i in enumerate(atlas.m_poly):
+        m_i = _in_ring(atlas.ring, m_i.map_coeffs(emb, atlas.field_qt))
+        assert (atlas.j_idempotent(i) * m_i).is_zero()
+
+
+K_BASIS_CASES = [(7, 3, 2, True), (13, 2, 2, False), (8, 3, 2, False), (7, 2, 4, False)]
+
+
+@pytest.mark.parametrize("n,q,t,paper,i", [
+    (*case, i) for case in K_BASIS_CASES
+    for i in range(build_coset_table(*case[:3]).num_classes)])
+def test_k_basis_and_fixed_subfield(n, q, t, paper, i):
+    """k_basis(i) is d_i elements of J_i, fixed by tau_{q,1} and independent
+    over F_q, so an F_q-basis of K_i."""
+    ctx = context(n, q, t, paper=paper)
+    basis = ctx.atlas.k_basis(i)
+    assert len(basis) == ctx.table.d[i]
+    rows = ctx.expand(np.array([b.coeffs for b in basis]))
+    assert linalg.rank(ctx.field_q, rows) == ctx.table.d[i]
+    for b in basis:
+        assert ctx.atlas.fixed_subfield_check(i, b)
+
+
+def test_fixed_subfield_check(atlas73):
     # e_{1,0} + e_{1,1} is tau-fixed, the lone idempotent is not
     f1 = atlas73.idempotent(1, 0) + atlas73.idempotent(1, 1)
     assert atlas73.fixed_subfield_check(1, f1)
