@@ -9,13 +9,20 @@ minimum Hamming distance is certified exactly by Brouwer-Zimmermann
 enumeration of one information set by information weight (as extended to
 additive codes by White and Grassl), with the cyclic-shift bound on cyclic
 codes, when the words that enumeration will form fit a budget; beyond it a
-seeded random sample gives an upper bound.
+seeded random sample gives an upper bound.  Each block of the information
+set has a table of the symbol rows of its coefficient combinations, built
+by one exact integer product.  A word is the field sum of one table row
+per block of its support.  Its weight counts the positions where the last
+block's row differs from the negated sum of the other rows, for all of the
+last block's rows at once.  The enumeration uses no floating point.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +42,8 @@ from . import gf
 #: form: a code whose enumeration needs fewer gets its d proved, the rest
 #: are sampled
 EXHAUSTIVE_BUDGET = 1 << 28
-#: coefficient vectors per float64 product in the information-set enumeration
+#: words per chunk of the information-set enumeration, and the most rows of
+#: one sub-block's symbol table
 ENUM_CHUNK = 1 << 15
 #: support sets drawn at once from one information-weight level
 SUPPORT_BATCH = 1 << 12
@@ -53,12 +61,13 @@ SAMPLE_SEED = 0
 class AdditiveCode:
     """An F_q-linear subspace of GF(q^t)^n, held as its nonzero RREF rows."""
 
-    __slots__ = ("ctx", "basis_exp")
+    __slots__ = ("ctx", "basis_exp", "_cyclic")
 
     def __init__(self, ctx: DeltaContext, basis_exp: np.ndarray):
         self.ctx = ctx
         self.basis_exp = basis_exp
         self.basis_exp.setflags(write=False)
+        self._cyclic = None           # is_cyclic, proved on first use
 
     # -- constructors -----------------------------------------------------------
 
@@ -172,10 +181,11 @@ def cyclic_span(g, ctx: DeltaContext) -> AdditiveCode:
 
 
 def is_cyclic(code: AdditiveCode) -> bool:
-    if code.k == 0:
-        return True
-    shifted = code.ctx.expand(np.roll(code.basis_symbols(), 1, axis=1))
-    return code.contains_expansion(shifted)
+    """Whether the code is closed under the cyclic shift; computed once per code."""
+    if code._cyclic is None:
+        code._cyclic = code.k == 0 or code.contains_expansion(
+            code.ctx.expand(np.roll(code.basis_symbols(), 1, axis=1)))
+    return code._cyclic
 
 
 def dual_delta(code: AdditiveCode) -> AdditiveCode:
@@ -268,59 +278,137 @@ class DistanceCertificate:
         return self.method == INFO_SETS
 
 
-def _normalised_value(i: np.ndarray, p: int) -> np.ndarray:
+def _normalised_value(i: np.ndarray, lead: np.ndarray, first: np.ndarray) -> np.ndarray:
     """The i-th nonzero base-p digit vector whose highest nonzero digit is 1.
 
     Vectors are read as integers; those with leading digit at position j are
-    p^j + [0, p^j), indexed from (p^j - 1)/(p - 1) on.
+    p^j + [0, p^j), indexed from (p^j - 1)/(p - 1) on: ``lead`` and
+    ``first`` hold these two for every position a vector may lead at.
     """
-    first = np.zeros_like(i)          # (p^j - 1)/(p - 1)
-    lead = np.ones_like(i)            # p^j
-    while True:
-        up = i >= first + lead
-        if not up.any():
-            return lead + (i - first)
-        first = np.where(up, first + lead, first)
-        lead = np.where(up, lead * p, lead)
+    j = np.searchsorted(first, i, side="right") - 1
+    return lead[j] + (i - first[j])
 
 
-def _information_weight_level(w: int, starts: np.ndarray, sizes: np.ndarray, p: int):
-    """Coefficient vectors of information weight w, in row chunks.
+class _Blocks(NamedTuple):
+    """How the blocks of an information set read their symbol tables.
 
-    Block b is coefficients starts[b] .. starts[b] + sizes[b] - 1.  A vector
-    of weight w is nonzero on exactly w blocks, and its first nonzero block
-    is normalised (leading digit 1), so each F_p* class appears once.
-    Yields float64 arrays of at most ``ENUM_CHUNK`` rows.
+    Block b's coefficients are the base-p digits of a value v < p^z_b.  Its
+    digits are split, low first, into J sub-blocks of at most as many digits
+    as keep a table within ``ENUM_CHUNK`` rows (one digit when p alone
+    exceeds it); J = 1 when every block fits, and a block with fewer digits
+    gets empty sub-blocks, which read the zero row 0.  Row off + u of a
+    sub-block's table is the word whose coefficients on its generator rows
+    are the digits of u, and v reads row off + v // div % mod.
     """
-    s = len(starts)
-    nonzero = p ** sizes - 1
-    normalised = nonzero // (p - 1)
-    if int(normalised.max()) * int(nonzero.max()) ** (w - 1) > MAX_SUPPORT_WORDS:
+
+    taps: int               # digits of the widest sub-block
+    norm: np.ndarray        # (s,) normalised nonzero values, (p^z - 1)/(p - 1)
+    nonzero: np.ndarray     # (s,) p^z - 1
+    lead: np.ndarray        # p^j for j < max z, and
+    first: np.ndarray       # (p^j - 1)/(p - 1): see _normalised_value
+    off: np.ndarray         # (s, J) first table row of each sub-block
+    div: np.ndarray         # (s, J) p^(its lowest digit)
+    mod: np.ndarray         # (s, J) p^(its digits), 1 when empty
+    row: np.ndarray         # (S,) generator row of each sub-block's lowest digit
+    start: np.ndarray       # (S,) its first table row, in table order
+    size: int               # table rows in all
+    # the last slot's low sub-block spans the columns of a grid row: cols
+    # of them from u = c0 (1 when the block is whole, as v = 0 is no word),
+    # and high grid rows per value of the other slots
+    c0: np.ndarray
+    cols: np.ndarray
+    high: np.ndarray
+
+    def rows_of(self, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """(len(v), J) table rows that value v of block b reads."""
+        if self.off.shape[1] == 1:
+            return (self.off[b, 0] + v)[:, None]
+        return self.off[b] + v[:, None] // self.div[b] % self.mod[b]
+
+
+def _information_weight_level(w: int, blocks: _Blocks):
+    """The words of information weight w as sums of table rows, in chunks.
+
+    A word is nonzero on exactly w blocks, and its first nonzero block is
+    normalised (leading digit 1), so each F_p* class appears once.  Supports
+    come in lexicographic order, and within one the last slot runs fastest.
+    A chunk is ``ENUM_CHUNK`` consecutive words of a batch of
+    ``SUPPORT_BATCH`` supports, or the rest of the batch.  It is laid out as
+    a grid: a grid row fixes the value of every slot but the low sub-block
+    of the last slot's, whose table rows are the row's columns.  At w = 1 a
+    grid row is one word.
+
+    Yields (terms, last, valid, count): the (P, j) table rows whose sum is
+    each grid row's partial word; the block (P,) whose columns each row
+    reads, None at w = 1; the (P, K) cells that are words of the chunk, in
+    order row by row, None when all are; and the number of words.
+    """
+    s = len(blocks.norm)
+    norm, nonzero = blocks.norm, blocks.nonzero
+    if int(norm.max()) * int(nonzero.max()) ** (w - 1) > MAX_SUPPORT_WORDS:
         raise TooLargeError(f"information weight {w} has more than "
                             f"{MAX_SUPPORT_WORDS} words per support")
-    # coefficient c is digit c - starts[b] of block b's value
-    block_of = np.repeat(np.arange(s), sizes)
-    place = p ** (np.arange(len(block_of)) - starts[block_of])
+    K = int(blocks.cols.max())
+    ragged = int(blocks.cols.min()) < K      # rows of fewer than K words
     combos = itertools.combinations(range(s), w)
     while True:
         sup = np.array(list(itertools.islice(combos, SUPPORT_BATCH)),
                        dtype=np.int64).reshape(-1, w)
         if not len(sup):
             return
-        count = normalised[sup[:, 0]] * np.prod(nonzero[sup[:, 1:]], axis=1)
+        count = norm[sup[:, 0]]
+        for slot in range(1, w):
+            count = count * nonzero[sup[:, slot]]
         ends = np.cumsum(count)
-        for g0 in range(0, int(ends[-1]), ENUM_CHUNK):
-            g = np.arange(g0, min(g0 + ENUM_CHUNK, int(ends[-1])))
-            which = np.searchsorted(ends, g, side="right")
-            rest = g - (ends[which] - count[which])
-            values = np.zeros((len(g), s), dtype=np.int64)   # per block
-            rows = np.arange(len(g))
-            for slot in range(w - 1, 0, -1):
-                b = sup[which, slot]
-                values[rows, b] = rest % nonzero[b] + 1
-                rest //= nonzero[b]
-            values[rows, sup[which, 0]] = _normalised_value(rest, p)
-            yield (values[:, block_of] // place % p).astype(np.float64)
+        begins = ends - count
+        total = int(ends[-1])
+        if w == 1:
+            for g0 in range(0, total, ENUM_CHUNK):
+                g = np.arange(g0, min(g0 + ENUM_CHUNK, total))
+                i = np.searchsorted(ends, g, side="right")
+                v = _normalised_value(g - begins[i], blocks.lead, blocks.first)
+                yield blocks.rows_of(sup[i, 0], v), None, None, len(g)
+            continue
+        last = sup[:, -1]
+        # per support: words per value of the other slots (span), the last
+        # block's low sub-block (columns u = c0 .. low - 1), grid rows per
+        # value of the other slots (high) and in all (rows)
+        span, low, high, c0 = (nonzero[last], blocks.mod[last, 0], blocks.high[last],
+                               blocks.c0[last])
+        rows = count // span * high
+        row_ends = np.cumsum(rows)
+
+        def cell(g):
+            """(grid row, column) of the batch's word g."""
+            i = int(np.searchsorted(ends, g, side="right"))
+            head, v = divmod(g - int(begins[i]), int(span[i]))
+            hi, u = divmod(v + 1, int(low[i]))
+            return int(row_ends[i] - rows[i]) + head * int(high[i]) + hi, u - int(c0[i])
+
+        for g0 in range(0, total, ENUM_CHUNK):
+            g1 = min(g0 + ENUM_CHUNK, total)
+            (r0, k0), (r1, k1) = cell(g0), cell(g1 - 1)
+            grid = np.arange(r0, r1 + 1)
+            i = np.searchsorted(row_ends, grid, side="right")
+            head, hi = np.divmod(grid - (row_ends[i] - rows[i]), high[i])
+            # the last slot reads its high sub-blocks here, its low one in columns
+            terms = [blocks.rows_of(last[i], hi * low[i])[:, 1:]]
+            rest = head
+            for slot in range(w - 2, 0, -1):
+                b = sup[i, slot]
+                terms.append(blocks.rows_of(b, rest % nonzero[b] + 1))
+                rest = rest // nonzero[b]
+            v = _normalised_value(rest, blocks.lead, blocks.first)
+            terms.append(blocks.rows_of(sup[i, 0], v))
+            valid = None
+            if ragged or k0 > 0 or k1 < K - 1:
+                k = np.arange(K)
+                word = (begins[i] + head * span[i] + hi * low[i] + c0[i] - 1)[:, None] + k
+                # a split block's cell v = 0 is the partial word alone, a
+                # word of level w - 1: it weighs at least ub, so it is never
+                # the witness, and it is not counted
+                valid = (k < blocks.cols[last[i], None]) & (word >= g0) & (word < g1)
+            yield np.concatenate(terms[::-1], axis=1), last[i], valid, g1 - g0
 
 
 class _InformationSet:
@@ -335,6 +423,7 @@ class _InformationSet:
 
     def __init__(self, code: AdditiveCode):
         ctx = code.ctx
+        self.field = ctx.field_qt
         self.p, self.n, self.met = ctx.p, ctx.n, ctx.field_qt.m
         # over a prime field the expansion basis is 1, x, ..., x^(t-1) (x
         # generates every field a context builds), so the F_p generator is
@@ -354,6 +443,7 @@ class _InformationSet:
         levels = 1
         while levels < len(self.sizes) and self.bound(levels) < ub0:
             levels += 1
+        self.levels = levels
         e = [1] + [0] * levels            # exact integers: no int64 wrap
         for z in self.sizes.tolist():
             for w in range(levels, 0, -1):
@@ -364,26 +454,95 @@ class _InformationSet:
         """Least weight of a word unseen once information weights <= w are done."""
         return -(-(w + 1) * self.n // len(self.starts)) if self.cyclic else w + 1
 
+    def _layout(self) -> _Blocks:
+        """The sub-blocks of every block and where their tables lie."""
+        p = self.p
+        width = 1
+        while p ** (width + 1) <= ENUM_CHUNK:
+            width += 1
+        sizes = self.sizes.tolist()
+        J = -(-max(sizes) // width)
+        subs, row, start, size = [], [], [], 0
+        for b, z in zip(self.starts.tolist(), sizes):
+            for d in range(0, J * width, width):
+                part = min(width, max(0, z - d))
+                subs.append((size if part else 0, p ** d, p ** part))
+                if part:
+                    row.append(b + d)
+                    start.append(size)
+                    size += p ** part
+        off, div, mod = np.array(subs).reshape(len(sizes), J, 3).transpose(2, 0, 1)
+        whole = [int(z <= width) for z in sizes]
+        norm, nonzero, c0, cols, high = np.array(
+            [((p ** z - 1) // (p - 1), p ** z - 1, c, p ** min(z, width) - c,
+              p ** max(0, z - width)) for z, c in zip(sizes, whole)]).T
+        lead = p ** np.arange(max(sizes))
+        return _Blocks(taps=min(width, max(sizes)), norm=norm, nonzero=nonzero, lead=lead,
+                       first=(lead - 1) // (p - 1), off=off, div=div, mod=mod,
+                       row=np.array(row), start=np.array(start), size=size,
+                       c0=c0, cols=cols, high=high)
+
+    def _rows(self, blocks: _Blocks, t: np.ndarray) -> np.ndarray:
+        """Rows t of the sub-block tables, as symbols.  Row off + u of a
+        sub-block is the digits of u times its generator rows, in one exact
+        integer product, mod p."""
+        p = self.p
+        sub = np.searchsorted(blocks.start, t, side="right") - 1
+        taps = np.arange(blocks.taps)
+        gen = self.gen[np.minimum(blocks.row[sub, None] + taps, len(self.gen) - 1)]
+        digits = (t - blocks.start[sub])[:, None] // p ** taps % p
+        words = np.einsum("rz,rzc->rc", digits, gen) % p
+        symbols = words.reshape(len(t), self.n, self.met) @ p ** np.arange(self.met)
+        return symbols.astype(self.field.vdtype)
+
     def certify(self) -> DistanceCertificate:
-        """Brouwer-Zimmermann: enumerate the information set by information weight."""
-        p, n, met = self.p, self.n, self.met
-        gen = self.gen.astype(np.float64)
-        # the exact float64 product fits this integer type
-        itype = np.int32 if (p - 1) ** 2 * len(gen) < 2 ** 31 else np.int64
+        """Brouwer-Zimmermann: enumerate the information set by information
+        weight, each word a sum of block-table rows.
+
+        A grid row's words are its partial word plus each of its columns.
+        Symbol j of such a sum is zero exactly where the column's symbol j is
+        the negation of the partial word's, so a row's weights are counted
+        against that negation, and only the lightest word is summed.
+        """
+        n, f = self.n, self.field
+        blocks = self._layout()
+        weight = np.min_scalar_type(n + 1)
         ub, best, examined = n + 1, None, 0
         for w in range(1, len(self.starts) + 1):
             if self.bound(w - 1) >= ub:
                 break
-            for X in _information_weight_level(w, self.starts, self.sizes, p):
-                words = (X @ gen).astype(itype) % p
-                wt = _weights(words, n, met)
+            if w == 1:
+                # level 1 reads each normalised row once: the tables are
+                # built only when a later level may run (see __init__)
+                read = partial(self._rows, blocks)
+                if self.levels > 1:
+                    table = self._rows(blocks, np.arange(blocks.size))
+                    read = table.__getitem__
+            if w == 2:
+                k = np.minimum(np.arange(int(blocks.cols.max())), blocks.cols[:, None] - 1)
+                columns = table[(blocks.off[:, 0] + blocks.c0)[:, None] + k]    # (s, K, n)
+            for terms, last, valid, count in _information_weight_level(w, blocks):
+                part = read(terms[:, 0])
+                index = np.empty(part.shape, dtype=np.intp)
+                for j in range(1, terms.shape[1]):
+                    f.vadd(part, read(terms[:, j]), out=part, index=index)
+                if last is None:
+                    wt = np.count_nonzero(part, axis=1).astype(weight)[:, None]
+                else:
+                    grid = columns[last]
+                    neg = f.vsub(0, part, out=np.empty_like(part), index=index)
+                    wt = (grid != neg[:, None, :]).sum(axis=2, dtype=weight)
+                    if valid is not None:
+                        wt[~valid] = n + 1
                 i = int(wt.argmin())
-                examined += len(X)
-                if wt[i] < ub:
-                    ub, best = int(wt[i]), words[i]
+                examined += count
+                if wt.flat[i] < ub:
+                    r, k = divmod(i, wt.shape[1])
+                    ub, best = int(wt.flat[i]), (
+                        part[r] if last is None else f.vadd(part[r], grid[r, k]))
                 if self.bound(w - 1) >= ub:
                     break
-        return DistanceCertificate(ub, ub, _symbols(best, n, met, p), INFO_SETS, examined)
+        return DistanceCertificate(ub, ub, tuple(best.tolist()), INFO_SETS, examined)
 
     def sample(self, samples: int, seed: int) -> DistanceCertificate:
         """Upper bound from the lightest reduced generator row and seeded

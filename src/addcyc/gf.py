@@ -827,10 +827,11 @@ class Field:
         np.add(np.multiply(a, self.order, out=index, dtype=np.intp), b, out=index, dtype=np.intp)
         return table.take(index, out=out, mode="clip")
 
-    def vadd(self, a, b) -> np.ndarray:
+    def vadd(self, a, b, out=None, index=None) -> np.ndarray:
+        """a + b; see :meth:`vmul` for ``out`` and ``index``."""
         if self._add is not None:
-            return self._gather(self._add, a, b, None, None)
-        return self._digitwise(a, b, 1)
+            return self._gather(self._add, a, b, out, index)
+        return self._into(out, self._digitwise(a, b, 1))
 
     def vsub(self, a, b, out=None, index=None) -> np.ndarray:
         """a - b; see :meth:`vmul` for ``out`` and ``index``."""

@@ -178,10 +178,10 @@ def _rref_block(f: Field, B: np.ndarray) -> np.ndarray:
 
     Step i scales row i, already reduced against the earlier pivots, by the
     inverse of its leading entry (``Field.vpow``) to a leading 1 (a zero row
-    stays zero) and subtracts its multiples from every other row.  A pivot
-    row stays zero left of its pivot and keeps its leading 1 (the later
-    pivot rows are zero in its column), so its leading column is the one
-    found at its step.
+    stays zero; over F_2 the entry is 1 already and nothing is scaled) and
+    subtracts its multiples from every other row.  A pivot row stays zero
+    left of its pivot and keeps its leading 1 (the later pivot rows are zero
+    in its column), so its leading column is the one found at its step.
 
     Over a prime field only the pivot row and the coefficient column are
     reduced mod p at a step; the other entries take at most r - 1 products
@@ -205,8 +205,9 @@ def _rref_block(f: Field, B: np.ndarray) -> np.ndarray:
         value = row.reshape(-1).take(at)
         lead[i] = np.where(value != 0, col, c)
         if prime:
-            row *= f.vpow(value, -1).astype(B.dtype)
-            _mod_p(row, f.p, prod[i])
+            if f.p > 2:               # over F_2 every leading entry is 1 already
+                row *= f.vpow(value, -1).astype(B.dtype)
+                _mod_p(row, f.p, prod[i])
             coef = _mod_p(B.reshape(r, -1).take(at, axis=1), f.p)
             coef[i] = 0
             np.multiply(coef[:, None], row, out=prod)

@@ -79,6 +79,17 @@ def test_is_cyclic():
     assert not is_cyclic(codes.code_from_vectors([v], CTX73))
 
 
+def test_is_cyclic_is_proved_once_per_code(monkeypatch):
+    """cyclic_span and min_distance both ask; the code keeps the answer."""
+    C = cyclic_span(refdata.row_for(3, 7).generator, CTX73)
+    N = codes.code_from_vectors([[1, 2, 0, 0, 0, 0, 0]], CTX73)
+    assert is_cyclic(C) and not is_cyclic(N)
+    monkeypatch.setattr(AdditiveCode, "contains_expansion",
+                        lambda *args: pytest.fail("cyclicity proved twice"))
+    assert is_cyclic(C) and not is_cyclic(N)
+    assert min_distance(C) == (refdata.row_for(3, 7).d, True)
+
+
 def test_dual_reference():
     C = cyclic_span(CTX73.atlas.idempotent(1, 0), CTX73)
     D = dual_delta(C)

@@ -6,8 +6,12 @@ symbol as nonzero when any of its t coordinates is.  It shares nothing with
 the information-set enumeration, which works on base-p digits of the F_p
 generator.  Cyclic codes are spans of a(X) * (X^n - 1) / m(X) for a small
 product m of F_q-factors; non-cyclic codes are spans of sparse random rows.
+A plain loop over the enumeration's words, in its order, pins what the
+table kernel must reproduce: the same lightest word first and the same
+count of words formed.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -107,14 +111,21 @@ def test_certificate_matches_brute_force(q, cyclic, seed, data):
     assert weight(sampled.witness) == sampled.ub
 
 
+def row_code(q, n, permuted=False):
+    """The table code of (q, n), or a column permutation of it, which is
+    not cyclic but has the same d."""
+    ctx = context(n, q, 2, paper=True)
+    C = codes.cyclic_span(refdata.row_for(q, n).generator, ctx)
+    if permuted:
+        perm = np.random.default_rng(1).permutation(n)
+        C = codes.code_from_vectors(C.basis_symbols()[:, perm], ctx)
+    return C
+
+
 @pytest.mark.parametrize("q, n", [(2, 19), (3, 7)])
 def test_non_cyclic_code_is_enumerated_without_the_shift_bound(q, n):
-    # permuting the columns of a table code breaks cyclicity but keeps d
     row = refdata.row_for(q, n)
-    ctx = context(n, q, 2, paper=True)
-    C = codes.cyclic_span(row.generator, ctx)
-    perm = np.random.default_rng(1).permutation(n)
-    P = codes.code_from_vectors(C.basis_symbols()[:, perm], ctx)
+    C, P = row_code(q, n), row_code(q, n, permuted=True)
     assert not codes.is_cyclic(P)
     cyc, non = codes.distance_certificate(C), codes.distance_certificate(P)
     assert (cyc.ub, non.ub, cyc.exact, non.exact) == (row.d, row.d, True, True)
@@ -159,3 +170,120 @@ def test_negative_budget_or_samples_are_refused(limits):
     C = codes.cyclic_span(refdata.row_for(3, 7).generator, context(7, 3, 2, paper=True))
     with pytest.raises(InvalidParameterError):
         codes.distance_certificate(C, **limits)
+
+
+#: (lb, ub, method, words_examined, witness) of the benchmark's rows and of
+#: the permuted (2, 19) and (3, 7) codes, as the float64 product gave them
+PINNED = [
+    (2, 11, False, (6, 6, codes.INFO_SETS, 105, (1, 0, 0, 0, 0, 1, 3, 3, 0, 2, 2))),
+    (2, 19, False, (8, 8, codes.INFO_SETS, 2619,
+                    (0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 1, 2, 2, 1, 1, 2, 0))),
+    (3, 7, False, (5, 5, codes.INFO_SETS, 12, (1, 0, 0, 1, 5, 2, 6))),
+    (5, 7, False, (5, 5, codes.INFO_SETS, 18, (1, 0, 0, 1, 9, 4, 20))),
+    (17, 7, False, (5, 5, codes.INFO_SETS, 54, (1, 0, 0, 1, 165, 16, 140))),
+    (2, 19, True, (8, 8, codes.INFO_SETS, 183_411,
+                   (0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 1, 3, 1, 1, 0, 3))),
+    (3, 7, True, (5, 5, codes.INFO_SETS, 364, (1, 0, 0, 5, 7, 7, 4))),
+]
+
+
+@pytest.mark.parametrize("q, n, permuted, want", PINNED)
+def test_certificates_are_pinned(q, n, permuted, want):
+    cert = codes.distance_certificate(row_code(q, n, permuted))
+    assert (cert.lb, cert.ub, cert.method, cert.words_examined, cert.witness) == want
+
+
+def reference_certificate(info):
+    """(ub, witness, words formed) of the enumeration, from a plain loop.
+
+    Words come support by support (lexicographic), the first block's value
+    normalised (highest nonzero digit 1), the last block's value fastest.
+    A level is cut into chunks of ``ENUM_CHUNK`` words per batch of
+    ``SUPPORT_BATCH`` supports, and stops after the chunk in which ub
+    reaches the level's bound.  Each word is its coefficient vector times
+    the F_p generator, mod p.
+    """
+    p, n, met = info.p, info.n, info.met
+    blocks = list(zip(info.starts.tolist(), info.sizes.tolist()))
+
+    def digits(v, z):
+        return [v // p ** i % p for i in range(z)]
+
+    def leading(v):
+        while v >= p:
+            v //= p
+        return v
+
+    def values(z, normalised):
+        return [v for v in range(1, p ** z) if not normalised or leading(v) == 1]
+
+    place = p ** np.arange(met)
+    ub, witness, formed = n + 1, None, 0
+    for w in range(1, len(blocks) + 1):
+        if info.bound(w - 1) >= ub:
+            break
+        supports = list(itertools.combinations(range(len(blocks)), w))
+        for s0 in range(0, len(supports), codes.SUPPORT_BATCH):
+            batch = []
+            for sup in supports[s0:s0 + codes.SUPPORT_BATCH]:
+                choices = [values(blocks[b][1], slot == 0) for slot, b in enumerate(sup)]
+                for combo in itertools.product(*choices):
+                    coeffs = [0] * len(info.gen)
+                    for b, v in zip(sup, combo):
+                        start, z = blocks[b]
+                        coeffs[start:start + z] = digits(v, z)
+                    batch.append(coeffs)
+            stop = False
+            for c0 in range(0, len(batch), codes.ENUM_CHUNK):
+                chunk = np.array(batch[c0:c0 + codes.ENUM_CHUNK]) @ info.gen % p
+                symbols = chunk.reshape(len(chunk), n, met) @ place
+                weights = (symbols != 0).sum(axis=1)
+                formed += len(chunk)
+                i = int(weights.argmin())
+                if weights[i] < ub:
+                    ub, witness = int(weights[i]), tuple(symbols[i].tolist())
+                if info.bound(w - 1) >= ub:
+                    stop = True
+                    break
+            if stop:
+                break
+    return ub, witness, formed
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from(PRIMES + PRIME_POWERS), cyclic=st.booleans(),
+       chunk=st.sampled_from([1, 2, 3, 8, 50]), batch=st.sampled_from([1, 3, 4096]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_small_chunks_and_split_blocks_keep_the_words_and_their_order(
+        q, cyclic, chunk, batch, seed, data):
+    """With ENUM_CHUNK small, levels take many chunks, a grid row can be cut
+    by a chunk or be longer than one, and blocks whose tables would exceed
+    ENUM_CHUNK rows are split into sub-blocks (every block at q = 3, 5, 7,
+    131, 257 when ENUM_CHUNK < p^2)."""
+    n = data.draw(st.sampled_from(lengths(q)))
+    ctx = context(n, q, 2)
+    rng = np.random.default_rng(seed)
+    C = (cyclic_case if cyclic else random_case)(ctx, rng, max(q ** 2, 2_000))
+    if C.k == 0:
+        return
+    d = int(brute_force_weights(C).min())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "ENUM_CHUNK", chunk)
+        mp.setattr(codes, "SUPPORT_BATCH", batch)
+        info = codes._InformationSet(C)
+        cert = info.certify()
+        assert (cert.ub, cert.witness, cert.words_examined) == reference_certificate(info)
+    assert cert.ub == d
+
+
+@pytest.mark.parametrize("chunk, batch", [(3, 1), (8, 4096), (50, 3)])
+@pytest.mark.parametrize("q, n, permuted", [(2, 11, False), (3, 7, True), (5, 7, True)])
+def test_small_chunks_on_deeper_levels(q, n, permuted, chunk, batch, monkeypatch):
+    """Codes whose enumeration reaches information weight 3, in many chunks,
+    with split blocks at p = 3 and 5 when ENUM_CHUNK < p^2."""
+    monkeypatch.setattr(codes, "ENUM_CHUNK", chunk)
+    monkeypatch.setattr(codes, "SUPPORT_BATCH", batch)
+    info = codes._InformationSet(row_code(q, n, permuted))
+    cert = info.certify()
+    assert (cert.ub, cert.witness, cert.words_examined) == reference_certificate(info)
+    assert cert.ub == refdata.row_for(q, n).d
