@@ -24,6 +24,7 @@ print("\nbundled good-code table:")
 for row in refdata.GOOD_CODE_TABLE:
     rctx = context(row.n, row.q, 2, paper=True)
     code = codes.cyclic_span(row.generator, rctx)
-    dd, ex = codes.min_distance(code, samples=500_000)
-    print(f"   q={row.q:>2} n={row.n:>2}: (n, ({row.q}^2)^{row.k}, {row.d})"
-          f"   computed d {'=' if ex else '<='} {dd} [{'exact' if ex else 'sampled bound'}]")
+    cert = codes.distance_certificate(code)
+    computed = (f"d = {cert.ub} [exact]" if cert.exact else
+                f"{cert.lb} <= d <= {cert.ub} [bound]")
+    print(f"   q={row.q:>2} n={row.n:>2}: (n, ({row.q}^2)^{row.k}, {row.d})   computed {computed}")

@@ -534,13 +534,11 @@ def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = Non
 
 def good_code_report(n: int, q: int, ctx: DeltaContext | None = None, *,
                      budget: int = codes_mod.EXHAUSTIVE_BUDGET,
-                     samples: int = codes_mod.SAMPLE_COUNT,
-                     seed: int = codes_mod.SAMPLE_SEED,
                      mode: str = "so", limit: int | None = None) -> list[dict]:
     """Records for the classified codes with (exact or bounded) min distances.
 
-    Sorted by (k ascending, d descending, canonical key); the zero code is
-    reported with d = None.
+    d is the certificate's ub and d_lb its lb.  Sorted by (k ascending, d
+    descending, canonical key); the zero code is reported with d = None.
     """
     out = []
     for idx, code in enumerate(enumerate_codes(n, q, mode, ctx)):
@@ -549,9 +547,8 @@ def good_code_report(n: int, q: int, ctx: DeltaContext | None = None, *,
         if code.k == 0:
             rec = codes_mod.code_record(code)
         else:
-            d, exact = codes_mod.min_distance(code, budget=budget,
-                                              samples=samples, seed=seed)
-            rec = codes_mod.code_record(code, d=d, d_exact=exact)
+            cert = codes_mod.distance_certificate(code, budget=budget)
+            rec = codes_mod.code_record(code, d=cert.ub, d_exact=cert.exact, d_lb=cert.lb)
         rec["basis_key"] = "|".join(",".join(r) for r in rec["basis"])
         out.append(rec)
     out.sort(key=lambda r: (r["k_fq"], -(r["d"] or 0), r["basis_key"]))

@@ -17,7 +17,7 @@ import sys
 
 from . import classify, codes, gf, polyring, structure, verify
 from .bilinear import DeltaContext
-from .codes import EXHAUSTIVE_BUDGET, SAMPLE_COUNT, SAMPLE_SEED
+from .codes import EXHAUSTIVE_BUDGET
 from .errors import InvalidParameterError
 
 
@@ -101,16 +101,14 @@ def cmd_dual(args):
 def cmd_mindist(args):
     ctx = _context(args)
     C = _code_from_args(args, ctx)
-    cert = codes.distance_certificate(C, budget=args.mindist_budget,
-                                      samples=args.samples, seed=args.seed)
-    payload = codes.code_record(C, d=cert.ub, d_exact=cert.exact)
+    cert = codes.distance_certificate(C, budget=args.mindist_budget)
+    payload = codes.code_record(C, d=cert.ub, d_exact=cert.exact, d_lb=cert.lb)
     witness = [gf.format_element(ctx.field_qt, c) for c in cert.witness]
     payload.update(lb=cert.lb, ub=cert.ub, method=cert.method,
                    words_examined=cert.words_examined, witness=witness)
-    kind = "exact" if cert.exact else "sampled upper bound"
-    _emit(args, payload,
-          f"d {'=' if cert.exact else '<='} {cert.ub} "
-          f"({kind}, {cert.method}, {cert.words_examined} words)")
+    bounds, kind = (f"d = {cert.ub}", "exact") if cert.exact else (
+        f"{cert.lb} <= d <= {cert.ub}", "bound")
+    _emit(args, payload, f"{bounds} ({kind}, {cert.method}, {cert.words_examined} words)")
 
 
 def cmd_enumerate(args):
@@ -139,20 +137,20 @@ def cmd_goodcodes(args):
     ctx = _context(args)
     records = classify.good_code_report(args.n, args.q, ctx,
                                         budget=args.mindist_budget,
-                                        samples=args.samples, seed=args.seed,
                                         mode=args.mode, limit=args.limit)
     if args.json:
         print(json.dumps(records, indent=2, sort_keys=True))
     else:
         for r in records:
-            flag = "exact" if r["d_exact"] else ("bound" if r["d"] is not None else "-")
+            flag = ("exact" if r["d_exact"] else
+                    f"bound, lb {r['d_lb']}" if r["d"] is not None else "-")
             print(f"k_fq={r['k_fq']:3d} d={r['d']!s:4s} [{flag}] "
                   f"sd={str(r['self_dual']):5s}")
         print(f"{len(records)} codes")
 
 
 def cmd_verify_paper(args):
-    results = verify.run_reference_checks(samples=args.samples, seed=args.seed)
+    results = verify.run_reference_checks()
     if args.json:
         payload = [{"name": r.name, "status": r.status, "detail": r.detail,
                     "seconds": round(r.seconds, 3)} for r in results]
@@ -178,16 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the bundled reference moduli")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    def sampling_opts(p):
-        p.add_argument("--samples", type=int, default=SAMPLE_COUNT,
-                       help="random draws for the sampled upper bound")
-        p.add_argument("--seed", type=int, default=SAMPLE_SEED)
-
     def mindist_opts(p):
         p.add_argument("--mindist-budget", type=int, default=EXHAUSTIVE_BUDGET,
-                       help="words the enumeration may form for an exact distance "
-                            "(information sets); codes that need more are sampled")
-        sampling_opts(p)
+                       help="words the information-set enumeration may form; a "
+                            "code that needs more is bounded by the levels it completes")
 
     def code_input(p):
         p.add_argument("--gen", help="generator coefficients; the code is its cyclic span")
@@ -246,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="re-derive the bundled reference data")
     p.add_argument("--json", action="store_true")
-    sampling_opts(p)
     p.set_defaults(func=cmd_verify_paper)
 
     return ap

@@ -8,8 +8,9 @@ against the twisted trace form of the code's own DeltaContext.  The
 minimum Hamming distance is certified exactly by Brouwer-Zimmermann
 enumeration of one information set by information weight (as extended to
 additive codes by White and Grassl), with the cyclic-shift bound on cyclic
-codes, when the words that enumeration will form fit a budget; beyond it a
-seeded random sample gives an upper bound.  Each block of the information
+codes.  A level runs only while the words formed through it stay below a
+budget; a code the budget stops is bounded below by the levels it completed
+and above by the lightest word seen.  Each block of the information
 set has a table of the symbol rows of its coefficient combinations, built
 by one exact integer product.  A word is the field sum of one table row
 per block of its support.  Its weight counts the positions where the last
@@ -38,9 +39,8 @@ from .errors import (
 from .ring import GroupAlgebraElement
 from . import gf
 
-#: exact certification cap, in words the information-set enumeration may
-#: form: a code whose enumeration needs fewer gets its d proved, the rest
-#: are sampled
+#: default cap, in words the information-set enumeration may form: a level
+#: past the first runs only if the words formed through it stay below it
 EXHAUSTIVE_BUDGET = 1 << 28
 #: words per chunk of the information-set enumeration, and the most rows of
 #: one sub-block's symbol table
@@ -50,12 +50,8 @@ SUPPORT_BATCH = 1 << 12
 #: refuse a level whose single support set has more words than this, so the
 #: int64 word counts of a batch of SUPPORT_BATCH supports cannot wrap
 MAX_SUPPORT_WORDS = 1 << 50
-#: DistanceCertificate.method values
+#: DistanceCertificate.method value
 INFO_SETS = "information sets"
-SAMPLING = "random sampling"
-#: default number of random codewords for the sampled upper bound
-SAMPLE_COUNT = 10_000_000
-SAMPLE_SEED = 0
 
 
 class AdditiveCode:
@@ -262,8 +258,8 @@ class DistanceCertificate:
     """Evidence for a minimum distance: lb <= d <= ub, and a codeword of weight ub.
 
     ``witness`` is that codeword as GF(q^t) symbols.  ``words_examined``
-    counts the codewords formed: one per F_p* class for the information-set
-    enumeration, one per draw for sampling.
+    counts the codewords the information-set enumeration formed, one per
+    F_p* class.
     """
 
     lb: int
@@ -274,8 +270,8 @@ class DistanceCertificate:
 
     @property
     def exact(self) -> bool:
-        """True for an enumeration that proved lb = ub; sampling never claims it."""
-        return self.method == INFO_SETS
+        """True when the bounds meet, so d = lb = ub is proved."""
+        return self.lb == self.ub
 
 
 def _normalised_value(i: np.ndarray, lead: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -435,10 +431,10 @@ class _InformationSet:
         self.sizes = np.diff(self.starts, append=len(self.gen))
         self.cyclic = is_cyclic(code)
         # words certify() forms at most, one per F_p* class: level w has
-        # e_w(p^z_b - 1) / (p - 1), e_w the elementary symmetric sum over the
-        # blocks.  Level 1 always runs and sees every generator row, so after
-        # it ub <= ub0, their least weight; a level w > 1 runs only if
-        # bound(w - 1) < ub0.
+        # counts[w - 1] = e_w(p^z_b - 1) / (p - 1), e_w the elementary
+        # symmetric sum over the blocks.  Level 1 always runs and sees every
+        # generator row, so after it ub <= ub0, their least weight; a level
+        # w > 1 runs only if bound(w - 1) < ub0.
         ub0 = int(_weights(self.gen, self.n, self.met).min())
         levels = 1
         while levels < len(self.sizes) and self.bound(levels) < ub0:
@@ -448,7 +444,7 @@ class _InformationSet:
         for z in self.sizes.tolist():
             for w in range(levels, 0, -1):
                 e[w] += e[w - 1] * (self.p ** z - 1)
-        self.words = sum(e[1:]) // (self.p - 1)
+        self.counts = [e_w // (self.p - 1) for e_w in e[1:]]
 
     def bound(self, w: int) -> int:
         """Least weight of a word unseen once information weights <= w are done."""
@@ -495,9 +491,14 @@ class _InformationSet:
         symbols = words.reshape(len(t), self.n, self.met) @ p ** np.arange(self.met)
         return symbols.astype(self.field.vdtype)
 
-    def certify(self) -> DistanceCertificate:
+    def certify(self, budget: int) -> DistanceCertificate:
         """Brouwer-Zimmermann: enumerate the information set by information
         weight, each word a sum of block-table rows.
+
+        Level 1 always runs; a later level w runs only if bound(w - 1) < ub
+        and the words formed through level w stay below ``budget``.  Once
+        the bound stops the loop, or every level has run, lb = ub = d; a
+        budget stop leaves lb = bound(w - 1), w - 1 the last level completed.
 
         A grid row's words are its partial word plus each of its columns.
         Symbol j of such a sum is zero exactly where the column's symbol j is
@@ -506,16 +507,21 @@ class _InformationSet:
         """
         n, f = self.n, self.field
         blocks = self._layout()
+        # the last level the budget lets run
+        top = max(1, sum(1 for c in itertools.accumulate(self.counts) if c < budget))
         weight = np.min_scalar_type(n + 1)
-        ub, best, examined = n + 1, None, 0
+        ub, lb, best, examined = n + 1, None, None, 0
         for w in range(1, len(self.starts) + 1):
             if self.bound(w - 1) >= ub:
+                break
+            if w > top:
+                lb = self.bound(w - 1)
                 break
             if w == 1:
                 # level 1 reads each normalised row once: the tables are
                 # built only when a later level may run (see __init__)
                 read = partial(self._rows, blocks)
-                if self.levels > 1:
+                if min(self.levels, top) > 1:
                     table = self._rows(blocks, np.arange(blocks.size))
                     read = table.__getitem__
             if w == 2:
@@ -542,64 +548,36 @@ class _InformationSet:
                         part[r] if last is None else f.vadd(part[r], grid[r, k]))
                 if self.bound(w - 1) >= ub:
                     break
-        return DistanceCertificate(ub, ub, tuple(best.tolist()), INFO_SETS, examined)
-
-    def sample(self, samples: int, seed: int) -> DistanceCertificate:
-        """Upper bound from the lightest reduced generator row and seeded
-        random combinations of the reduced rows."""
-        p, n, met = self.p, self.n, self.met
-        rng = np.random.default_rng(seed)
-        wt = _weights(self.gen, n, met)
-        best, witness, done = int(wt.min()), self.gen[wt.argmin()], 0
-        # float64 holds every dot product exactly: (p-1)^2 * len(gen) < 2^53
-        # for each p the field tables admit
-        gen = self.gen.astype(np.float64)
-        while done < samples:
-            take = min(1 << 18, samples - done)
-            coeffs = rng.integers(0, p, size=(take, len(gen))).astype(np.float64)
-            words = (coeffs @ gen).astype(np.int64) % p
-            w = _weights(words, n, met)
-            w[w == 0] = n + 1
-            i = int(w.argmin())
-            if w[i] < best:
-                best, witness = int(w[i]), words[i]
-            done += take
-        return DistanceCertificate(1, best, _symbols(witness, n, met, p), SAMPLING, samples)
+        return DistanceCertificate(ub if lb is None else lb, ub, tuple(best.tolist()),
+                                   INFO_SETS, examined)
 
 
-def _symbols(word: np.ndarray, n: int, met: int, p: int) -> tuple[int, ...]:
-    """GF(q^t) symbols of a digit row (position-major, base-p digits)."""
-    digits = np.asarray(word, dtype=np.int64).reshape(n, met)
-    return tuple(int(v) for v in digits @ p ** np.arange(met, dtype=np.int64))
-
-
-def distance_certificate(code: AdditiveCode, *, budget: int = EXHAUSTIVE_BUDGET,
-                         samples: int = SAMPLE_COUNT,
-                         seed: int = SAMPLE_SEED) -> DistanceCertificate:
+def distance_certificate(code: AdditiveCode, *,
+                         budget: int = EXHAUSTIVE_BUDGET) -> DistanceCertificate:
     """Bounds on the minimum Hamming distance, with a witness codeword.
 
-    The F_p generator is reduced once.  When the information-set
-    enumeration will form fewer than ``budget`` words, it certifies d
-    exactly (lb = ub); otherwise ``samples`` seeded random combinations give
-    an upper bound and lb is 1.
+    The F_p generator is reduced once and one information set of it is
+    enumerated by information weight.  A level past the first runs only if
+    the words formed through it stay below ``budget``.  An enumeration that
+    finishes proves d (lb = ub); one the budget stops gives the bound of the
+    levels it completed as lb and the lightest word seen as ub.
     """
-    if budget < 0 or samples < 0:
-        raise InvalidParameterError("budget and samples must be >= 0")
+    if budget < 0:
+        raise InvalidParameterError("budget must be >= 0")
     if code.k == 0:
         raise EmptyCodeError("the zero code has no minimum distance")
-    info = _InformationSet(code)
-    return info.certify() if info.words < budget else info.sample(samples, seed)
+    return _InformationSet(code).certify(budget)
 
 
-def min_distance(code: AdditiveCode, *, budget: int = EXHAUSTIVE_BUDGET,
-                 samples: int = SAMPLE_COUNT, seed: int = SAMPLE_SEED) -> tuple[int, bool]:
+def min_distance(code: AdditiveCode, *,
+                 budget: int = EXHAUSTIVE_BUDGET) -> tuple[int, bool]:
     """Minimum Hamming distance; returns (d, exact_flag).
 
-    Exact when the information-set enumeration forms fewer than ``budget``
-    words; otherwise a seeded random-combination upper bound flagged
-    exact=False.  See :func:`distance_certificate` for the evidence.
+    d is the certificate's ub: proved when the enumeration finishes within
+    ``budget``, otherwise an upper bound flagged exact=False.  See
+    :func:`distance_certificate` for the evidence.
     """
-    cert = distance_certificate(code, budget=budget, samples=samples, seed=seed)
+    cert = distance_certificate(code, budget=budget)
     return cert.ub, cert.exact
 
 
@@ -614,7 +592,8 @@ def generator_matrix_text(code: AdditiveCode) -> str:
 
 
 def code_record(code: AdditiveCode, *, d: int | None = None,
-                d_exact: bool | None = None) -> dict:
+                d_exact: bool | None = None, d_lb: int | None = None) -> dict:
+    """JSON-ready record of a code; ``d_lb`` <= d is the proved lower bound."""
     ctx = code.ctx
     return {
         "n": ctx.n,
@@ -624,6 +603,7 @@ def code_record(code: AdditiveCode, *, d: int | None = None,
         "cardinality_log": code.k,  # |C| = q^k_fq
         "d": d,
         "d_exact": d_exact,
+        "d_lb": d_lb,
         "basis": [[gf.format_element(ctx.field_qt, int(c)) for c in row]
                   for row in code.basis_symbols()],
         "self_orthogonal": is_self_orthogonal(code),

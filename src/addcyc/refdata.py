@@ -111,7 +111,8 @@ GOOD_CODE_TABLE: list[GoodCodeRow] = [
 ]
 
 #: rows whose d is not yet proved: their information-set enumeration needs
-#: more words than codes.EXHAUSTIVE_BUDGET, so d is bounded by sampling
+#: more words than codes.EXHAUSTIVE_BUDGET, so the budget stops it and lb is
+#: the bound of the levels it completed; ub = d with a witness of weight d
 UNPROVED_ROWS = [(5, 23), (7, 23), (11, 23), (13, 19)]
 
 

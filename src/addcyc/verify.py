@@ -5,7 +5,8 @@ idempotents, the published and complete counts, the showcase code), every
 good-code row and a cross-check at (3, 2).  verify-paper runs and renders
 every entry; the acceptance suite runs each entry as one test case.  A row
 passes only with an exact certificate (lb = ub = d, a witness of weight d in
-the code), or, for ``refdata.UNPROVED_ROWS`` alone, a sampled bound >= d.
+the code), or, for ``refdata.UNPROVED_ROWS`` alone, lb <= d = ub with that
+witness, which proves d <= the claimed d.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import classify, codes, gf, polyring, refdata
 from .bilinear import DeltaContext, delta_inner
-from .codes import SAMPLE_COUNT, SAMPLE_SEED
 
 
 @dataclass
@@ -152,22 +152,22 @@ def _showcase() -> tuple[bool, str]:
     return ok, f"k_fq = {C.k}, |C| = 9^3, d = {d} (exact={exact}), matches printed matrix: {C == ref}"
 
 
-def _table_row(row: refdata.GoodCodeRow, samples: int, seed: int) -> tuple[bool, str]:
+def _table_row(row: refdata.GoodCodeRow) -> tuple[bool, str]:
     ctx = DeltaContext(row.n, row.q, 2, paper=True)
     C = codes.cyclic_span(row.generator, ctx)
-    cert = codes.distance_certificate(C, samples=samples, seed=seed)
-    if cert.exact:
-        d_ok = (cert.lb == cert.ub == row.d and C.contains(list(cert.witness))
-                and sum(1 for s in cert.witness if s) == row.d)
-        kind = f"exact, {cert.words_examined} words, witness of weight {row.d} in C: {d_ok}"
-    else:
-        d_ok = (row.q, row.n) in refdata.UNPROVED_ROWS and cert.ub >= row.d
-        kind = f"sampled bound ({samples} draws)"
+    cert = codes.distance_certificate(C)
+    proved = (row.q, row.n) not in refdata.UNPROVED_ROWS
+    d_ok = ((cert.lb == row.d if proved else cert.lb <= row.d) and cert.ub == row.d
+            and C.contains(list(cert.witness))
+            and sum(1 for s in cert.witness if s) == row.d)
+    got, kind = (f"{cert.ub}", "exact") if cert.exact else (
+        f"{cert.lb} <= d <= {cert.ub}", "bound")
     conditions = {"cardinality": C.k == 2 * row.k, "cyclic": codes.is_cyclic(C),
                   "self-orthogonal": codes.is_self_orthogonal(C), "d": d_ok}
     return _verdict(conditions, (
         f"(q={row.q}, n={row.n}): cardinality ({row.q}^2)^{row.k}, cyclic, "
-        f"self-orthogonal, d {'=' if cert.exact else '>='} {row.d}: got {cert.ub} [{kind}]"))
+        f"self-orthogonal, d {'=' if proved else '<='} {row.d}: got {got} [{kind}, "
+        f"{cert.words_examined} words, witness of weight {row.d} in C: {d_ok}]"))
 
 
 def _cross_check() -> tuple[bool, str]:
@@ -182,13 +182,10 @@ def _cross_check() -> tuple[bool, str]:
         f"35 cyclic codes, enumeration equals the oracle: {got[0][2] and got[1][2]}")
 
 
-def reference_checks(*, samples: int = SAMPLE_COUNT, seed: int = SAMPLE_SEED) -> list[Check]:
-    """The registry of reference checks, in print order.
-
-    ``samples`` and ``seed`` drive the sampled bound of the unproved rows.
-    """
+def reference_checks() -> list[Check]:
+    """The registry of reference checks, in print order."""
     rows = [Check(f"row-q{row.q}-n{row.n}", f"good-code row q={row.q}, n={row.n}",
-                  functools.partial(_table_row, row, samples, seed))
+                  functools.partial(_table_row, row))
             for row in refdata.GOOD_CODE_TABLE]
     return [Check("factorisation", "factorisation of X^7 - 1", _factorisation),
             Check("idempotents", "primitive idempotents", _idempotents),
@@ -200,10 +197,9 @@ def reference_checks(*, samples: int = SAMPLE_COUNT, seed: int = SAMPLE_SEED) ->
             Check("cross-check", "derived cross-check at (3, 2)", _cross_check)]
 
 
-def run_reference_checks(*, samples: int = SAMPLE_COUNT,
-                         seed: int = SAMPLE_SEED) -> list[CheckResult]:
+def run_reference_checks() -> list[CheckResult]:
     """Run every reference check; returns the result list in print order."""
-    return [check() for check in reference_checks(samples=samples, seed=seed)]
+    return [check() for check in reference_checks()]
 
 
 def render(results: list[CheckResult]) -> str:

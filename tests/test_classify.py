@@ -319,6 +319,9 @@ def test_good_code_report_reference():
     report = classify.good_code_report(7, 3, CTX73)
     assert len(report) == 58
     assert any(r["k_fq"] == 6 and r["d"] == 5 and r["d_exact"] for r in report)
+    # the zero code has no d; every other d is proved within the default budget
+    assert report[0]["d"] is report[0]["d_lb"] is None
+    assert all(r["d_exact"] and r["d_lb"] == r["d"] for r in report[1:])
     ctx112 = context(11, 2, 2, paper=True)
     report112 = classify.good_code_report(11, 2, ctx112)
     assert any(r["k_fq"] == 10 and r["d"] == 6 and r["d_exact"] for r in report112)

@@ -69,9 +69,14 @@ def test_form_and_mindist(capsys):
     assert (data["d"], data["d_exact"], data["lb"], data["ub"]) == (5, True, 5, 5)
     assert data["method"] == "information sets" and data["words_examined"] == 12
     assert len(data["witness"]) == 7 and sum(tok != "0" for tok in data["witness"]) == 5
-    code, out, _ = run(capsys, "mindist", "-n", "7", "-q", "3", "--paper-fields",
-                       "--gen", gen, "--mindist-budget", "1", "--samples", "1000")
-    assert code == 0 and out.startswith("d <= ") and "(sampled upper bound, random sampling, 1000 words)" in out
+    # a budget of one word stops the (2, 11) row after information weight 1
+    row = refdata.row_for(2, 11)
+    argv = ("mindist", "-n", "11", "-q", "2", "--paper-fields", "--gen", row.generator,
+            "--mindist-budget", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "5 <= d <= 6 (bound, information sets, 15 words)\n"
+    data = json.loads(run(capsys, *argv, "--json")[1])
+    assert (data["d"], data["d_exact"], data["d_lb"], data["lb"], data["ub"]) == (6, False, 5, 5, 6)
 
 
 def test_dual(capsys):
@@ -87,6 +92,15 @@ def test_goodcodes(capsys):
     data = json.loads(out)
     assert len(data) == 68
     assert any(r["k_fq"] == 10 and r["d"] == 6 and r["d_exact"] for r in data)
+    assert all(r["d_lb"] == r["d"] for r in data if r["d_exact"])
+    # a budget of one word bounds the codes that need information weight 2
+    code, out, _ = run(capsys, "goodcodes", "-n", "11", "-q", "2", "--mindist-budget", "1")
+    assert code == 0 and "d=6    [bound, lb 5]" in out and "d=11   [exact]" in out
+    data = json.loads(run(capsys, "goodcodes", "-n", "11", "-q", "2",
+                          "--mindist-budget", "1", "--json")[1])
+    assert data[0]["d"] is data[0]["d_lb"] is None
+    bounded = [r for r in data[1:] if not r["d_exact"]]
+    assert bounded and all(r["d_lb"] < r["d"] for r in bounded)
 
 
 def test_bracketed_generator_tokens(capsys):
@@ -121,7 +135,7 @@ def test_error_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ("mindist", "--gen", "1,1,2,9"),       # used to read "9" as 0: d = 1
     ("mindist", "--gen", "1,1,2,-1"),      # used to read "-1" as 2
-    ("mindist", "--gen", "1,1,2", "--samples", "-5", "--mindist-budget", "0"),
+    ("mindist", "--gen", "1,1,2,0,0,0,0,1"),  # eight coefficients for n = 7
     ("mindist", "--gen", "1,1,2", "--mindist-budget", "-1"),
 ])
 def test_out_of_range_values_are_refused(capsys, argv):
@@ -143,9 +157,17 @@ def test_deterministic_json(capsys):
     assert out1 == out2
 
 
-def test_verify_paper_small_budget(capsys):
-    # a small sampling budget: only the four unproved rows sample
-    code, out, _ = run(capsys, "verify-paper", "--samples", "1000", "--json")
+@pytest.mark.parametrize("argv", [("mindist", "-n", "7", "-q", "3", "--gen", "1,1,2"),
+                                  ("goodcodes", "-n", "7", "-q", "3"), ("verify-paper",)])
+@pytest.mark.parametrize("flag", ["--samples", "--seed"])
+def test_no_sampling_options(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "5"])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_paper_json(capsys):
+    code, out, _ = run(capsys, "verify-paper", "--json")
     data = json.loads(out)
     assert code == 0
     assert [r["status"] for r in data] == ["PASS"] * len(data) and len(data) == 21
@@ -154,7 +176,7 @@ def test_verify_paper_small_budget(capsys):
         detail = next(r["detail"] for r in data
                       if r["name"] == f"good-code row q={row.q}, n={row.n}")
         kinds[row.q, row.n] = ("exact" if f"got {row.d} [exact," in detail else
-                               "bound" if "[sampled bound (1000 draws)]" in detail else detail)
+                               "bound" if f" <= d <= {row.d} [bound," in detail else detail)
     assert {key for key, kind in kinds.items() if kind == "exact"} == {
         (2, 11), (2, 19), (3, 7), (3, 19), (5, 7), (7, 11), (13, 11), (17, 7),
         (17, 11), (19, 7), (19, 11)}

@@ -155,15 +155,15 @@ def test_min_distance_reference_rows():
     assert min_distance(C) == (6, True)
 
 
-def test_min_distance_sampled_vs_exact():
+def test_min_distance_budget_one_bounds_the_exact_d():
     rng = random.Random(3)
     for _ in range(10):
         C = rand_code(CTX73, rng, rows=rng.randrange(2, 7))
         d_exact, flag = min_distance(C)
         assert flag
-        d_bound, flag2 = min_distance(C, budget=1, samples=40_000, seed=11)
-        assert not flag2
-        assert d_bound >= d_exact
+        cert = codes.distance_certificate(C, budget=1)
+        assert cert.lb <= d_exact <= cert.ub
+        assert min_distance(C, budget=1) == (cert.ub, cert.exact)
 
 
 def brute_force_distance(code):
@@ -184,7 +184,8 @@ def test_min_distance_wide_prime_matches_brute_force(q):
         C = codes.code_from_vectors(rng.integers(0, q * q, size=(2, 3)).tolist(), ctx)
         want = brute_force_distance(C)
         assert min_distance(C) == (want, True)
-        assert min_distance(C, budget=1, samples=1 << 17, seed=1) == (want, False)
+        cert = codes.distance_certificate(C, budget=1)
+        assert cert.lb <= want <= cert.ub and (cert.ub == want or not cert.exact)
 
 
 def test_min_distance_empty():
@@ -220,10 +221,10 @@ def test_componentwise_orthogonality_matches_global():
 def test_code_record_shape():
     C = cyclic_span(CTX73.atlas.idempotent(1, 0), CTX73)
     d, exact = codes.min_distance(C)
-    rec = codes.code_record(C, d=d, d_exact=exact)
+    rec = codes.code_record(C, d=d, d_exact=exact, d_lb=d)
     assert rec["n"] == 7 and rec["q"] == 3 and rec["t"] == 2
     assert rec["k_fq"] == 6 and rec["cardinality_log"] == 6
-    assert rec["d"] == 5 and rec["d_exact"] is True
+    assert rec["d"] == 5 and rec["d_exact"] is True and rec["d_lb"] == 5
     assert rec["self_orthogonal"] and not rec["self_dual"] and rec["cyclic"]
     assert len(rec["basis"]) == 6 and len(rec["basis"][0]) == 7
     text = codes.generator_matrix_text(C)

@@ -92,23 +92,28 @@ def test_certificate_matches_brute_force(q, cyclic, seed, data):
     d = int(weights.min())
     cert = codes.distance_certificate(C, budget=q ** C.k)
     assert (cert.ub, cert.exact) == (d, True)
-    # the gate predicts the words formed from above, and below q^k
-    predicted = codes._InformationSet(C).words
+    # the per-level counts predict the words formed from above, and below q^k
+    info = codes._InformationSet(C)
+    predicted = sum(info.counts)
     assert cert.words_examined <= predicted < q ** C.k
     assert codes.distance_certificate(C, budget=predicted + 1) == cert
-    assert not codes.distance_certificate(C, budget=predicted, samples=1).exact
-    assert cert.lb <= d <= cert.ub
+    assert codes.distance_certificate(C) == cert
     assert cert.method == codes.INFO_SETS
     assert C.contains(list(cert.witness)) and weight(cert.witness) == d
     # one word per F_p* class at most
     assert 0 < cert.words_examined <= len(weights) // (ctx.p - 1)
     assert codes.min_distance(C) == (d, True)
-    # the sampled path bounds d from above and keeps its witness
-    sampled = codes.distance_certificate(C, budget=1, samples=500, seed=seed)
-    assert not sampled.exact and sampled.method == codes.SAMPLING
-    assert sampled.lb <= d <= sampled.ub
-    assert C.contains(list(sampled.witness))
-    assert weight(sampled.witness) == sampled.ub
+    # budgets at every level boundary: the levels the budget lets run bound
+    # d from below, the lightest word seen bounds it from above
+    through = list(itertools.accumulate(info.counts))
+    for budget in sorted({1} | {c + delta for c in through for delta in (-1, 0, 1)}):
+        part = codes.distance_certificate(C, budget=budget)
+        assert part.lb <= d <= part.ub, budget
+        assert C.contains(list(part.witness)) and weight(part.witness) == part.ub
+        assert part.exact == (part.lb == part.ub)
+        assert not part.exact or part.ub == d
+        # level 1 always runs; a later level only within the budget
+        assert part.words_examined < max(budget, info.counts[0] + 1)
 
 
 def row_code(q, n, permuted=False):
@@ -133,13 +138,16 @@ def test_non_cyclic_code_is_enumerated_without_the_shift_bound(q, n):
     assert P.contains(list(non.witness)) and weight(non.witness) == row.d
 
 
-def test_sampler_starts_at_the_lightest_generator_row():
-    """One draw already reaches the claimed d of an unproved row: the
-    sampled bound starts at the lightest reduced generator row, a codeword."""
+def test_budget_bounds_an_unproved_row_by_the_levels_it_completed():
+    """Level 1 alone already reaches the claimed d of an unproved row, and
+    proves d >= bound(1): every word of information weight 1 is seen."""
     row = refdata.row_for(13, 19)
     C = codes.cyclic_span(row.generator, context(19, 13, 2, paper=True))
-    cert = codes.distance_certificate(C, budget=1, samples=1)
-    assert (cert.lb, cert.ub, cert.method, cert.exact) == (1, 11, codes.SAMPLING, False)
+    info = codes._InformationSet(C)
+    cert = codes.distance_certificate(C, budget=1)
+    assert (cert.lb, cert.ub, cert.method, cert.exact) == (info.bound(1), 11,
+                                                          codes.INFO_SETS, False)
+    assert cert.words_examined == info.counts[0]
     assert C.contains(list(cert.witness)) and weight(cert.witness) == 11
 
 
@@ -164,12 +172,10 @@ def test_level_too_large_for_int64_counts_is_refused_only_when_needed(monkeypatc
         codes.distance_certificate(C, budget=13 ** C.k)
 
 
-@pytest.mark.parametrize("limits", [{"samples": -5, "budget": 0}, {"budget": -1}])
-def test_negative_budget_or_samples_are_refused(limits):
-    """They used to report a bound from "-5 words"."""
+def test_negative_budget_is_refused():
     C = codes.cyclic_span(refdata.row_for(3, 7).generator, context(7, 3, 2, paper=True))
     with pytest.raises(InvalidParameterError):
-        codes.distance_certificate(C, **limits)
+        codes.distance_certificate(C, budget=-1)
 
 
 #: (lb, ub, method, words_examined, witness) of the benchmark's rows and of
@@ -271,7 +277,7 @@ def test_small_chunks_and_split_blocks_keep_the_words_and_their_order(
         mp.setattr(codes, "ENUM_CHUNK", chunk)
         mp.setattr(codes, "SUPPORT_BATCH", batch)
         info = codes._InformationSet(C)
-        cert = info.certify()
+        cert = info.certify(codes.EXHAUSTIVE_BUDGET)
         assert (cert.ub, cert.witness, cert.words_examined) == reference_certificate(info)
     assert cert.ub == d
 
@@ -284,6 +290,6 @@ def test_small_chunks_on_deeper_levels(q, n, permuted, chunk, batch, monkeypatch
     monkeypatch.setattr(codes, "ENUM_CHUNK", chunk)
     monkeypatch.setattr(codes, "SUPPORT_BATCH", batch)
     info = codes._InformationSet(row_code(q, n, permuted))
-    cert = info.certify()
+    cert = info.certify(codes.EXHAUSTIVE_BUDGET)
     assert (cert.ub, cert.witness, cert.words_examined) == reference_certificate(info)
     assert cert.ub == refdata.row_for(q, n).d
