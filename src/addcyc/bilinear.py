@@ -12,14 +12,19 @@ Two deliberately independent implementations are kept side by side:
 The coefficient of X^k in the second equals (a, sigma^k(b)) under the first,
 which the test suite exercises as the master cross-check between the two.
 
-The context also precomputes the coordinate expansion GF(q^t)^n = F_q^(tn)
-and the t x t block Gram matrix of the form, which back the vectorised bulk
-operations the code layers run on.
+The context also holds the coordinate expansion GF(q^t)^n = F_q^(tn) and
+the t x t block Gram matrix of the form, which back the vectorised bulk
+operations the code layers run on.  The expansion is F_p-linear on base-p
+digits and builds no table of GF(q^t): over a prime field the coordinates in
+the basis 1, g, ..., g^(t-1) are the digits themselves (g = x), and over
+GF(p^e), e > 1, one change of basis maps them to groups of e digits, each
+packed into an element of F_q.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -32,10 +37,12 @@ from .structure import build_atlas, build_coset_table, check_parameters
 class DeltaContext:
     """Ambient data for the twisted trace form on GF(q^t)^n.
 
-    Holds the two fields, the twist element gamma, the F_q coordinate
-    expansion of GF(q^t), the coset table, and (lazily) the ideal atlas for
-    the same parameters, which shares that table (``ctx.table is
-    ctx.atlas.table``).  Only the atlas needs the splitting field of X^n - 1.
+    Holds the two fields, the twist element gamma, the embedding of F_q in
+    GF(q^t), the change of basis of the F_q coordinate expansion, the coset
+    table, and (lazily) the ideal atlas for the same parameters, which
+    shares that table (``ctx.table is ctx.atlas.table``).  Only the atlas
+    needs the splitting field of X^n - 1; nothing else holds an array with
+    q or q^t entries.
     """
 
     def __init__(self, n: int, q: int, t: int = 2, *, paper: bool = False):
@@ -66,83 +73,76 @@ class DeltaContext:
     # -- F_q coordinates on GF(q^t) -------------------------------------------------
 
     def _build_expansion(self):
-        """Choose an F_q-basis of GF(q^t) and tabulate both coordinate maps."""
-        fqt, fq = self.field_qt, self.field_q
-        p, e, t = self.p, self.e, self.t
+        """The F_q-basis g^0, ..., g^(t-1) of GF(q^t) and its change of basis
+        on base-p digits."""
+        fqt = self.field_qt
         # the generator g is primitive, so its minimal polynomial over F_q has
         # degree t and 1, g, ..., g^(t-1) are F_q-independent
-        basis = [fqt.pow(fqt.generator, s) for s in range(t)]
-        self.fq_basis = basis
-        Minv = linalg.inverse(gf.field(p), self._basis_matrix(basis))
-        assert Minv is not None, "1, g, ..., g^(t-1) must be an F_q-basis of GF(q^t)"
-        # all-element digit matrix (Q_t x e*t) -> F_q coordinates (Q_t x t)
-        vals = np.arange(fqt.order, dtype=np.int64)
-        coords_p = (fqt.vdigits(vals) @ Minv.T) % p
-        powers = p ** np.arange(e, dtype=np.int64)
-        expand = np.zeros((fqt.order, t), dtype=np.int64)
-        for s in range(t):
-            expand[:, s] = coords_p[:, s * e:(s + 1) * e] @ powers
-        self.expand_table = expand
-        # inverse of expand: element indexed by its coordinates read base q
-        self._compress_index = np.empty(fqt.order, dtype=np.int64)
-        self._compress_index[expand @ self._coord_weights()] = vals
+        self.fq_basis = [fqt.pow(fqt.generator, s) for s in range(self.t)]
+        self._basis = self._basis_matrix()
+        if self.e == 1:
+            # over a prime field g = x, so the basis is the polynomial basis
+            assert (self._basis == np.eye(self.t)).all()
+        else:
+            self._Minv = linalg.inverse(gf.field(self.p), self._basis)
+            assert self._Minv is not None, "1, g, ..., g^(t-1) must be an F_q-basis of GF(q^t)"
 
-    def _basis_matrix(self, basis) -> np.ndarray:
-        """Columns are vec_p(embed(w_u) * x_s) for the F_p basis w_u of F_q."""
+    def _basis_matrix(self) -> np.ndarray:
+        """Columns are the digits of embed(w_u) * g^s, s < t, u < e, for the
+        F_p basis w_u = x^u of F_q."""
         fqt = self.field_qt
-        p, e = self.p, self.e
-        cols = []
-        for x in basis:
-            for u in range(e):
-                w_u = self._embed_q.embed(self.field_q.encode([0] * u + [1]))
-                cols.append(fqt.decode(fqt.mul(w_u, x)))
-        return np.array(cols, dtype=np.int64).T % p
+        w = fqt.vencode(self._embed_q.matrix)
+        return np.array([fqt.decode(fqt.mul(int(w_u), g_s))
+                         for g_s in self.fq_basis for w_u in w], dtype=np.int64).T
 
     def expand(self, symbols) -> np.ndarray:
-        """GF(q^t) symbol array (..., n) -> F_q coordinate array (..., n*t)."""
+        """GF(q^t) symbol array (..., n) -> F_q coordinate array (..., n*t).
+
+        Over a prime field the coordinates are the base-p digits; over
+        GF(p^e), e > 1, the digits go through the change of basis and each
+        group of e of them is packed into an element of F_q."""
         arr = np.asarray(symbols, dtype=np.int64)
         order = self.field_qt.order
         if arr.ndim == 0 or (arr.size and (arr.min() < 0 or arr.max() >= order)):
             raise CoercionError(f"symbols must be an array of GF({order}) "
                                 f"elements in [0, {order})")
-        out = self.expand_table[arr]          # (..., n, t)
+        out = self.field_qt.vdigits(arr)      # (..., n, e*t)
+        if self.e > 1:
+            coords = out @ self._Minv.T % self.p
+            out = self.field_q.vencode(coords.reshape(arr.shape + (self.t, self.e)))
         return out.reshape(arr.shape[:-1] + (arr.shape[-1] * self.t,))
 
-    def _coord_weights(self) -> np.ndarray:
-        return self.q ** np.arange(self.t, dtype=np.int64)
-
     def compress(self, coords) -> np.ndarray:
-        """F_q coordinate array (..., n*t) -> GF(q^t) symbol array (..., n)."""
+        """F_q coordinate array (..., n*t) -> GF(q^t) symbol array (..., n),
+        the inverse of :meth:`expand`."""
         arr = np.asarray(coords, dtype=np.int64)
         if arr.size and (arr.min() < 0 or arr.max() >= self.q):
             raise CoercionError(f"F_q coordinates must lie in [0, {self.q})")
         if arr.ndim == 0 or arr.shape[-1] % self.t:
             raise CoercionError(f"the last axis must hold t = {self.t} coordinates "
                                 f"per symbol; got shape {arr.shape}")
-        shape = arr.shape[:-1] + (arr.shape[-1] // self.t,)
-        return self._compress_index[arr.reshape(-1, self.t) @ self._coord_weights()].reshape(shape)
+        digits = arr.reshape(arr.shape[:-1] + (-1, self.t))
+        if self.e > 1:
+            coords_p = self.field_q.vdigits(digits).reshape(digits.shape[:-1] + (-1,))
+            digits = coords_p @ self._basis.T % self.p
+        return self.field_qt.vencode(digits)
 
-    def retract_scalar(self, y: int) -> int:
+    def retract_scalar(self, y):
         return self._embed_q.retract(y)
 
-    def embed_scalar(self, c: int) -> int:
+    def embed_scalar(self, c):
         return self._embed_q.embed(c)
 
     def lift_to_big_ring(self, a: GroupAlgebraElement) -> GroupAlgebraElement:
         """R_n over F_q -> R_n over F_{q^t}, embedding coefficients."""
-        return self.ring.element(self._embed_q.embed(c) for c in a.coeffs)
+        return self.ring.element(self._embed_q.embed(np.array(a.coeffs)))
 
     # -- Gram data -------------------------------------------------------------------
 
     def _build_gram(self):
         """t x t position-block Gram matrix of the form, over F_q."""
-        t = self.t
-        G0 = np.zeros((t, t), dtype=np.int64)
-        for c in range(t):
-            for d in range(t):
-                val = self._inner_term(self.fq_basis[c], self.fq_basis[d])
-                G0[c, d] = self.retract_scalar(val)
-        self.gram_block = G0
+        vals = [[self._inner_term(x, y) for y in self.fq_basis] for x in self.fq_basis]
+        self.gram_block = self.retract_scalar(np.array(vals))
 
     def _inner_term(self, x: int, y: int) -> int:
         """Tr_{q,t}(gamma * x * psi(y^(q^(t/2)))) as an element of GF(q^t)."""
@@ -176,8 +176,11 @@ def _coerce_vector(v, ctx: DeltaContext) -> tuple[int, ...]:
         if v.ring.field is not ctx.field_qt:
             raise FieldMismatchError("vector over a different field")
         return v.coeffs
-    coeffs = tuple(int(c) for c in v)
-    return coeffs
+    coeffs = tuple(v)
+    order = ctx.field_qt.order
+    if not all(isinstance(c, numbers.Integral) and 0 <= c < order for c in coeffs):
+        raise CoercionError(f"vector entries must be integers in [0, {order})")
+    return tuple(int(c) for c in coeffs)
 
 
 def delta_inner(a, b, ctx: DeltaContext) -> int:
@@ -206,7 +209,7 @@ def delta_form(a: GroupAlgebraElement, b: GroupAlgebraElement,
     acc = ctx.ring.zero()
     for u in range(t):
         acc = acc + prod.tau(q ** u, 1)
-    return ctx.ring_q.element(ctx.retract_scalar(c) for c in acc.coeffs)
+    return ctx.ring_q.element(ctx.retract_scalar(np.array(acc.coeffs)))
 
 
 def module_law_check(f: GroupAlgebraElement, a: GroupAlgebraElement,

@@ -238,9 +238,10 @@ def _prime_generator_digits(code: AdditiveCode) -> np.ndarray:
     """
     ctx = code.ctx
     sym = code.basis_symbols()
-    stacked = np.concatenate([
+    # the basis element 1 needs no product, which above gf.TABLE_LIMIT has no tables
+    stacked = np.concatenate([sym] + [
         ctx.field_qt.vmul(np.int64(ctx.embed_scalar(ctx.field_q.encode([0] * u + [1]))), sym)
-        for u in range(ctx.e)])
+        for u in range(1, ctx.e)])
     return ctx.field_qt.vdigits(stacked).reshape(stacked.shape[0], -1)
 
 

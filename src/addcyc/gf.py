@@ -628,6 +628,8 @@ class Field:
         self.order = p ** m
         self.modulus = modulus
         self._red = _reduction_matrix(modulus, p)
+        self._weights = np.array([p ** i for i in range(m)],
+                                 dtype=np.int64 if self.order <= 2 ** 63 else object)
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._pow_luts: dict[int, np.ndarray] = {}
@@ -757,17 +759,16 @@ class Field:
             raise TooLargeError(
                 f"field of order {self.order} exceeds the {TABLE_LIMIT} table limit")
         q1 = self.order - 1
-        p, m, red = self.p, self.m, self._red
+        p, red = self.p, self._red
         # a block of g^0..g^(k-1), k <= 4096, by doubling; then each block is
         # the previous one times g^k
         g = self._digits(self.generator)
         block = _power_rows(g, min(q1, 1 << 12), red, p)
         step = _mulmod(block[-1], g, red, p)
-        weights = p ** np.arange(m, dtype=np.int64)
-        parts = [block @ weights]
+        parts = [self.vencode(block)]
         for _ in range(1, -(-q1 // len(block))):
             block = _mulmod(block, step, red, p)
-            parts.append(block @ weights)
+            parts.append(self.vencode(block))
         exp = np.concatenate(parts)[:q1]
         log = np.full(self.order, -1, dtype=np.int64)
         log[exp] = np.arange(q1)
@@ -808,6 +809,12 @@ class Field:
         if self._digit_table is not None:
             return self._digit_table.take(a, axis=0)
         return np.asarray(a, dtype=np.int64)[..., None] // self.p ** np.arange(self.m) % self.p
+
+    def vencode(self, digits):
+        """The elements of base-p digit rows (..., m), the inverse of
+        :meth:`vdigits`; an int for one row."""
+        out = np.asarray(digits) @ self._weights
+        return int(out) if out.ndim == 0 else out
 
     @property
     def vdtype(self):
@@ -958,8 +965,9 @@ def parse_field_spec(spec: str) -> Field:
     return field(p, m, modulus=modulus)
 
 
-def linear_factor_product(f: Field, a: int, exponents) -> tuple[int, ...]:
-    """Coefficients, low to high, of the product of X - a^k over ``exponents``.
+def linear_factor_product(f: Field, a: int, exponents) -> np.ndarray:
+    """The base-p digit rows of the coefficients, low to high, of the
+    product of X - a^k over ``exponents``.
 
     The powers of a come from one doubling, and each linear factor costs one
     product of all the coefficient rows (base-p digits) by its root, so no
@@ -975,7 +983,7 @@ def linear_factor_product(f: Field, a: int, exponents) -> tuple[int, ...]:
         nxt = np.concatenate([np.zeros_like(coeffs[:1]), coeffs])
         nxt[:-1] -= _mulmod(coeffs, powers[k], red, p)
         coeffs = nxt % p
-    return tuple(f.encode(row) for row in coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -1012,11 +1020,6 @@ def trace(b: int, params: TraceParams) -> int:
 # the twist element and the conjugate-sum bijection
 # ---------------------------------------------------------------------------
 
-def _two_adic_valuation(t: int) -> int:
-    """The a in t = 2^a * m_odd (t >= 1)."""
-    return (t & -t).bit_length() - 1
-
-
 def _check_t(t: int, p: int):
     """The form-degree rule: t even and t != 1 (mod p), so psi is a bijection."""
     if t < 2 or t % 2 != 0:
@@ -1029,23 +1032,20 @@ def _check_t(t: int, p: int):
 def find_gamma(field_qt: Field, q: int) -> int:
     """The designated twist element of GF(q^t).
 
-    Returns the nonzero gamma in the GF(q^(2^a)) subfield satisfying
-    gamma + gamma^(q^(2^(a-1))) = 0, where t = 2^a * m_odd; among all
-    solutions the one with least discrete log w.r.t. the field generator is
-    chosen.  Orthogonality predicates are invariant under rescaling gamma by
-    GF(q)*, so any deterministic choice works.
+    With t = 2^a * m_odd and q_A = q^(2^(a-1)), gamma is a nonzero element of
+    the GF(q_A^2) subfield with gamma^(q_A) = -gamma.  For even q, gamma = 1.
+    For odd q, h = generator^((q^t - 1)/(q_A^2 - 1)) generates GF(q_A^2)^*,
+    and h^u solves the equation exactly when u = (q_A + 1)/2 (mod q_A + 1),
+    since h^(u (q_A - 1)) must be -1 = h^((q_A^2 - 1)/2); the least such u
+    is taken, so gamma = generator^((q^t - 1)/(2 (q_A - 1))).  Orthogonality predicates are invariant under rescaling
+    gamma by GF(q)*, so any deterministic choice works.
     """
     t = _degree_over(field_qt, q)
     _check_t(t, field_qt.p)
-    a = _two_adic_valuation(t)
-    sub_order = q ** (2 ** a)
-    qA = q ** (2 ** (a - 1))
-    step = (field_qt.order - 1) // (sub_order - 1)
-    for u in range(sub_order - 1):
-        gamma = field_qt.pow(field_qt.generator, u * step)
-        if field_qt.add(gamma, field_qt.pow(gamma, qA)) == 0:
-            return gamma
-    raise AssertionError("no twist element found; hypotheses violated")
+    if q % 2 == 0:
+        return 1
+    qA = q ** ((t & -t) // 2)
+    return field_qt.pow(field_qt.generator, (field_qt.order - 1) // (2 * (qA - 1)))
 
 
 def _degree_over(field_qt: Field, q: int) -> int:
@@ -1104,12 +1104,17 @@ def psi_inverse(beta: int, field_qt: Field, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 class SubfieldMap:
-    """The designated field embedding GF(p^m) -> GF(p^M) for m | M.
+    """The designated field embedding phi: GF(p^m) -> GF(p^M), m | M, as an
+    F_p-linear map on base-p digits.
 
-    The source generator maps to a root of its own minimal polynomial inside
-    the target (the root that is the least power of target_generator^ratio
-    with ratio = (p^M-1)/(p^m-1)), so the map is a ring homomorphism, not
-    merely a multiplicative one; the choice is deterministic.
+    Row i of ``matrix`` (m x M) holds the digits of phi(x)^i, so the digits
+    of phi(a) are those of a times ``matrix``.  phi(x) is the least power of
+    dst.generator^ratio, ratio = (p^M - 1)/(p^m - 1), that is a root of
+    src.modulus, which makes phi a ring homomorphism and the choice
+    deterministic; under the default and reference moduli x is the
+    generator.  F_p is fixed pointwise, and a field maps to itself by the
+    identity.  The inverse on the image reads the source digits off m pivot
+    columns of ``matrix`` and checks that they map back.
     """
 
     def __init__(self, src: Field, dst: Field):
@@ -1118,87 +1123,49 @@ class SubfieldMap:
                 f"GF({src.p}^{src.m}) is not a subfield of GF({dst.p}^{dst.m})")
         self.src = src
         self.dst = dst
-        self.ratio = (dst.order - 1) // (src.order - 1)
-        self._forward: np.ndarray | None = None
-        self._reverse: dict[int, int] | None = None
+        self._fp = field(src.p)
+        self.matrix = self._image_powers()
+        # the RREF of [matrix | I] is T [matrix | I] with T matrix = I on the
+        # pivot columns: T inverts the matrix there
+        R, self._pivots = linalg.rref(
+            self._fp, np.concatenate([self.matrix, np.eye(src.m, dtype=np.int64)], axis=1))
+        self._lift = R[:, dst.m:]
 
-    def _generator_minpoly(self) -> tuple[int, ...]:
-        """Minimal polynomial of the source generator over F_p (degree m)."""
-        src = self.src
-        if src.m == 1:
-            return ((-src.generator) % src.p, 1)
-        if src.generator == src.p:  # the element x: its minpoly is the modulus
-            return src.modulus
-        # primitive elements have full degree m; solve the linear dependence
-        # among 1, g, ..., g^m over F_p
-        powers = []
-        cur = 1
-        for _ in range(src.m + 1):
-            powers.append(src.decode(cur))
-            cur = src.mul(cur, src.generator)
-        A = np.array(powers[:-1], dtype=np.int64).T  # m x m, columns g^0..g^(m-1)
-        # g^m = sum coeffs[i] g^i
-        coeffs = linalg.solve(field(src.p), A, np.array(powers[-1], dtype=np.int64))
-        assert coeffs is not None, "powers of a primitive element must be independent"
-        return tuple(int((-c) % src.p) for c in coeffs) + (1,)
+    def _image_powers(self) -> np.ndarray:
+        """The digit rows of phi(x)^0, ..., phi(x)^(m-1)."""
+        src, dst = self.src, self.dst
+        if src.m == 1 or src is dst:
+            return np.eye(src.m, dst.m, dtype=np.int64)
+        p, red = dst.p, dst._red
+        step = dst._digits(dst.pow(dst.generator, (dst.order - 1) // (src.order - 1)))
+        modulus = np.array(src.modulus, dtype=red.dtype)
+        cur = dst._digits(1)
+        for _ in range(src.order - 1):
+            powers = _power_rows(cur, src.m + 1, red, p)
+            if not (modulus @ powers % p).any():
+                return powers[:-1].astype(np.int64)
+            cur = _mulmod(cur, step, red, p)
+        raise AssertionError("the source modulus has no root in the target")
 
-    def _find_image_generator(self) -> int:
-        dst = self.dst
-        if self.src is dst:
-            return dst.generator
-        minpoly = self._generator_minpoly()
-        step = dst.pow(dst.generator, self.ratio)
-        cur = 1
-        for _ in range(self.src.order - 1):
-            acc = 0
-            for c in reversed(minpoly):
-                acc = dst.add(dst.mul(acc, cur), c)
-            if acc == 0:
-                return cur
-            cur = dst.mul(cur, step)
-        raise AssertionError("source minimal polynomial has no root in the target")
+    def embed(self, a):
+        """phi, element-wise on an int or an array."""
+        return self.dst.vencode(linalg.matmul(self._fp, self.src.vdigits(a), self.matrix))
 
-    def _build(self):
-        if self._forward is not None:
-            return
-        if self.src.order > TABLE_LIMIT:
-            raise TooLargeError("source field too large to materialise the embedding")
-        fwd = np.zeros(self.src.order, dtype=object)
-        rev: dict[int, int] = {0: 0}
-        img_gen = self._find_image_generator()
-        cur_src, cur_dst = 1, 1
-        for _ in range(self.src.order - 1):
-            fwd[cur_src] = cur_dst
-            rev[cur_dst] = cur_src
-            cur_src = self.src.mul(cur_src, self.src.generator)
-            cur_dst = self.dst.mul(cur_dst, img_gen)
-        self._forward = fwd
-        self._reverse = rev
-
-    def embed(self, a: int) -> int:
-        if a == 0:
-            return 0
-        if self.src is self.dst:
-            return a
-        self._build()
-        return int(self._forward[a])
-
-    def retract(self, y: int) -> int:
-        """Inverse of embed; raises CoercionError when y is outside the image."""
-        if y == 0:
-            return 0
-        if self.src is self.dst:
-            return y
-        self._build()
-        try:
-            return self._reverse[y]
-        except KeyError:
+    def retract_digits(self, y) -> np.ndarray:
+        """The source digits (..., m) of target digit rows (..., M); raises
+        CoercionError when a row is outside the image."""
+        y = np.asarray(y, dtype=np.int64)
+        digits = linalg.matmul(self._fp, y[..., self._pivots], self._lift)
+        if (linalg.matmul(self._fp, digits, self.matrix) != y).any():
             raise CoercionError(
-                f"element {y} of GF({self.dst.p}^{self.dst.m}) does not lie in "
-                f"the GF({self.src.p}^{self.src.m}) subfield") from None
+                f"an element of GF({self.dst.p}^{self.dst.m}) does not lie in "
+                f"the GF({self.src.p}^{self.src.m}) subfield")
+        return digits
 
-    def contains(self, y: int) -> bool:
-        return self.dst.pow(y, self.src.order) == y
+    def retract(self, y):
+        """Inverse of embed, element-wise on an int or an array; raises
+        CoercionError when an element is outside the image."""
+        return self.src.vencode(self.retract_digits(self.dst.vdigits(y)))
 
 
 @functools.lru_cache(maxsize=None)

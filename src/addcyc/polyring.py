@@ -142,9 +142,6 @@ class Poly:
             acc = f.add(f.mul(acc, point), c)
         return acc
 
-    def map_coeffs(self, func, target: gf.Field) -> "Poly":
-        return Poly(target, (func(c) for c in self.coeffs))
-
 
 # ---------------------------------------------------------------------------
 # splitting data and the coset-driven factorisation of X^n - 1
@@ -198,9 +195,8 @@ def minimal_poly(coset, sd: SplittingData, target: gf.Field) -> Poly:
     field); a CoercionError signals a malformed coset.
     """
     split = sd.splitting_field
-    prod = Poly(split, gf.linear_factor_product(split, sd.eta_prime, coset))
-    retract = gf.subfield_map(target, split).retract
-    return prod.map_coeffs(retract, target)
+    rows = gf.linear_factor_product(split, sd.eta_prime, coset)
+    return Poly(target, target.vencode(gf.subfield_map(target, split).retract_digits(rows)))
 
 
 def idempotents(cosets, sd: SplittingData, target: gf.Field) -> list[tuple[int, ...]]:
@@ -211,22 +207,17 @@ def idempotents(cosets, sd: SplittingData, target: gf.Field) -> list[tuple[int, 
 
     The powers of eta' are the digit rows of one doubling in the splitting
     field; each coset sums |C| of them, gathered at the exponents -k*s mod n,
-    and scales the sum by n^(-1) in F_p, so no field product is made.  A
+    and scales the sum by n^(-1) in F_p, so no field product is made.  The
+    digit rows of all cosets go down to ``target`` in one retraction; a
     CoercionError signals a coset that is not closed under |target|.
     """
     split, n = sd.splitting_field, sd.n
     p = split.p
     powers = gf._power_rows(split._digits(sd.eta_prime), n, split._red, p)
     k, n_inv = np.arange(n), pow(n, -1, p)
-    # encodings are sums of digits times p^i, exact in int64 up to 2^63
-    weights = np.array([p ** i for i in range(split.m)],
-                       dtype=np.int64 if split.order <= 2 ** 63 else object)
-    retract = gf.subfield_map(target, split).retract
-    out = []
-    for coset in cosets:
-        total = sum(powers[-k * s % n] for s in coset) % p * n_inv % p
-        out.append(tuple(retract(int(y)) for y in total @ weights))
-    return out
+    totals = np.stack([sum(powers[-k * s % n] for s in coset) for coset in cosets])
+    digits = gf.subfield_map(target, split).retract_digits(totals % p * n_inv % p)
+    return [tuple(row) for row in target.vencode(digits).tolist()]
 
 
 def factor_xn_minus_1(n: int, f: gf.Field, *, paper: bool = False):

@@ -187,7 +187,7 @@ class IdealAtlas:
         # factorisations mutually consistent (m_i = prod_j M_{i,j} holds by
         # construction, and the coercion of that product down to F_q checks
         # it really has F_q coefficients).
-        retract_q = gf.subfield_map(field_q, field_qt).retract
+        to_q = gf.subfield_map(field_q, field_qt)
         self.M_poly: dict[tuple[int, int], Poly] = {}
         self.m_poly: list[Poly] = []
         for i, subs in enumerate(self.table.subcosets):
@@ -196,7 +196,7 @@ class IdealAtlas:
                 M = minimal_poly(sub, self.sd, field_qt)
                 self.M_poly[(i, j)] = M
                 prod = prod * M
-            m_i = prod.map_coeffs(retract_q, field_q)
+            m_i = Poly(field_q, to_q.retract(np.array(prod.coeffs)))
             assert m_i.degree == self.table.d[i]
             self.m_poly.append(m_i)
         check = Poly.one(field_q)

@@ -265,3 +265,51 @@ def test_compress_rejects_a_partial_symbol():
     for bad in ([[0, 1, 2]], [0], 1):
         with pytest.raises(CoercionError):
             CTX73.compress(np.array(bad))
+
+
+def reference_coordinates(ctx):
+    """(coordinates, elements): every F_q^t vector c and sum_s c_s * g^s,
+    summed element by element with F_q embedded."""
+    fqt = ctx.field_qt
+    coords = np.indices((ctx.q,) * ctx.t).reshape(ctx.t, -1).T
+    elems = []
+    for c in coords:
+        y = 0
+        for c_s, g_s in zip(c, ctx.fq_basis):
+            y = fqt.add(y, fqt.mul(ctx.embed_scalar(int(c_s)), g_s))
+        elems.append(y)
+    return coords, np.array(elems)
+
+
+@pytest.mark.parametrize("paper", [False, True])
+@pytest.mark.parametrize("params", [(7, 3), (7, 4), (5, 9), (13, 2), (7, 5), (5, 8), (3, 16),
+                                    (7, 2, 4), (3, 5, 4), (2, 3, 6), (2, 27), (3, 25),
+                                    (3, 49), (3, 64)])
+def test_coordinates_equal_the_element_wise_reference(params, paper):
+    ctx = DeltaContext(*params, paper=paper)
+    coords, elems = reference_coordinates(ctx)
+    assert sorted(elems.tolist()) == list(range(ctx.field_qt.order))
+    assert (ctx.expand(elems[:, None]) == coords).all()
+    assert (ctx.compress(coords) == elems[:, None]).all()
+
+
+def test_wide_q_context_builds_no_field_sized_table():
+    ctx = DeltaContext(3, 65537)
+    assert ctx.gamma == ctx.field_qt.pow(ctx.field_qt.generator, 65538 // 2)
+    sym = np.array([[0, 1, 65537], [65537 ** 2 - 1, 2 * 65537 + 5, 7]])
+    coords = ctx.expand(sym)
+    assert coords.tolist() == [[0, 0, 1, 0, 0, 1], [65536, 65536, 5, 2, 7, 0]]
+    assert (ctx.compress(coords) == sym).all()
+
+
+def test_vector_entries_outside_the_field_are_refused():
+    """-1 read as element 8, 100 indexed past GF(9) and 1.5 truncated to 1."""
+    zero = [0] * 7
+    for bad in ([-1] + zero[1:], [100] + zero[1:], [1.5] + zero[1:]):
+        with pytest.raises(CoercionError):
+            delta_inner(bad, zero, CTX73)
+        with pytest.raises(CoercionError):
+            delta_inner(zero, bad, CTX73)
+    # numpy integers are integers
+    assert delta_inner(np.arange(1, 8), [1] * 7, CTX73) == delta_inner(
+        CTX73.ring.element(range(1, 8)), CTX73.ring.element([1] * 7), CTX73)

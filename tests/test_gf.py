@@ -229,6 +229,94 @@ def test_embed_rejects_non_subfield():
         gf.subfield_map(gf.field(3, 4), gf.field(3, 6))
 
 
+# -- the pinned choices against the element-wise definitions they replace -----
+
+def reference_gamma(field_qt, q):
+    """The least u with gamma = (g^step)^u, gamma + gamma^(q_A) = 0: a scan
+    over the GF(q^(2^a)) subfield."""
+    t = round(np.log(field_qt.order) / np.log(q))
+    a = (t & -t).bit_length() - 1
+    sub_order, qA = q ** (2 ** a), q ** (2 ** (a - 1))
+    step = (field_qt.order - 1) // (sub_order - 1)
+    for u in range(sub_order - 1):
+        gamma = field_qt.pow(field_qt.generator, u * step)
+        if field_qt.add(gamma, field_qt.pow(gamma, qA)) == 0:
+            return gamma
+    raise AssertionError("no twist element")
+
+
+def reference_embedding(src, dst):
+    """phi(g^k) = r^k for the least power r of dst.generator^ratio that is a
+    root of the minimal polynomial of src.generator, element by element."""
+    if src is dst:
+        return list(range(src.order))
+    # F_p's generator g is a root of X - g; elsewhere the generator is x
+    minpoly = ((-src.generator) % src.p, 1) if src.m == 1 else src.modulus
+    assert src.m == 1 or src.generator == src.p
+    step = dst.pow(dst.generator, (dst.order - 1) // (src.order - 1))
+    root = 1
+    while True:
+        acc = 0
+        for c in reversed(minpoly):
+            acc = dst.add(dst.mul(acc, root), c)
+        if acc == 0:
+            break
+        root = dst.mul(root, step)
+    image = [0] * src.order
+    a, b = 1, 1
+    for _ in range(src.order - 1):
+        image[a] = b
+        a, b = src.mul(a, src.generator), dst.mul(b, root)
+    return image
+
+
+def _fields(limit, paper):
+    primes = [p for p in range(2, 257) if all(p % r for r in range(2, p))]
+    return [gf.field(p, m, paper=paper) for p in primes for m in range(1, 17) if p ** m <= limit]
+
+
+@pytest.mark.parametrize("paper", [False, True])
+def test_gamma_closed_form_equals_the_scan(paper):
+    checked = 0
+    for f in _fields(1 << 12, paper):
+        for t in (2, 4, 6):
+            if f.m % t or t % f.p == 1:
+                continue
+            q = f.p ** (f.m // t)
+            assert gf.find_gamma(f, q) == reference_gamma(f, q), (f, t)
+            checked += 1
+    assert checked == 35
+
+
+@pytest.mark.parametrize("paper_src, paper_dst",
+                         [(False, False), (False, True), (True, False), (True, True)])
+def test_subfield_map_equals_the_element_loop(paper_src, paper_dst):
+    targets = _fields(1 << 16, paper_dst)
+    for dst in targets:
+        for m in (m for m in range(1, dst.m + 1) if dst.m % m == 0):
+            src = gf.field(dst.p, m, paper=paper_src)
+            sm = gf.subfield_map(src, dst)
+            image = np.array(reference_embedding(src, dst))
+            elems = np.arange(src.order)
+            assert (sm.embed(elems) == image).all(), (src, dst)
+            assert (sm.retract(image) == elems).all(), (src, dst)
+            assert sm.embed(src.order - 1) == image[-1]
+            assert sm.retract(int(image[-1])) == src.order - 1
+
+
+def test_array_retract_refuses_elements_off_the_image():
+    f36 = gf.field(3, 6, paper=True)
+    sm = gf.subfield_map(F9, f36)
+    inside = sm.embed(np.arange(9))
+    assert (sm.retract(inside.reshape(3, 3)) == np.arange(9).reshape(3, 3)).all()
+    for y in (f36.generator, f36.pow(f36.generator, 7)):
+        with pytest.raises(CoercionError):
+            sm.retract(np.append(inside, y))
+    # GF(3^2) and GF(3^3) meet in GF(3) only
+    with pytest.raises(CoercionError):
+        gf.subfield_map(gf.field(3, 3), f36).retract(np.array([0, 1, F9.order]))
+
+
 def test_least_primitive_modulus():
     assert gf.least_primitive_modulus(2, 2) == (1, 1, 1)
     mod = gf.least_primitive_modulus(3, 2)
@@ -529,8 +617,8 @@ def test_linear_factor_product_against_scalar_products():
         want = Poly.one(f)
         for k in ks:
             want = want * Poly(f, (f.neg(f.pow(a, k)), 1))
-        assert Poly(f, gf.linear_factor_product(f, a, ks)) == want
-        assert gf.linear_factor_product(f, a, []) == (1,)
+        assert Poly(f, f.vencode(gf.linear_factor_product(f, a, ks))) == want
+        assert f.vencode(gf.linear_factor_product(f, a, [])).tolist() == [1]
 
 
 def test_small_irreducibles_are_the_irreducibles():

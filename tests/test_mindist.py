@@ -25,6 +25,8 @@ from addcyc.errors import InvalidParameterError, TooLargeError
 
 PRIMES = [2, 3, 5, 7, 131, 257]
 PRIME_POWERS = [4, 8, 9, 25]
+#: a q whose GF(q^2) has no tables; WORDS keeps its codes at k_fq = 1
+WIDE_Q = 65537
 #: most codewords the brute force lists (prime q, then non-prime q)
 WORDS = {True: 70_000, False: 5_000}
 
@@ -48,7 +50,9 @@ def weight(symbols):
 
 
 def cyclic_case(ctx, rng, limit):
-    """Cyclic span of a(X) * (X^n - 1) / m(X), q^(t deg m) <= limit."""
+    """Cyclic span of a(X) * (X^n - 1) / m(X), q^(t deg m) <= limit.  Where
+    no factor fits (q^t > limit), m = X - 1: the span of a(1) times the
+    all-ones word, k_fq <= 1, formed without a product in GF(q^t)."""
     factors = [f for f, _ in polyring.factor_xn_minus_1(ctx.n, ctx.field_q)]
     rng.shuffle(factors)
     m_deg, rest = 0, []
@@ -57,6 +61,8 @@ def cyclic_case(ctx, rng, limit):
             m_deg += f.degree
         else:
             rest.append(f)
+    if m_deg == 0:
+        return codes.cyclic_span([int(rng.integers(0, ctx.field_qt.order))] * ctx.n, ctx)
     h = polyring.Poly.one(ctx.field_q)
     for f in rest:
         h = h * f
@@ -75,7 +81,7 @@ def random_case(ctx, rng, limit):
 
 
 @settings(max_examples=120, deadline=None)
-@given(q=st.sampled_from(PRIMES + PRIME_POWERS), cyclic=st.booleans(),
+@given(q=st.sampled_from(PRIMES + PRIME_POWERS + [WIDE_Q]), cyclic=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_certificate_matches_brute_force(q, cyclic, seed, data):
     n = data.draw(st.sampled_from(lengths(q)))

@@ -122,7 +122,7 @@ def test_refinement_property_via_atlas():
             prod = Poly.one(atlas.field_qt)
             for j in range(atlas.table.s[i]):
                 prod = prod * atlas.M_poly[(i, j)]
-            assert prod == atlas.m_poly[i].map_coeffs(emb, atlas.field_qt)
+            assert prod == Poly(atlas.field_qt, [emb(c) for c in atlas.m_poly[i].coeffs])
 
 
 def test_poly_tokens_roundtrip():

@@ -1,0 +1,73 @@
+"""Hostile parameters through the command line: a right answer or a typed error.
+
+Each case runs ``python -m addcyc`` in its own interpreter under a 2 GiB
+address-space cap (RLIMIT_AS) and a 30 s wall limit.  It either exits 0 with
+an answer that is checked exactly or by an independent route, or exits 2 with
+the ``error:`` line the command line prints for an ``addcyc.errors``
+exception.  A traceback, a memory error or a timeout fails the case.
+"""
+
+import json
+import os
+import pathlib
+import resource
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import addcyc
+from addcyc import codes, gf
+from addcyc.bilinear import DeltaContext
+
+MEMORY_CAP = 2 << 30
+WALL_S = 30
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def run_cli(*args):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = str(pathlib.Path(addcyc.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "addcyc", *args], env=env,
+                          capture_output=True, text=True, timeout=WALL_S,
+                          preexec_fn=_cap_memory)
+
+
+@pytest.mark.parametrize("gen, d", [("1,1,1", 3), ("1,2,3", 1)])
+def test_wide_q_distance_is_exact(gen, d):
+    """The span of 1 + X + X^2 is the repetition code; 1 + 2X + 3X^2 has an
+    invertible circulant mod 65537, so its span is all of F_q^3."""
+    proc = run_cli("mindist", "-n", "3", "-q", "65537", "--gen", gen)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith(f"d = {d} (exact,"), proc.stdout
+
+
+def test_wide_q_dual_pairs_to_zero_with_the_code():
+    proc = run_cli("dual", "-n", "3", "-q", "65537", "--gen", "1,1,1", "--json")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    record = json.loads(proc.stdout)
+    ctx = DeltaContext(3, 65537)
+    C = codes.cyclic_span("1,1,1", ctx)
+    rows = [[gf.parse_element(ctx.field_qt, tok) for tok in row]
+            for row in record["dual"]["basis"]]
+    D = ctx.expand(np.array(rows, dtype=np.int64))
+    assert record["code"]["k_fq"] == C.k == 1
+    assert record["dual"]["k_fq"] == len(rows) == ctx.t * ctx.n - C.k
+    assert not ctx.pair_matrix(C.basis_exp, D).any()
+    assert not ctx.pair_matrix(D, C.basis_exp).any()
+
+
+@pytest.mark.parametrize("args", [
+    ("enumerate", "-n", "3", "-q", "65537", "--limit", "2"),
+    ("form", "-n", "3", "-q", "65537", "--a", "1,2,3", "--b", "3,2,1"),
+    ("mindist", "-n", "3", "-q", "2147483647", "--gen", "1,1,1"),
+])
+def test_out_of_range_work_is_refused_with_a_typed_error(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
