@@ -238,10 +238,9 @@ def _prime_generator_digits(code: AdditiveCode) -> np.ndarray:
     """
     ctx = code.ctx
     sym = code.basis_symbols()
-    # the basis element 1 needs no product, which above gf.TABLE_LIMIT has no tables
-    stacked = np.concatenate([sym] + [
-        ctx.field_qt.vmul(np.int64(ctx.embed_scalar(ctx.field_q.encode([0] * u + [1]))), sym)
-        for u in range(1, ctx.e)])
+    # the F_p-basis x^u of F_q, encoded p^u, embedded in GF(q^t)
+    w = ctx.embed_scalar(ctx.field_q.p ** np.arange(ctx.e, dtype=np.int64))
+    stacked = ctx.field_qt.vmul(w[:, None, None], sym).reshape(-1, sym.shape[-1])
     return ctx.field_qt.vdigits(stacked).reshape(stacked.shape[0], -1)
 
 

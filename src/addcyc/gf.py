@@ -18,16 +18,19 @@ on the base-p digits of e.  Only a modulus in which x is not primitive is
 proved irreducible another way, by Berlekamp's rank criterion on the same
 Frobenius matrix.  The primes of
 p^m - 1 that the order test needs come from the module's own trial division,
-Brent's rho and BPSW primality test.  Fields with at most 2^20 elements
-build discrete-log tables on demand, which also back the
-vectorised (numpy) operations used by the linear-algebra layer; fields with
-at most 2^8 elements, prime or not, add, subtract, negate and multiply
-vectors by one gather from a Q x Q Cayley table instead.  Above the tables a
-product is one convolution of the digit vectors, folded below degree m by a
+Brent's rho and BPSW primality test.
+
+Vector (numpy) operations take one of two routes.  Fields with at most 2^8
+elements, prime or not, add, subtract, negate and multiply by one gather
+from a Q x Q Cayley table.  Above them every vector operation works on
+base-p digits: a sum digit by digit, and a product (mod p over a prime
+field) as one convolution of the digit rows, folded below degree m by a
 matrix of the reductions of x^m, ..., x^(2m-2).  The same kernel works on
 stacks of digit rows: it runs the order test on many candidate moduli at
-once, builds the tables and multiplies out the factors of X^n - 1.  The larger
-fields are only used transiently as splitting fields.
+once, builds the discrete-log tables and multiplies out the factors of
+X^n - 1.  Those tables, eager up to 2^12 elements and built by
+:meth:`Field.dlog` up to 2^20, serve only the scalar products and powers,
+the Cayley tables and dlog; no vector operation reads them.
 """
 
 from __future__ import annotations
@@ -63,9 +66,8 @@ PAPER_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (19, 2): (2, 18, 1),              # x^2 + 18x + 2
 }
 
-#: largest field that gets discrete-log tables (and hence vector products);
-#: above CAYLEY_LIMIT, vadd/vsub/vneg work digit by digit and vmul through the
-#: log/exp tables (over a prime field, as a product mod p).
+#: largest field that gets discrete-log tables, for scalar mul, pow and inv
+#: and for dlog; vector operations above CAYLEY_LIMIT use the digit kernel.
 TABLE_LIMIT = 1 << 20
 
 #: fields at most this big, prime fields included, also get Q x Q Cayley
@@ -73,7 +75,8 @@ TABLE_LIMIT = 1 << 20
 #: gather; their entries fit in one byte.
 CAYLEY_LIMIT = 1 << 8
 
-#: fields at most this big build their tables eagerly at construction.
+#: fields at most this big build their discrete-log tables eagerly at
+#: construction; larger ones only when dlog asks for them.
 EAGER_TABLE_LIMIT = 1 << 12
 
 
@@ -776,8 +779,9 @@ class Field:
         self._log = log
         if self.order <= CAYLEY_LIMIT:
             self._digit_table = self.vdigits(np.arange(self.order))
-            e = np.arange(self.order)
-            tables = self._digit_sum_table(1), self._digit_sum_table(-1), self.vmul(e[:, None], e)
+            mul = exp[(log[:, None] + log) % q1]
+            mul[0] = mul[:, 0] = 0
+            tables = self._digit_sum_table(1), self._digit_sum_table(-1), mul
             self._add, self._sub, self._mul = (t.astype(np.uint8).ravel() for t in tables)
 
     def _digit_sum_table(self, sign: int) -> np.ndarray:
@@ -853,21 +857,20 @@ class Field:
         """a * b.  Given ``out``, an array of the broadcast shape and dtype
         ``vdtype``, and ``index``, an intp array of that shape, the product is
         written to ``out`` and returned; through the Cayley tables nothing of
-        that shape is allocated."""
+        that shape is allocated.  Above them it is a product mod p over a
+        prime field, and otherwise the digit kernel on the broadcast digit
+        rows; where their int64 sums, or the elements themselves, could wrap
+        it raises TooLargeError."""
         if self._mul is not None:
             return self._gather(self._mul, a, b, out, index)
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        if (self.p - 1) ** 2 >= 2 ** 63 or self.order > 2 ** 63 or (
+                self.m > 1 and self._red.dtype == object):
+            raise TooLargeError(f"elements or products of GF({self.p}^{self.m}) overflow int64")
         if self.m == 1:
-            if (self.p - 1) ** 2 >= 2 ** 63:
-                raise TooLargeError(f"products over F_{self.p} could overflow int64")
-            return self._into(out, (a * b) % self.p)
-        self._build_tables()
-        q1 = self.order - 1
-        mask = (a == 0) | (b == 0)
-        la = self._log[np.where(a == 0, 1, a)]
-        lb = self._log[np.where(b == 0, 1, b)]
-        return self._into(out, np.where(mask, 0, self._exp[(la + lb) % q1]))
+            a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+            return self._into(out, a * b % self.p)
+        product = _mulmod(self.vdigits(a), self.vdigits(b), self._red, self.p)
+        return self._into(out, self.vencode(product))
 
     @staticmethod
     def _into(out, result: np.ndarray) -> np.ndarray:
@@ -877,34 +880,26 @@ class Field:
         return out
 
     def vpow(self, a, e: int) -> np.ndarray:
-        """Element-wise a^e for a fixed exponent, 0^e = 0: one gather from a
-        cached table of every element's power.  A prime field without
-        tables (above TABLE_LIMIT, or above EAGER_TABLE_LIMIT until they are
-        built) takes square-and-multiply mod p instead."""
-        q1 = self.order - 1
-        e_red = e % q1 if q1 else 0
-        if self.m == 1 and self._exp is None:
-            if q1 ** 2 >= 2 ** 63:
-                raise TooLargeError(f"products over F_{self.p} could overflow int64")
-            a = np.asarray(a, dtype=np.int64)
-            out = (a != 0).astype(np.int64)
-            while e_red:
-                if e_red & 1:
-                    out = out * a % self.p
-                e_red >>= 1
-                a = a * a % self.p
+        """Element-wise a^e for a fixed exponent, 0^e = 0, by square-and-
+        multiply through :meth:`vmul`.  A Cayley field runs it once per
+        exponent on every element and then reads a^e by one gather from that
+        table."""
+        e %= self.order - 1
+        lut = self._pow_luts.get(e)
+        if lut is not None:
+            return lut.take(a)
+        x = np.arange(self.order) if self._mul is not None else np.asarray(a, dtype=np.int64)
+        out, k = (x != 0).astype(np.int64), e
+        while k:
+            if k & 1:
+                out = self.vmul(out, x)
+            k >>= 1
+            if k:
+                x = self.vmul(x, x)
+        if self._mul is None:
             return out
-        lut = self._pow_luts.get(e_red)
-        if lut is None:
-            self._build_tables()
-            lut = np.zeros(self.order, dtype=np.int64)
-            lut[0] = 0
-            nz = self._exp[(self._log[1:] * e_red) % q1] if q1 else np.array([1])
-            lut[1:] = nz
-            if e_red == 0:
-                lut[1:] = 1
-            self._pow_luts[e_red] = lut
-        return lut.take(a)
+        self._pow_luts[e] = out
+        return out.take(a)
 
     # -- misc -----------------------------------------------------------------
 

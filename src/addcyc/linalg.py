@@ -8,11 +8,11 @@ it, and :func:`row_space`, :func:`rank`, :func:`inverse` and :func:`solve`
 read :func:`rref`.  Over a prime field the reduction works in machine
 integers reduced mod p lazily, with no tables, wherever the lazy sums of r
 rows fit int64 (r*(p-1)^2 + p < 2^63); over GF(p^m), m > 1, it goes
-through the field's table-backed vector operations, and so is limited to
-fields with tables.  :func:`matmul` is the package's one sum of products:
-the group-algebra product (:meth:`ring.CyclicRing.mul_rows`, a product by
-a circulant), the Gram products and the component subspaces of the
-classification all run on it.  Over a prime field it is an integer matmul
+through the field's vector operations: Cayley-table gathers up to 2^8
+elements, the digit kernel of :mod:`gf` above.  :func:`matmul` is the
+package's one sum of products: the group-algebra product
+(:meth:`ring.CyclicRing.mul_rows`, a product by a circulant), the Gram
+products and the component subspaces of the classification all run on it.  Over a prime field it is an integer matmul
 reduced mod p; over GF(p^m), m > 1, it is one integer matmul in F_p
 coordinates (the regular representation of GF(p^m) by m x m matrices over
 F_p), reduced mod p; where its sums could pass int64 it raises
@@ -137,7 +137,7 @@ def rref_batch(f: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     step, and one stable sort on it, zero rows last, gives the RREF.  Over a
     prime field the block is integers reduced mod p lazily, for every p that
     int64 can hold; over GF(p^m), m > 1, it goes through the field's
-    table-backed vector operations.
+    vector operations, which need no discrete-log tables.
     """
     stack = np.asarray(stack)
     N, r, c = stack.shape

@@ -300,8 +300,9 @@ class IdealAtlas:
         the h taken in the order of their coefficients read as a base-q^t
         integer.  A nonzero element has order q1 when its (q1/r)-th power is
         not e_{i,0} for any prime r | q1.  Constants have order dividing
-        q^t - 1, so the search starts at h = Y when D_i > 1.  Candidates are
-        tested a block at a time by one shared square-and-multiply, each
+        q^t - 1, so the search starts at h = Y when D_i > 1, and otherwise at
+        h = p: a constant of F_p has order dividing p - 1 < q1.  Candidates
+        are tested a block at a time by one shared square-and-multiply, each
         block twice the last.  rho_{i,j} is tau_{q^j,1}(rho_{i,0}).
         """
         self._check_index(i, j)
@@ -310,7 +311,7 @@ class IdealAtlas:
             q1 = Q ** Di - 1
             exps = [q1 // r for r in gf._order_factors(q1)]
             e = np.array(self.idempotents[(i, 0)].coeffs)
-            start, size = (Q if Di > 1 else 1), RHO_BLOCK
+            start, size = (Q if Di > 1 else self.field_qt.p), RHO_BLOCK
             passed = np.zeros(0, dtype=bool)
             while not passed.any():
                 h = np.zeros((size, self.n), dtype=np.int64)

@@ -636,23 +636,38 @@ def _from_sympy(f, poly):
     return f.encode(reversed(poly))
 
 
-@pytest.mark.parametrize("p,m", [(3, 28), (2, 23), (5, 20)])
+@pytest.mark.parametrize("p,m", [(3, 28), (2, 23), (5, 20), (65537, 2)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_big_field_mul_pow_against_sympy(p, m, data):
     """Above the table limit, mul and pow (one convolution and the fold by
-    the reduction matrix) agree with sympy's gf_mul + gf_rem."""
+    the reduction matrix) agree with sympy's gf_mul + gf_rem, and so do
+    vmul and vpow on arrays, element by element; none of them builds
+    discrete-log tables."""
     f = gf.field(p, m)
     assert f.order > gf.TABLE_LIMIT and f._exp is None
     element = st.one_of(st.sampled_from([0, 1, p - 1, f.generator, f.order - 1]),
                         st.integers(0, f.order - 1))
     a, b = data.draw(element), data.draw(element)
     mod = list(reversed(f.modulus))
-    prod = gf_rem(gf_mul(_sympy_digits(f, a), _sympy_digits(f, b), p, ZZ), mod, p, ZZ)
-    assert f.mul(a, b) == _from_sympy(f, prod)
+
+    def product(x, y):
+        return _from_sympy(f, gf_rem(gf_mul(_sympy_digits(f, x), _sympy_digits(f, y), p, ZZ),
+                                     mod, p, ZZ))
+
+    def power(x, e):
+        return _from_sympy(f, gf_pow_mod(_sympy_digits(f, x), e, mod, p, ZZ))
+
+    assert f.mul(a, b) == product(a, b)
     e = data.draw(st.one_of(st.sampled_from([0, 1, p - 1, f.order - 2]),
                             st.integers(0, f.order)))
-    assert f.pow(a, e) == _from_sympy(f, gf_pow_mod(_sympy_digits(f, a), e, mod, p, ZZ))
+    assert f.pow(a, e) == power(a, e)
+    xs = data.draw(st.lists(element, min_size=1, max_size=5))
+    arr = np.array(xs, dtype=np.int64)
+    assert f.vmul(arr, b).tolist() == [product(x, b) for x in xs]
+    assert f.vmul(arr[:, None], arr).tolist() == [[product(x, y) for y in xs] for x in xs]
+    assert f.vpow(arr, e).tolist() == [power(x, e) if x else 0 for x in xs]  # 0^e = 0
+    assert f._exp is None
 
 
 # ---------------------------------------------------------------------------

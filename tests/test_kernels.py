@@ -12,15 +12,17 @@ sides of ``gf.CAYLEY_LIMIT``.  ``linalg.inverse`` is checked against a
 brute-force kernel search.  ``linalg.rref_batch``, the package's one row
 reduction, and ``linalg.rref``, a stack of one through it, are checked
 against a plain Gauss-Jordan on Python integers through ``Field.inv`` /
-``mul`` / ``sub`` (on Cayley tables, on log tables, and on integers mod p
-in each integer dtype, above ``gf.TABLE_LIMIT`` too, with the refusal past
-int64).  ``Field.vmul``/``vsub`` into buffers on uint8 operands are checked
+``mul`` / ``sub`` (on Cayley tables, on the digit kernel, and on integers
+mod p in each integer dtype, above ``gf.TABLE_LIMIT`` too, with the refusal
+past int64).  ``Field.vmul``/``vsub`` into buffers on uint8 operands are checked
 against the unbuffered result, ``linalg.nullspace`` of a stack against each
 of its matrices and their reference ranks, ``linalg.in_row_space`` /
 ``reduce_vector`` on stacks against the reference rank criterion and the
 per-pivot elimination loop, and the prime-field products of ``matmul`` and
 ``Field.vmul`` at the largest p they take against Python integers, with
-their refusal past it.
+their refusal past it, and the digit-kernel ``vmul`` of extension fields at
+its int64 edges.  On two fields between the eager limit and
+``gf.TABLE_LIMIT``, no vector operation builds discrete-log tables.
 """
 
 import itertools
@@ -178,20 +180,34 @@ def test_prime_field_products_up_to_the_int64_edge():
         gf.field(4294967311).vmul(4294967309, 4294967308)
 
 
+def test_extension_field_products_up_to_the_int64_edge():
+    """Over GF(p^m), m > 1, above the Cayley tables ``vmul`` is the digit
+    kernel: equal to the scalar product where its digit sums, below
+    2m(p-1)^2, and the elements fit int64 (GF(2^63), and GF(p^2) at the
+    largest such p), and a TooLargeError past either edge (GF(2^64), and
+    GF(p^2) at the next prime)."""
+    p = 1518500213  # the largest prime with 4 (p-1)^2 < 2^63
+    assert 4 * (p - 1) ** 2 < 2 ** 63 <= 4 * (1518500279 - 1) ** 2
+    for f in (gf.field(2, 63), gf.field(p, 2)):
+        a = [f.order - 1, f.order - 2, f.generator, 12345678901 % f.order]
+        assert f.vmul(np.array(a)[:, None], np.array(a)).tolist() == [
+            [f.mul(x, y) for y in a] for x in a]
+    for f in (gf.field(2, 64), gf.field(1518500279, 2)):
+        with pytest.raises(TooLargeError):
+            f.vmul(3, 5)
+
+
 @pytest.mark.parametrize("p", [46349, 1048583, 3037000493])
 def test_prime_field_powers_without_tables(p):
-    """``vpow`` on a prime field without tables (above the eager limit
-    before they are built, and above TABLE_LIMIT) equals ``pow`` on Python
-    integers, with 0^e = 0; where the tables can be built, their gather
-    gives the same; past the int64 edge it raises TooLargeError."""
-    f, tables = (gf.Field(p, 1, gf.field(p).modulus) for _ in range(2))
-    if p <= gf.TABLE_LIMIT:
-        tables._build_tables()
+    """``vpow`` on a prime field above the Cayley tables (above the eager
+    limit, and above TABLE_LIMIT) equals ``pow`` on Python integers, with
+    0^e = 0, and builds no discrete-log table; past the int64 edge it
+    raises TooLargeError."""
+    f = gf.Field(p, 1, gf.field(p).modulus)
     a = np.array([0, 1, 2, p - 1, p - 2, 12345678901 % p])
     for e in (-1, 0, 1, 2, p - 2, 3 * p + 5):
         want = [0] + [pow(int(x), e % (p - 1), p) for x in a[1:]]
         assert f.vpow(a, e).tolist() == want and f._exp is None
-        assert tables.vpow(a, e).tolist() == want
     with pytest.raises(TooLargeError):
         gf.field(4294967311).vpow(4294967309, -1)
 
@@ -480,3 +496,28 @@ def test_ring_powers_match_repeated_products(p, m, data):
                 want = want * R.element(row.tolist())
             assert got[a, k].tolist() == list(want.coeffs)
             assert R.element(row.tolist()).pow_with_identity(e, identity) == want
+
+
+@pytest.mark.parametrize("p, m", [(2, 13), (17, 4)], ids=["GF(2^13)", "GF(17^4)"])
+def test_vector_ops_build_no_discrete_log_tables(p, m):
+    """On fields above the eager limit and below TABLE_LIMIT, where a lazy
+    build of discrete-log tables would still succeed, ``vmul``, ``vpow``,
+    ``linalg.matmul``, ``rref_batch`` and a ring product agree with the
+    scalar references and leave the field without those tables."""
+    f = gf.Field(p, m, gf.field(p, m).modulus)  # a fresh object: no earlier test built tables
+    assert gf.EAGER_TABLE_LIMIT < f.order <= gf.TABLE_LIMIT and f._exp is None
+    rng = np.random.default_rng(7)
+    A, B = rng.integers(0, f.order, size=(3, 4)), rng.integers(0, f.order, size=(4, 5))
+    A[0, 0] = B[1, 2] = 0
+    assert f.vmul(A[:, :1], A).tolist() == [[f.mul(int(x[0]), int(y)) for y in x] for x in A]
+    assert f.vpow(A, -1).tolist() == [[f.inv(int(x)) if x else 0 for x in row] for row in A]
+    assert linalg.matmul(f, A, B).tolist() == scalar_matmul(f, A, B).tolist()
+    R, ranks = linalg.rref_batch(f, np.stack([A, A[::-1]]))
+    want = reference_rref(f, A)
+    assert R[0].tolist() == want[0].tolist() and ranks.tolist() == [len(want[1])] * 2
+    ring = cyclic_ring(f, 4)
+    a, b = ring.element(A[1].tolist()), ring.element(B[:, 0].tolist())
+    assert list((a * b).coeffs) == [
+        scalar_sum(f, (f.mul(int(A[1, i]), int(B[(k - i) % 4, 0])) for i in range(4)))
+        for k in range(4)]
+    assert f._exp is None

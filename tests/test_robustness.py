@@ -19,7 +19,7 @@ import pytest
 
 import addcyc
 from addcyc import codes, gf
-from addcyc.bilinear import DeltaContext
+from addcyc.bilinear import DeltaContext, delta_inner
 
 MEMORY_CAP = 2 << 30
 WALL_S = 30
@@ -62,12 +62,57 @@ def test_wide_q_dual_pairs_to_zero_with_the_code():
     assert not ctx.pair_matrix(D, C.basis_exp).any()
 
 
-@pytest.mark.parametrize("args", [
-    ("enumerate", "-n", "3", "-q", "65537", "--limit", "2"),
-    ("form", "-n", "3", "-q", "65537", "--a", "1,2,3", "--b", "3,2,1"),
-    ("mindist", "-n", "3", "-q", "2147483647", "--gen", "1,1,1"),
-])
-def test_out_of_range_work_is_refused_with_a_typed_error(args):
-    proc = run_cli(*args)
+@pytest.mark.parametrize("mode", ["so", "sd"])
+def test_wide_q_enumeration_lists_isotropic_cyclic_codes(mode):
+    """Each listed code, rebuilt from its printed basis, is cyclic and pairs
+    to zero with itself under the defining trace sum; a self-dual code of
+    length 3 over GF(q^2) has k = 3."""
+    proc = run_cli("enumerate", "-n", "3", "-q", "65537", "--mode", mode,
+                   "--limit", "4", "--json")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    records = json.loads(proc.stdout)
+    assert 1 <= len(records) <= 4
+    ctx = DeltaContext(3, 65537)
+    for record in records:
+        rows = [[gf.parse_element(ctx.field_qt, tok) for tok in row] for row in record["basis"]]
+        assert record["k_fq"] == len(rows)
+        assert all(delta_inner(u, v, ctx) == 0 for u in rows for v in rows)
+        if rows:
+            code = codes.code_from_vectors(rows, ctx)
+            assert code.k == len(rows) and codes.is_cyclic(code)
+        if mode == "sd":
+            assert record["k_fq"] == 3
+
+
+def test_wide_q_form_agrees_with_the_gram_block():
+    """(a, b) from the trace sum equals the pair matrix of the expansions
+    and the X^0 coefficient of [a, b]."""
+    a, b = "w,1,w^7", "w^5,2,[3,4]"
+    proc = run_cli("form", "-n", "3", "-q", "65537", "--a", a, "--b", b, "--json")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    record = json.loads(proc.stdout)
+    ctx = DeltaContext(3, 65537)
+    A, B = ctx.expand(np.array([gf.parse_elements(ctx.field_qt, v) for v in (a, b)]))
+    assert int(record["inner"]) == ctx.pair_matrix(A[None], B[None])[0, 0]
+    assert record["form"].split(",")[0] == record["inner"] == "45367"
+
+
+def test_wide_q_atlas_idempotents_split_the_ring():
+    """The printed idempotents over GF(65537^2) are orthogonal idempotents
+    that sum to 1, one per printed factor of X^3 - 1."""
+    proc = run_cli("atlas", "-n", "3", "-q", "65537", "--json")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    record = json.loads(proc.stdout)
+    ring = DeltaContext(3, 65537).ring
+    es = [ring.from_tokens(text) for _, text in sorted(record["idempotents"].items())]
+    assert len(es) == len(record["factors_qt"]) == 3
+    for x in es:
+        for y in es:
+            assert x * y == (x if x is y else ring.zero())
+    assert es[0] + es[1] + es[2] == ring.one()
+
+
+def test_out_of_range_work_is_refused_with_a_typed_error():
+    proc = run_cli("mindist", "-n", "3", "-q", "2147483647", "--gen", "1,1,1")
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr

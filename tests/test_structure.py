@@ -127,8 +127,9 @@ def test_atlas_reference_idempotents(atlas73):
 def test_rho_orders_and_tau_compat():
     """rho_{i,j} lies in I_{i,j} and has order exactly q^(t D_i) - 1 there,
     the order taken from the coset table; tau_{q^j,1} carries rho_{i,0} to
-    rho_{i,j}.  (23, 2) needs GF(2^22), and (7, 2, 4) is a t = 4 atlas."""
-    for args in [(7, 3, 2), (13, 2, 2), (23, 2, 2), (7, 2, 4)]:
+    rho_{i,j}.  (23, 2) needs GF(2^22), (7, 2, 4) is a t = 4 atlas, and
+    (3, 65537) has GF(65537^2), with no discrete-log tables."""
+    for args in [(7, 3, 2), (13, 2, 2), (23, 2, 2), (7, 2, 4), (3, 65537, 2)]:
         atlas = build_atlas(*args)
         tab = atlas.table
         for i in range(tab.num_classes):
@@ -140,6 +141,21 @@ def test_rho_orders_and_tau_compat():
                 for r in sympy.primefactors(order):
                     assert rho.pow_with_identity(order // r, e) != e
                 assert atlas.rho(i, 0).tau(tab.q ** j, 1) == rho
+
+
+@pytest.mark.parametrize("paper", [False, True])
+@pytest.mark.parametrize("n, q", [(7, 3), (15, 2), (13, 3), (5, 9)])
+def test_rho_of_a_one_dimensional_ideal_is_the_least_primitive_constant(n, q, paper):
+    """When D_i = 1, rho_{i,0} = c * e_{i,0} for the least c of order
+    q^t - 1 in GF(q^t): the search, which skips the constants of F_p, finds
+    the same c as a search from c = 1."""
+    atlas = build_atlas(n, q, paper=paper)
+    f = atlas.field_qt
+    c = next(c for c in range(1, f.order) if f.element_order(c) == f.order - 1)
+    classes = [i for i in range(atlas.table.num_classes) if atlas.table.D[i] == 1]
+    assert classes
+    for i in classes:
+        assert atlas.rho(i, 0) == atlas.idempotent(i, 0).scale(c)
 
 
 def test_ideal_indices_outside_the_coset_table_are_refused():
