@@ -31,7 +31,7 @@ import numpy as np
 from . import gf, linalg
 from .errors import CoercionError, FieldMismatchError, LengthMismatchError
 from .ring import GroupAlgebraElement, cyclic_ring
-from .structure import build_atlas, build_coset_table, check_parameters
+from .structure import build_atlas, build_coset_table, check_field_order, check_parameters
 
 
 class DeltaContext:
@@ -48,6 +48,7 @@ class DeltaContext:
     def __init__(self, n: int, q: int, t: int = 2, *, paper: bool = False):
         p, e = check_parameters(n, q, t)
         gf._check_t(t, p)
+        check_field_order(q, t)
         self.n, self.q, self.t = n, q, t
         self.p, self.e = p, e
         self.paper = paper

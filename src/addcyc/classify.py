@@ -23,13 +23,14 @@ product per ordered class pair i != j (all choices of class i against all of
 class j), and each choice's own block.  A combination is accepted when all of
 its blocks vanish, a broadcast AND over the grid of combinations.
 
-Every component subspace (a 1-dimensional choice or the full J_i) and every
-fixed-class option is built by group-algebra products
-(:meth:`ring.CyclicRing.mul_rows`, one :func:`linalg.matmul` by a
-circulant): a class's choices of one kind are built as one stack
-(:func:`component_stack`) and row-reduced by one :func:`linalg.rref_batch`,
-and assembled codes are put in canonical form a stack per dimension, with
-their Gram matrices from one batched product.
+Each mu-fixed class and transposed pair of the enumeration, and each class
+of the oracle, is one group: the reduced rows of all its options stacked in
+one matrix, and the row count of each, built by group-algebra products
+(:meth:`ring.CyclicRing.mul_rows`) from coefficient arrays, a class's
+subspaces of one kind in one stack (:func:`component_stack`) reduced by one
+:func:`linalg.rref_batch`.  A code is a vector of option indices, one per
+group; both assemble codes by :func:`_canonical_stacks`.  The SubcodeChoice
+lists of the public option functions label the same rows.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ def component_rows(choice: SubcodeChoice, ctx: DeltaContext) -> np.ndarray:
     """F_q-expanded basis rows of the chosen component subspace."""
     if choice.kind == "zero":
         return np.zeros((0, ctx.n * ctx.t), dtype=np.int64)
-    return component_stack(choice.index, _k_bases([choice], ctx), ctx)[0]
+    V = (_full_basis(choice.index, ctx) if choice.kind == "full"
+         else np.array([[choice.vector.coeffs]], dtype=np.int64))
+    return component_stack(choice.index, V, ctx)[0]
 
 
 def component_stack(i: int, V: np.ndarray, ctx: DeltaContext) -> np.ndarray:
@@ -108,14 +111,11 @@ def component_stack(i: int, V: np.ndarray, ctx: DeltaContext) -> np.ndarray:
     return ctx.expand(sym.reshape(len(V), -1, ctx.n))
 
 
-def _k_bases(choices: list[SubcodeChoice], ctx: DeltaContext) -> np.ndarray:
-    """The K_i-bases (N, r, n) of nonzero choices of one class and one kind:
-    each choice's vector (dim1), or x * f_i for x in ``ctx.fq_basis`` (full;
-    f_i the identity of J_i)."""
-    if choices[0].kind == "full":
-        f_i = ctx.atlas.j_idempotent(choices[0].index)
-        return np.array([[f_i.scale(x).coeffs for x in ctx.fq_basis]] * len(choices))
-    return np.array([[c.vector.coeffs] for c in choices], dtype=np.int64)
+def _full_basis(i: int, ctx: DeltaContext) -> np.ndarray:
+    """The K_i-basis (1, t, n) of the whole J_i: x * f_i for x in
+    ``ctx.fq_basis``, f_i the identity of J_i."""
+    f_i = np.array(ctx.atlas.j_idempotent(i).coeffs, dtype=np.int64)
+    return np.array([[ctx.field_qt.vmul(np.int64(x), f_i) for x in ctx.fq_basis]])
 
 
 def _reduced_rows(i: int, V: np.ndarray, ctx: DeltaContext) -> tuple[np.ndarray, np.ndarray]:
@@ -125,53 +125,46 @@ def _reduced_rows(i: int, V: np.ndarray, ctx: DeltaContext) -> tuple[np.ndarray,
     return R[np.arange(R.shape[1]) < ranks[:, None]], ranks
 
 
-def _reduce_choices(choices: list[SubcodeChoice], ctx: DeltaContext) -> list[np.ndarray]:
-    """Reduced basis rows (RREF, zero rows dropped) of each choice of one
-    class, a list in the order of ``choices``; the choices of each nonzero
-    kind are reduced together."""
-    out = [component_rows(c, ctx) if c.kind == "zero" else None for c in choices]
-    for kind in ("full", "dim1"):
-        at = [a for a, c in enumerate(choices) if c.kind == kind]
-        if at:
-            flat, ranks = _reduced_rows(choices[at[0]].index,
-                                        _k_bases([choices[a] for a in at], ctx), ctx)
-            for a, rows in zip(at, np.split(flat, np.cumsum(ranks)[:-1])):
-                out[a] = rows
-    return out
+def _class_rows(i: int, ctx: DeltaContext) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced rows of every K_i-subspace of J_i, in the order of
+    :func:`all_subspace_choices`, stacked in one matrix, and the number of
+    rows of each; the 1-dimensional ones from coefficient rows alone."""
+    full, full_dim = _reduced_rows(i, _full_basis(i, ctx), ctx)
+    dim1, dim1_dims = _reduced_rows(i, _one_dim_rows(i, ctx)[:, None], ctx)
+    return np.concatenate([full, dim1]), np.concatenate([[0], full_dim, dim1_dims])
 
 
-def _times_powers(first: GroupAlgebraElement, base: GroupAlgebraElement,
-                  count: int) -> np.ndarray:
+def _times_powers(ring, first, base, count: int) -> np.ndarray:
     """Coefficient rows (count, n) of first * base^k, k < count, by doubling:
-    about log2(count) batched ring products of the rows built so far by
-    base^(2^j)."""
-    ring = first.ring
-    rows = np.array([first.coeffs], dtype=np.int64)
-    step = base
+    about log2(count) batched ring products, each of the rows built so far
+    and of the current base^(2^j) by base^(2^j)."""
+    rows = np.array([first], dtype=np.int64)
+    step = np.array(base, dtype=np.int64)
     while len(rows) < count:
-        rows = np.concatenate([rows, ring.mul_rows(rows[:count - len(rows)], step.coeffs)])
-        step = step * step
+        prod = ring.mul_rows(np.vstack([rows[:count - len(rows)], step]), step)
+        rows, step = np.concatenate([rows, prod[:-1]]), prod[-1]
     return rows
 
 
-def _dim1_choices(i: int, ctx: DeltaContext, rows: np.ndarray, label: str,
-                  step: int = 1) -> list[SubcodeChoice]:
-    """The 1-dimensional choices of class i spanned by coefficient rows; row
-    k is labelled ``label`` followed by k * step."""
-    return [SubcodeChoice(i, "dim1", GroupAlgebraElement(ctx.ring, tuple(v.tolist())),
-                          f"{label}{k * step}")
-            for k, v in enumerate(rows)]
+def _dim1_choices(i: int, ctx: DeltaContext, rows: np.ndarray,
+                  labels: list[str]) -> list[SubcodeChoice]:
+    """The 1-dimensional choices of class i spanned by coefficient rows,
+    with their labels."""
+    return [SubcodeChoice(i, "dim1", GroupAlgebraElement(ctx.ring, tuple(v.tolist())), label)
+            for v, label in zip(rows, labels)]
 
 
 def _one_dim_rows(i: int, ctx: DeltaContext) -> np.ndarray:
     """Coefficient rows (N, n) of the K_i-basis vectors of the 1-dimensional
     K_i-subspaces of J_i, in the order of :func:`one_dim_subspaces`."""
     atlas, count = ctx.atlas, ctx.q ** ctx.table.d[i]
+    e0 = atlas.idempotent(i, 0).coeffs
     if ctx.table.s[i] == 1:
-        return _times_powers(atlas.idempotent(i, 0), atlas.rho(i, 0), count + 1)
-    e0, e1 = atlas.idempotent(i, 0), atlas.idempotent(i, 1)
-    rows = ctx.field_qt.vadd(np.array(e0.coeffs), _times_powers(e1, atlas.rho(i, 1), count - 1))
-    return np.vstack([e0.coeffs, e1.coeffs, rows])
+        return _times_powers(ctx.ring, e0, atlas.rho(i, 0).coeffs, count + 1)
+    e1 = atlas.idempotent(i, 1).coeffs
+    rows = ctx.field_qt.vadd(np.array(e0),
+                             _times_powers(ctx.ring, e1, atlas.rho(i, 1).coeffs, count - 1))
+    return np.vstack([e0, e1, rows])
 
 
 def one_dim_subspaces(i: int, ctx: DeltaContext):
@@ -185,9 +178,9 @@ def one_dim_subspaces(i: int, ctx: DeltaContext):
     """
     rows = _one_dim_rows(i, ctx)
     if ctx.table.s[i] == 1:
-        return _dim1_choices(i, ctx, rows, f"rho{i}^")
-    return (_dim1_choices(i, ctx, rows[:2], f"e{i},")
-            + _dim1_choices(i, ctx, rows[2:], f"e{i},0+rho{i},1^"))
+        return _dim1_choices(i, ctx, rows, [f"rho{i}^{k}" for k in range(len(rows))])
+    return _dim1_choices(i, ctx, rows, [f"e{i},0", f"e{i},1"]
+                         + [f"e{i},0+rho{i},1^{k}" for k in range(len(rows) - 2)])
 
 
 def all_subspace_choices(i: int, ctx: DeltaContext):
@@ -204,8 +197,20 @@ def subcode_options(i: int, mode: str, ctx: DeltaContext,
                     complete: bool = False) -> list[SubcodeChoice]:
     """Admissible C_i for a mu-fixed class, per the t = 2 classification.
 
-    ``mode`` is "so" (self-orthogonal: the zero component is admissible) or
-    "sd" (self-dual: the component dimension over K_i is forced to 1).
+    ``mode`` is "so" (self-orthogonal: the zero component is admissible,
+    listed first) or "sd" (self-dual: the component dimension over K_i is
+    forced to 1).  The 1-dimensional options are those of
+    :func:`_fixed_options`.
+    """
+    mode = _check_mode(ctx.t, mode)
+    rows, labels = _fixed_options(i, ctx, complete)
+    zero = [SubcodeChoice(i, "zero", None, "0")] if mode == "so" else []
+    return zero + _dim1_choices(i, ctx, rows, labels)
+
+
+def _fixed_options(i: int, ctx: DeltaContext, complete: bool) -> tuple[np.ndarray, list[str]]:
+    """Coefficient rows (N, n) of the K_i-basis vectors of the 1-dimensional
+    admissible C_i of a mu-fixed class, and their labels.
 
     The published case list for the identity class (i = 0, and i# when n is
     even) names only the exponent (q+1)/2 when q is odd, but k = 0 solves
@@ -214,35 +219,26 @@ def subcode_options(i: int, mode: str, ctx: DeltaContext,
     oracle confirms.  ``complete=True`` includes that omitted option; the
     default reproduces the published classification.
     """
-    mode = _check_mode(ctx.t, mode)
-    tab = ctx.table
-    q = ctx.q
+    tab, q, atlas, ring = ctx.table, ctx.q, ctx.atlas, ctx.ring
     if tab.mu[i] != i:
         raise InvalidParameterError(f"class {i} is paired; use pair_options")
-    atlas = ctx.atlas
-    opts: list[SubcodeChoice] = []
-    if mode == "so":
-        opts.append(SubcodeChoice(i, "zero", None, "0"))
     if i == 0 or i == tab.i_sharp:
-        e = atlas.idempotent(i, 0)
-        if complete and q % 2 == 1:
-            opts.append(SubcodeChoice(i, "dim1", e, f"rho{i}^0"))
-        k = 0 if q % 2 == 0 else (q + 1) // 2
-        v = atlas.rho(i, 0).pow_with_identity(k, e) if k else e
-        opts.append(SubcodeChoice(i, "dim1", v, f"rho{i}^{k}"))
-        return opts
+        exps = ([0] if complete and q % 2 == 1 else []) + [0 if q % 2 == 0 else (q + 1) // 2]
+        rows = ring.pow_rows([atlas.rho(i, 0).coeffs], exps, atlas.idempotent(i, 0).coeffs)[0]
+        return rows, [f"rho{i}^{k}" for k in exps]
     half = q ** (tab.d[i] // 2)
-    e0, e1 = atlas.idempotent(i, 0), atlas.idempotent(i, 1)
-    # e_0 + rho_1^(k * step): k <= half for "fixes", k < half - 1 for "swaps"
-    if atlas.tau_orientation[i] == "fixes":
-        step, count = half - 1, half + 1
-    else:
-        opts.append(SubcodeChoice(i, "dim1", e0, f"e{i},0"))
-        opts.append(SubcodeChoice(i, "dim1", e1, f"e{i},1"))
-        step, count = half + 1, half - 1
-    powers = _times_powers(e1, atlas.rho(i, 1).pow_with_identity(step, e1), count)
-    rows = ctx.field_qt.vadd(np.array(e0.coeffs), powers)
-    return opts + _dim1_choices(i, ctx, rows, f"e{i},0+rho{i},1^", step)
+    e0, e1 = atlas.idempotent(i, 0).coeffs, atlas.idempotent(i, 1).coeffs
+    # e_0 + rho_1^(k * step): k <= half for "fixes", k < half - 1 for "swaps",
+    # which lists e_0 and e_1 first
+    swaps = atlas.tau_orientation[i] == "swaps"
+    step, count = (half + 1, half - 1) if swaps else (half - 1, half + 1)
+    powers = _times_powers(ring, e1, ring.pow_rows([atlas.rho(i, 1).coeffs], [step], e1)[0, 0],
+                           count)
+    rows = ctx.field_qt.vadd(np.array(e0), powers)
+    labels = [f"e{i},0+rho{i},1^{k * step}" for k in range(count)]
+    if swaps:
+        return np.vstack([e0, e1, rows]), [f"e{i},0", f"e{i},1"] + labels
+    return rows, labels
 
 
 # ---------------------------------------------------------------------------
@@ -267,91 +263,93 @@ def _partners(stack: np.ndarray, full_mu: np.ndarray, ctx: DeltaContext) -> list
     return [Ra[:k] for Ra, k in zip(R, ranks)]
 
 
-def pair_options(j: int, mode: str, ctx: DeltaContext, *, rows: list | None = None):
+def pair_options(j: int, mode: str, ctx: DeltaContext):
     """Admissible (C_j, C_mu(j)) pairs for a transposed class pair.
 
     A class fixed by mu has no partner and raises InvalidParameterError;
-    its options come from :func:`subcode_options`.
+    its options come from :func:`subcode_options`.  The pairs are those of
+    :func:`_pairs`, labelled by :func:`all_subspace_choices` of each side.
+    """
+    pairs, _ = _pairs(j, _check_mode(ctx.t, mode), ctx)
+    side_j, side_mu = (all_subspace_choices(i, ctx) for i in (j, ctx.table.mu[j]))
+    return [(side_j[a], side_mu[b]) for a, b in pairs]
+
+
+def _pairs(j: int, mode: str, ctx: DeltaContext):
+    """The admissible pairs of a transposed class pair as positions (a, b)
+    in the subspace lists of j and mu(j), and the class rows
+    (:func:`_class_rows`) of the two sides.
 
     Every pair is backed by an exact orthogonality computation; for "sd" the
     K-dimensions must additionally sum to 2.  The partners of all the
     1-dimensional choices of side j are computed together
     (:func:`_partners`), and each is checked to be 1-dimensional over K and
-    one of the listed subspaces of side mu(j).  When ``rows`` is given, it
-    is extended with the reduced basis rows of the two components of each
-    pair, in order, so a caller assembling codes from the pairs reuses them.
+    one of the listed subspaces of side mu(j).
     """
-    mode = _check_mode(ctx.t, mode)
     tab = ctx.table
     mu_j = tab.mu[j]
     if mu_j == j:
         raise InvalidParameterError(f"class {j} is fixed by mu; use subcode_options")
-    d_fq = tab.d[j]  # F_q-dimension of a 1-dim K-subspace
-    side_j = all_subspace_choices(j, ctx)
-    side_mu = all_subspace_choices(mu_j, ctx)
-    rows_j, rows_mu = _reduce_choices(side_j, ctx), _reduce_choices(side_mu, ctx)
-    by_key = {(R.shape, R.tobytes()): b for b, R in enumerate(rows_mu)}
-    assert len(by_key) == len(side_mu), "listed subspaces must be distinct"
-    # pairs of positions; each side lists the zero choice, the full one, then
-    # the 1-dim ones
+    sides = _class_rows(j, ctx), _class_rows(mu_j, ctx)
+    (flat_j, dims_j), (flat_mu, dims_mu) = sides
+    blocks_mu = np.split(flat_mu, np.cumsum(dims_mu)[:-1])
+    by_key = {(R.shape, R.tobytes()): b for b, R in enumerate(blocks_mu)}
+    assert len(by_key) == len(blocks_mu), "listed subspaces must be distinct"
+    # each side lists the zero choice, the full one, then the 1-dim ones,
+    # each spanning d_j = dim_Fq K rows
     zero, full = 0, 1
-    pairs = [(zero, b) for b in (range(len(side_mu)) if mode == "so" else [full])]
+    pairs = [(zero, b) for b in (range(len(blocks_mu)) if mode == "so" else [full])]
     pairs.append((full, zero))
-    partners = _partners(np.stack(rows_j[2:]), rows_mu[full], ctx)
-    for a, partner in enumerate(partners, start=2):
-        assert partner.shape[0] == d_fq, \
+    dim1_j = flat_j[dims_j[full]:].reshape(len(dims_j) - 2, tab.d[j], -1)
+    for a, partner in enumerate(_partners(dim1_j, blocks_mu[full], ctx), start=2):
+        assert partner.shape[0] == tab.d[j], \
             "orthogonal partner of a 1-dim component must be 1-dim over K"
         match = by_key.get((partner.shape, partner.tobytes()))
         assert match is not None, "partner subspace must be one of the listed subspaces"
         pairs.extend((a, b) for b in ([zero, match] if mode == "so" else [match]))
-    if rows is not None:
-        rows.extend((rows_j[a], rows_mu[b]) for a, b in pairs)
-    return [(side_j[a], side_mu[b]) for a, b in pairs]
+    return pairs, sides
 
 
 # ---------------------------------------------------------------------------
 # enumeration, counting, oracle
 # ---------------------------------------------------------------------------
 
-def _canonical_stacks(ctx: DeltaContext, dims: np.ndarray, stack_of):
-    """Canonical forms of direct sums of row blocks, a stack per dimension.
+def _row_table(dims: np.ndarray, offset: int = 0) -> np.ndarray:
+    """at[a, r] = offset + the row of a stack that is row r of option a, the
+    options' rows consecutive with the row counts ``dims``; -1 for r >=
+    dims[a]."""
+    r = np.arange(dims.max())
+    return np.where(r < dims[:, None], offset + (np.cumsum(dims) - dims)[:, None] + r, -1)
 
-    Code k is the sum of reduced row blocks, of total dimension ``dims[k]``;
-    ``stack_of(idx, dim)`` gives the concatenated blocks of the codes idx,
-    all of dimension dim, as a stack (len(idx), dim, width).  Yields (idx,
-    R) once per dimension: R[b] is the RREF of matrix b of the whole group's
-    stack, from one :func:`linalg.rref_batch`, which bounds its own blocks.
-    The sum is checked to be direct (rank == dimension).
+
+def _canonical_stacks(ctx: DeltaContext, groups: list[tuple[np.ndarray, np.ndarray]]):
+    """Canonical forms of direct sums of options, one option per group.
+
+    Each group is (flat, dims): the reduced rows of all its options stacked
+    in one matrix, and the row count of each.  The groups' rows go into one
+    stack in the field's narrowest dtype, and their index tables
+    (:func:`_row_table`) are built once.  Returns ``stacks(combos)``: for
+    an (N, len(groups)) array of option indices, one code per row, it yields
+    (idx, R) once per code dimension, the codes idx of that dimension
+    gathered by index and reduced by one :func:`linalg.rref_batch`, which
+    bounds its own blocks.  The sum is checked to be direct (rank ==
+    dimension).
     """
-    for dim in sorted(set(dims.tolist())):
-        idx = np.flatnonzero(dims == dim)
-        R, ranks = linalg.rref_batch(ctx.field_q, stack_of(idx, dim))
-        assert (ranks == dim).all(), "component sum must be direct"
-        yield idx, R
+    every_row = np.concatenate([flat for flat, _ in groups]).astype(ctx.field_q.vdtype)
+    offsets = np.cumsum([0] + [len(flat) for flat, _ in groups])
+    tables = [_row_table(dims, off) for (_, dims), off in zip(groups, offsets)]
 
+    def stacks(combos: np.ndarray):
+        code_dim = sum(dims[combos[:, g]] for g, (_, dims) in enumerate(groups))
+        for dim in sorted(set(code_dim.tolist())):
+            idx = np.flatnonzero(code_dim == dim)
+            at = np.concatenate([tab[combos[idx, g]] for g, tab in enumerate(tables)], axis=1)
+            R, ranks = linalg.rref_batch(ctx.field_q,
+                                         every_row[at[at >= 0].reshape(len(idx), dim)])
+            assert (ranks == dim).all(), "component sum must be direct"
+            yield idx, R
 
-def _assemble(ctx: DeltaContext, row_lists: list[list[np.ndarray]], mode: str):
-    """The codes spanned by the block lists, in order, each checked to be
-    self-orthogonal (and self-dual for "sd") by its Gram matrix."""
-    out = [None] * len(row_lists)
-    dims = np.array([sum(b.shape[0] for b in blocks) for blocks in row_lists])
-
-    def stack_of(part, dim):
-        stack = np.empty((len(part), dim, ctx.n * ctx.t), dtype=np.int64)
-        for b, k in enumerate(part):
-            np.concatenate(row_lists[k], axis=0, out=stack[b])
-        return stack
-
-    for idx, R in _canonical_stacks(ctx, dims, stack_of):
-        _, dim, width = R.shape
-        assert mode == "so" or 2 * dim == width, "self-dual codes have dimension t*n/2"
-        if dim:
-            G = ctx.gram_apply(R.reshape(-1, width)).reshape(R.shape)
-            M = linalg.matmul(ctx.field_q, G, R.transpose(0, 2, 1))
-            assert not M.any(), "assembled profile failed the direct orthogonality check"
-        for b, k in enumerate(idx):
-            out[k] = AdditiveCode(ctx, R[b])
-    return out
+    return stacks
 
 
 def enumerate_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
@@ -363,28 +361,41 @@ def enumerate_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
     double emission (it must never fire).  ``complete`` is forwarded to
     :func:`subcode_options` (see there: the default follows the published
     case lists, complete=True adds the verified omitted identity-class
-    option for odd q).  Profiles are taken in product order a bounded chunk
-    at a time, so the generator stays lazy per chunk.
+    option for odd q).  A profile is a vector of option indices, one per
+    mu-fixed class (in class order, options as :func:`subcode_options`
+    lists them) and one per transposed pair (as :func:`pair_options` lists
+    them); profiles are taken in product order a bounded chunk at a time,
+    so the generator stays lazy per chunk.
     """
     ctx, mode = _checked_context(n, q, mode, ctx)
     tab = ctx.table
-    # each option of a class or pair as the reduced rows of its components,
-    # by position, so that a profile is assembled without a lookup
-    blocks: list[list[tuple[np.ndarray, ...]]] = []
+    groups = []
     singles = [0] + ([tab.i_sharp] if tab.i_sharp is not None else []) + list(tab.fixed)
     for i in sorted(singles):
-        opts = subcode_options(i, mode, ctx, complete)
-        blocks.append([(rows,) for rows in _reduce_choices(opts, ctx)])
+        flat, dims = _reduced_rows(i, _fixed_options(i, ctx, complete)[0][:, None], ctx)
+        groups.append((flat, np.concatenate([[0], dims]) if mode == "so" else dims))
     for j in tab.paired:
-        blocks.append([])
-        pair_options(j, mode, ctx, rows=blocks[-1])
-    profiles = itertools.product(*blocks)
+        pairs, ((flat_j, dims_j), (flat_mu, dims_mu)) = _pairs(j, mode, ctx)
+        a, b = np.array(pairs).T
+        at = np.concatenate([_row_table(dims_j)[a], _row_table(dims_mu, len(flat_j))[b]], axis=1)
+        groups.append((np.concatenate([flat_j, flat_mu])[at[at >= 0]], dims_j[a] + dims_mu[b]))
+    stacks = _canonical_stacks(ctx, groups)
+    profiles = itertools.product(*(range(len(dims)) for _, dims in groups))
     # profiles per batch: as many n*t x n*t matrices as fit in RREF_BLOCK
     chunk = max(1, linalg.RREF_BLOCK // (n * 2) ** 2)
     seen = set()
     while batch := list(itertools.islice(profiles, chunk)):
-        row_lists = [[rows for group in profile for rows in group] for profile in batch]
-        for code in _assemble(ctx, row_lists, mode):
+        out = [None] * len(batch)
+        for idx, R in stacks(np.array(batch)):
+            _, dim, width = R.shape
+            assert mode == "so" or 2 * dim == width, "self-dual codes have dimension t*n/2"
+            if dim:
+                G = ctx.gram_apply(R.reshape(-1, width)).reshape(R.shape)
+                M = linalg.matmul(ctx.field_q, G, R.transpose(0, 2, 1))
+                assert not M.any(), "assembled profile failed the direct orthogonality check"
+            for b, k in enumerate(idx):
+                out[k] = AdditiveCode(ctx, R[b])
+        for code in out:
             key = code.key()
             assert key not in seen, "profile enumeration emitted a duplicate subspace"
             seen.add(key)
@@ -447,15 +458,6 @@ def _block_nonzero(M: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.
     return bad
 
 
-def _class_rows(i: int, ctx: DeltaContext) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced rows of every K_i-subspace of J_i, in the order of
-    :func:`all_subspace_choices`, stacked in one matrix, and the number of
-    rows of each; the 1-dimensional ones from coefficient rows alone."""
-    full, full_dim = _reduced_rows(i, _k_bases([SubcodeChoice(i, "full")], ctx), ctx)
-    dim1, dim1_dims = _reduced_rows(i, _one_dim_rows(i, ctx)[:, None], ctx)
-    return np.concatenate([full, dim1]), np.concatenate([[0], full_dim, dim1_dims])
-
-
 def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = None):
     """Independent check: test ALL cyclic codes for orthogonality directly.
 
@@ -479,10 +481,8 @@ def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = Non
         raise TooLargeError(f"{math.prod(sizes)} cyclic codes exceed the oracle limit {ORACLE_LIMIT}")
     fq = ctx.field_q
     k = tab.num_classes
-    # class i: choice a has the rows starts[i][a] : starts[i][a] + dims[i][a]
-    # of flat[i]
-    flat, dims = zip(*(_class_rows(i, ctx) for i in range(k)))
-    starts = [np.cumsum(d) - d for d in dims]
+    groups = [_class_rows(i, ctx) for i in range(k)]
+    flat, dims = zip(*groups)
     gram = [ctx.gram_apply(rows) for rows in flat]
 
     def on_axes(table, *axes):
@@ -493,10 +493,10 @@ def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = Non
 
     ok = np.ones(sizes, dtype=bool)
     for i in range(k):
-        self_bad = np.zeros(sizes[i], dtype=bool)
+        self_bad, rows_of = np.zeros(sizes[i], dtype=bool), _row_table(dims[i])
         for r in sorted(set(dims[i].tolist()) - {0}):
             idx = np.flatnonzero(dims[i] == r)
-            at = starts[i][idx, None] + np.arange(r)   # the rows of each choice
+            at = rows_of[idx, :r]   # the rows of each choice
             M = linalg.matmul(fq, gram[i][at], flat[i][at].transpose(0, 2, 1))
             self_bad[idx] = M.any(axis=(1, 2))
         ok &= on_axes(~self_bad, i)
@@ -509,24 +509,8 @@ def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = Non
         total_dim = sum(on_axes(d, i) for i, d in enumerate(dims))
         ok &= total_dim == n  # t*n/2, with t = 2
     combos = np.argwhere(ok)
-    code_dim = sum(dims[i][combos[:, i]] for i in range(k))
-    # rows_of[i][a, j] = offsets[i] + starts[i][a] + j, the row of every_row
-    # that is row j of choice a of class i, or -1 for j >= dims[i][a]; the
-    # rows are kept in the field's narrowest dtype, so the stacks gathered
-    # from them are small
-    every_row = np.concatenate(flat).astype(fq.vdtype)
-    offsets = np.cumsum([0] + [len(rows) for rows in flat])
-    rows_of = []
-    for i in range(k):
-        j = np.arange(dims[i].max())
-        rows_of.append(np.where(j < dims[i][:, None], offsets[i] + starts[i][:, None] + j, -1))
-
-    def stack_of(part, dim):
-        rows = np.concatenate([rows_of[i][combos[part, i]] for i in range(k)], axis=1)
-        return every_row[rows[rows >= 0].reshape(len(part), dim)]
-
     matched = set()
-    for _, R in _canonical_stacks(ctx, code_dim, stack_of):
+    for _, R in _canonical_stacks(ctx, groups)(combos):
         shape = R.shape[1:]
         matched.update((shape, R[b].tobytes()) for b in range(R.shape[0]))
     return len(combos), matched

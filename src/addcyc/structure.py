@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .errors import InvalidParameterError, NotCoprimeError, NotInIdealError
+from .errors import InvalidParameterError, NotCoprimeError, NotInIdealError, TooLargeError
 from .polyring import Poly, idempotents, minimal_poly, require_coprime, splitting_data
 from .ring import GroupAlgebraElement, cyclic_ring
 
@@ -60,6 +60,13 @@ def check_parameters(n: int, q: int, t: int) -> tuple[int, int]:
     p, e = gf.prime_power(q)
     _check_length(n, q)
     return p, e
+
+
+def check_field_order(q: int, t: int):
+    """Refuse GF(q^t) above 2^63 elements, the bound of ``gf.Field.vmul``;
+    counting builds no GF(q^t), so :func:`check_parameters` does not."""
+    if q ** t > 2 ** 63:
+        raise TooLargeError(f"GF({q}^{t}) has more than 2^63 elements")
 
 
 def cyclotomic_cosets(n: int, base: int) -> list[tuple[int, ...]]:
@@ -172,6 +179,7 @@ class IdealAtlas:
 
     def __init__(self, n, q, t, *, paper=False):
         p, e = check_parameters(n, q, t)
+        check_field_order(q, t)
         self.n, self.q, self.t = n, q, t
         self.paper = paper
         self.field_q = field_q = gf.field(p, e, paper=paper)

@@ -23,6 +23,12 @@ PUBLISHED_EXACT = [(3, 2), (5, 2), (7, 2), (9, 2), (11, 2)]
 PUBLISHED_UNDERCOUNTS = [(7, 3), (5, 3), (3, 5), (1, 3), (4, 3), (8, 3)]
 
 
+def reduced_rows(choices, ctx):
+    """The reduced rows (RREF, zero rows dropped) of each choice, one
+    choice at a time."""
+    return [linalg.row_space(ctx.field_q, classify.component_rows(c, ctx)) for c in choices]
+
+
 def test_subcode_options_identity_class():
     opts = classify.subcode_options(0, "so", CTX73)
     assert [o.kind for o in opts] == ["zero", "dim1"]
@@ -184,8 +190,7 @@ def test_code_sets_do_not_depend_on_rho():
                 # a choice's row space depends only on its kind and vector
                 key = frozenset((c.kind, c.vector) for c in choices)
                 if key not in spaces:
-                    spaces[key] = frozenset(R.tobytes() for R in
-                                            classify._reduce_choices(choices, ctx))
+                    spaces[key] = frozenset(R.tobytes() for R in reduced_rows(choices, ctx))
                 assert len(spaces[key]) == len(choices)
                 out.append(spaces[key])
         return out
@@ -426,9 +431,48 @@ def test_class_rows_match_the_listed_choices(n, q):
     ctx = context(n, q, 2)
     for i in range(ctx.table.num_classes):
         flat, dims = classify._class_rows(i, ctx)
-        blocks = classify._reduce_choices(classify.all_subspace_choices(i, ctx), ctx)
+        blocks = reduced_rows(classify.all_subspace_choices(i, ctx), ctx)
         assert dims.tolist() == [b.shape[0] for b in blocks]
         assert flat.dtype == np.int64 and flat.tobytes() == np.concatenate(blocks).tobytes()
+
+
+def reference_enumeration(n, q, mode, ctx, complete):
+    """The canonical keys of every profile in product order: the options of
+    the mu-fixed classes (sorted) and then the pairs of the transposed ones,
+    each profile assembled from component_rows and row-reduced on its own."""
+    tab = ctx.table
+    singles = sorted([0] + ([tab.i_sharp] if tab.i_sharp is not None else []) + list(tab.fixed))
+    lists = ([[(c,) for c in classify.subcode_options(i, mode, ctx, complete)] for i in singles]
+             + [classify.pair_options(j, mode, ctx) for j in tab.paired])
+    rows = {c: classify.component_rows(c, ctx)
+            for options in lists for group in options for c in group}
+    for profile in itertools.product(*lists):
+        blocks = [rows[c] for group in profile for c in group]
+        yield codes.AdditiveCode.from_expansion(ctx, np.concatenate(blocks)).key()
+
+
+@pytest.mark.parametrize("n,q,paper", [(7, 3, True), (7, 4, False), (8, 3, False),
+                                       (13, 2, False), (5, 9, False)])
+def test_emission_order_is_the_product_of_the_option_lists(n, q, paper):
+    ctx = context(n, q, 2, paper=paper)
+    for mode, complete in itertools.product(("so", "sd"), (False, True)):
+        got = [c.key() for c in classify.enumerate_codes(n, q, mode, ctx, complete=complete)]
+        assert got == list(reference_enumeration(n, q, mode, ctx, complete)), (mode, complete)
+
+
+def test_enumeration_builds_no_choice_objects(monkeypatch):
+    """The enumeration works on coefficient and row arrays alone: it builds
+    no SubcodeChoice and no group-algebra element of its own."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the enumeration built a choice object")
+
+    ctxs = {(n, q): context(n, q, 2) for n, q in [(7, 4), (8, 3), (5, 9), (7, 3)]}
+    monkeypatch.setattr(classify, "SubcodeChoice", refuse)
+    monkeypatch.setattr(classify, "GroupAlgebraElement", refuse)
+    for (n, q), ctx in ctxs.items():
+        for mode in ("so", "sd"):
+            got = sum(1 for _ in classify.enumerate_codes(n, q, mode, ctx, complete=True))
+            assert got == classify.count_codes(n, q, mode, ctx, complete=True)
 
 
 #: fixed classes at these instances cover both orientations, the identity
@@ -476,7 +520,8 @@ def test_full_choice_spans_the_component(n, q, paper):
         full = classify.SubcodeChoice(i, "full", None, "J")
         want = linalg.row_space(fq, j_spanning_rows(i, ctx))
         assert want.shape[0] == ctx.t * ctx.table.d[i]
-        assert classify._reduce_choices([full], ctx)[0].tolist() == want.tolist()
+        flat, dims = classify._class_rows(i, ctx)
+        assert flat[:dims[1]].tolist() == want.tolist()
         assert linalg.row_space(fq, classify.component_rows(full, ctx)).tolist() == want.tolist()
 
 
@@ -582,8 +627,7 @@ def reference_pair_options(j, mode, ctx):
     mu_j = ctx.table.mu[j]
     side_j = classify.all_subspace_choices(j, ctx)
     side_mu = classify.all_subspace_choices(mu_j, ctx)
-    rows = dict(zip(side_j + side_mu, classify._reduce_choices(side_j, ctx)
-                    + classify._reduce_choices(side_mu, ctx)))
+    rows = dict(zip(side_j + side_mu, reduced_rows(side_j + side_mu, ctx)))
     by_key = {(rows[c].shape, rows[c].tobytes()): c for c in side_mu}
     zero_mu, full_mu = side_mu[0], side_mu[1]
     pairs = []

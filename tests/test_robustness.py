@@ -116,3 +116,16 @@ def test_out_of_range_work_is_refused_with_a_typed_error():
     proc = run_cli("mindist", "-n", "3", "-q", "2147483647", "--gen", "1,1,1")
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("dual", "-n", "3", "-q", "65537", "-t", "4", "--gen", "1,1,1"),
+    ("mindist", "-n", "3", "-q", "65537", "-t", "4", "--gen", "[0,0,0,40000],1,1"),
+    ("atlas", "-n", "3", "-q", "65537", "-t", "4"),
+], ids=["dual", "mindist", "atlas"])
+def test_a_field_past_int64_is_refused_with_a_typed_error(args):
+    """GF(65537^4) has more than 2^63 elements, so its encodings do not fit
+    in int64; the context and the atlas refuse it before building it."""
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
