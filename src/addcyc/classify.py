@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes as codes_mod
-from . import linalg
+from . import gf, linalg
 from .bilinear import DeltaContext, context
 from .codes import AdditiveCode
 from .errors import InvalidParameterError, TooLargeError
@@ -125,25 +125,16 @@ def _reduced_rows(i: int, V: np.ndarray, ctx: DeltaContext) -> tuple[np.ndarray,
     return R[np.arange(R.shape[1]) < ranks[:, None]], ranks
 
 
-def _class_rows(i: int, ctx: DeltaContext) -> tuple[np.ndarray, np.ndarray]:
+def _class_rows(i: int, ctx: DeltaContext,
+                coeffs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The reduced rows of every K_i-subspace of J_i, in the order of
     :func:`all_subspace_choices`, stacked in one matrix, and the number of
-    rows of each; the 1-dimensional ones from coefficient rows alone."""
+    rows of each; the 1-dimensional ones from their coefficient rows
+    ``coeffs`` (:func:`_one_dim_rows`, built here unless given)."""
     full, full_dim = _reduced_rows(i, _full_basis(i, ctx), ctx)
-    dim1, dim1_dims = _reduced_rows(i, _one_dim_rows(i, ctx)[:, None], ctx)
+    coeffs = _one_dim_rows(i, ctx) if coeffs is None else coeffs
+    dim1, dim1_dims = _reduced_rows(i, coeffs[:, None], ctx)
     return np.concatenate([full, dim1]), np.concatenate([[0], full_dim, dim1_dims])
-
-
-def _times_powers(ring, first, base, count: int) -> np.ndarray:
-    """Coefficient rows (count, n) of first * base^k, k < count, by doubling:
-    about log2(count) batched ring products, each of the rows built so far
-    and of the current base^(2^j) by base^(2^j)."""
-    rows = np.array([first], dtype=np.int64)
-    step = np.array(base, dtype=np.int64)
-    while len(rows) < count:
-        prod = ring.mul_rows(np.vstack([rows[:count - len(rows)], step]), step)
-        rows, step = np.concatenate([rows, prod[:-1]]), prod[-1]
-    return rows
 
 
 def _dim1_choices(i: int, ctx: DeltaContext, rows: np.ndarray,
@@ -160,10 +151,10 @@ def _one_dim_rows(i: int, ctx: DeltaContext) -> np.ndarray:
     atlas, count = ctx.atlas, ctx.q ** ctx.table.d[i]
     e0 = atlas.idempotent(i, 0).coeffs
     if ctx.table.s[i] == 1:
-        return _times_powers(ctx.ring, e0, atlas.rho(i, 0).coeffs, count + 1)
+        return gf._doubling(e0, atlas.rho(i, 0).coeffs, count + 1, ctx.ring.mul_rows)
     e1 = atlas.idempotent(i, 1).coeffs
-    rows = ctx.field_qt.vadd(np.array(e0),
-                             _times_powers(ctx.ring, e1, atlas.rho(i, 1).coeffs, count - 1))
+    powers = gf._doubling(e1, atlas.rho(i, 1).coeffs, count - 1, ctx.ring.mul_rows)
+    rows = ctx.field_qt.vadd(np.array(e0), powers)
     return np.vstack([e0, e1, rows])
 
 
@@ -174,19 +165,25 @@ def one_dim_subspaces(i: int, ctx: DeltaContext):
     representatives are rho^k, 0 <= k <= q^(d_i); for a split class the
     representatives are the two idempotents and e_0 + rho_1^k,
     0 <= k <= q^(d_i) - 2.  The powers are formed by doubling
-    (:func:`_times_powers`).
+    (:func:`gf._doubling`).
     """
-    rows = _one_dim_rows(i, ctx)
-    if ctx.table.s[i] == 1:
-        return _dim1_choices(i, ctx, rows, [f"rho{i}^{k}" for k in range(len(rows))])
-    return _dim1_choices(i, ctx, rows, [f"e{i},0", f"e{i},1"]
-                         + [f"e{i},0+rho{i},1^{k}" for k in range(len(rows) - 2)])
+    return _subspace_choices(i, ctx, _one_dim_rows(i, ctx))[2:]
 
 
 def all_subspace_choices(i: int, ctx: DeltaContext):
     """Every K_i-subspace of J_i: zero, full, and the 1-dimensional ones."""
+    return _subspace_choices(i, ctx, _one_dim_rows(i, ctx))
+
+
+def _subspace_choices(i: int, ctx: DeltaContext, rows: np.ndarray) -> list[SubcodeChoice]:
+    """:func:`all_subspace_choices`, the 1-dimensional ones labelled from
+    their coefficient rows (:func:`_one_dim_rows`)."""
+    if ctx.table.s[i] == 1:
+        labels = [f"rho{i}^{k}" for k in range(len(rows))]
+    else:
+        labels = [f"e{i},0", f"e{i},1"] + [f"e{i},0+rho{i},1^{k}" for k in range(len(rows) - 2)]
     return ([SubcodeChoice(i, "zero", None, "0"), SubcodeChoice(i, "full", None, "J")]
-            + one_dim_subspaces(i, ctx))
+            + _dim1_choices(i, ctx, rows, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +229,8 @@ def _fixed_options(i: int, ctx: DeltaContext, complete: bool) -> tuple[np.ndarra
     # which lists e_0 and e_1 first
     swaps = atlas.tau_orientation[i] == "swaps"
     step, count = (half + 1, half - 1) if swaps else (half - 1, half + 1)
-    powers = _times_powers(ring, e1, ring.pow_rows([atlas.rho(i, 1).coeffs], [step], e1)[0, 0],
-                           count)
+    powers = gf._doubling(e1, ring.pow_rows([atlas.rho(i, 1).coeffs], [step], e1)[0, 0], count,
+                          ring.mul_rows)
     rows = ctx.field_qt.vadd(np.array(e0), powers)
     labels = [f"e{i},0+rho{i},1^{k * step}" for k in range(count)]
     if swaps:
@@ -268,17 +265,19 @@ def pair_options(j: int, mode: str, ctx: DeltaContext):
 
     A class fixed by mu has no partner and raises InvalidParameterError;
     its options come from :func:`subcode_options`.  The pairs are those of
-    :func:`_pairs`, labelled by :func:`all_subspace_choices` of each side.
+    :func:`_pairs`, labelled as in :func:`all_subspace_choices` from the
+    coefficient rows that :func:`_pairs` built for each side.
     """
-    pairs, _ = _pairs(j, _check_mode(ctx.t, mode), ctx)
-    side_j, side_mu = (all_subspace_choices(i, ctx) for i in (j, ctx.table.mu[j]))
+    pairs, _, rows = _pairs(j, _check_mode(ctx.t, mode), ctx)
+    side_j, side_mu = (_subspace_choices(i, ctx, r) for i, r in zip((j, ctx.table.mu[j]), rows))
     return [(side_j[a], side_mu[b]) for a, b in pairs]
 
 
 def _pairs(j: int, mode: str, ctx: DeltaContext):
     """The admissible pairs of a transposed class pair as positions (a, b)
-    in the subspace lists of j and mu(j), and the class rows
-    (:func:`_class_rows`) of the two sides.
+    in the subspace lists of j and mu(j), the class rows
+    (:func:`_class_rows`) of the two sides, and their 1-dimensional
+    coefficient rows (:func:`_one_dim_rows`).
 
     Every pair is backed by an exact orthogonality computation; for "sd" the
     K-dimensions must additionally sum to 2.  The partners of all the
@@ -290,7 +289,8 @@ def _pairs(j: int, mode: str, ctx: DeltaContext):
     mu_j = tab.mu[j]
     if mu_j == j:
         raise InvalidParameterError(f"class {j} is fixed by mu; use subcode_options")
-    sides = _class_rows(j, ctx), _class_rows(mu_j, ctx)
+    rows = _one_dim_rows(j, ctx), _one_dim_rows(mu_j, ctx)
+    sides = _class_rows(j, ctx, rows[0]), _class_rows(mu_j, ctx, rows[1])
     (flat_j, dims_j), (flat_mu, dims_mu) = sides
     blocks_mu = np.split(flat_mu, np.cumsum(dims_mu)[:-1])
     by_key = {(R.shape, R.tobytes()): b for b, R in enumerate(blocks_mu)}
@@ -307,7 +307,7 @@ def _pairs(j: int, mode: str, ctx: DeltaContext):
         match = by_key.get((partner.shape, partner.tobytes()))
         assert match is not None, "partner subspace must be one of the listed subspaces"
         pairs.extend((a, b) for b in ([zero, match] if mode == "so" else [match]))
-    return pairs, sides
+    return pairs, sides, rows
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +375,7 @@ def enumerate_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
         flat, dims = _reduced_rows(i, _fixed_options(i, ctx, complete)[0][:, None], ctx)
         groups.append((flat, np.concatenate([[0], dims]) if mode == "so" else dims))
     for j in tab.paired:
-        pairs, ((flat_j, dims_j), (flat_mu, dims_mu)) = _pairs(j, mode, ctx)
+        pairs, ((flat_j, dims_j), (flat_mu, dims_mu)), _ = _pairs(j, mode, ctx)
         a, b = np.array(pairs).T
         at = np.concatenate([_row_table(dims_j)[a], _row_table(dims_mu, len(flat_j))[b]], axis=1)
         groups.append((np.concatenate([flat_j, flat_mu])[at[at >= 0]], dims_j[a] + dims_mu[b]))

@@ -150,34 +150,52 @@ def _mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int) -> np.ndarray
     return _fold(_conv(a, b), red, p)
 
 
+# Every power in the package comes from one of the next two, given the
+# product of a stack of rows by one row: digit rows over one modulus
+# (Field.pow, the log tables, the roots of X^n - 1), the order test's stacks
+# with one modulus per candidate, Field.vpow's rows of width 1, and group-
+# algebra rows (CyclicRing.pow_rows and the classification's options).
+
+def _square_and_multiply(base: np.ndarray, exponents, one, mul) -> np.ndarray:
+    """The powers base^e for each int e >= 0 in ``exponents``, stacked on a
+    new second-to-last axis (..., K, w) of rows of width w, starting from
+    ``one``, the identity broadcast to that shape.  ``mul(rows, b)`` is the
+    product of a stack of rows (..., r, w) by one row b (..., w) each.  Bit
+    by bit, one stacked product takes the partial powers whose exponent has
+    the bit, and the square of the base."""
+    base = np.asarray(base)
+    out = np.array(np.broadcast_to(one, base.shape[:-1] + (len(exponents), base.shape[-1])),
+                   dtype=base.dtype)
+    for bit in range(max(exponents, default=0).bit_length()):
+        sel = [k for k, e in enumerate(exponents) if e >> bit & 1]
+        prod = mul(np.concatenate([out[..., sel, :], base[..., None, :]], axis=-2), base)
+        out[..., sel, :], base = prod[..., :-1, :], prod[..., -1, :]
+    return out
+
+
+def _doubling(first: np.ndarray, base: np.ndarray, count: int, mul) -> np.ndarray:
+    """The rows first * base^k, k < count, stacked on a new second-to-last
+    axis, with ``mul`` as for :func:`_square_and_multiply`: each step is one
+    stacked product, of the rows formed so far and of base^(2^j), by
+    base^(2^j), so about log2(count) products."""
+    rows, step = np.asarray(first)[..., None, :], np.asarray(base)
+    while rows.shape[-2] < count:
+        prod = mul(np.concatenate([rows[..., :count - rows.shape[-2], :], step[..., None, :]],
+                                  axis=-2), step)
+        rows, step = np.concatenate([rows, prod[..., :-1, :]], axis=-2), prod[..., -1, :]
+    return rows
+
+
 def _powmod(a: np.ndarray, e: int, red: np.ndarray, p: int) -> np.ndarray:
-    """a^e by square-and-multiply, e >= 0."""
-    result = np.zeros_like(a)
-    result[..., 0] = 1
-    while e:
-        if e & 1:
-            result = _mulmod(result, a, red, p)
-        e >>= 1
-        if e:
-            a = _mulmod(a, a, red, p)
-    return result
+    """a^e for one digit row a, e >= 0."""
+    one = np.eye(1, a.shape[-1], dtype=a.dtype)
+    return _square_and_multiply(a, [e], one, lambda rows, b: _mulmod(rows, b, red, p))[0]
 
 
 def _power_rows(a: np.ndarray, count: int, red: np.ndarray, p: int) -> np.ndarray:
-    """Digit rows of a^0, ..., a^(count-1), stacked on a new second-to-last
-    axis, by doubling: about log2(count) products."""
-    rows = np.zeros(a.shape[:-1] + (1, a.shape[-1]), dtype=a.dtype)
-    rows[..., 0, 0] = 1
-    step = a
-    while rows.shape[-2] < count:
-        if a.ndim == 1:
-            more = _mulmod(rows[: count - len(rows)], step, red, p)
-        else:
-            more = _mulmod(rows[..., : count - rows.shape[-2], :], step[..., None, :],
-                           red[..., None, :, :], p)
-        rows = np.concatenate([rows, more], axis=-2)
-        step = _mulmod(step, step, red, p)
-    return rows
+    """Digit rows (count, m) of a^0, ..., a^(count-1) for one digit row a."""
+    one = np.eye(1, a.shape[-1], dtype=a.dtype)[0]
+    return _doubling(one, a, count, lambda rows, b: _mulmod(rows, b, red, p))
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +429,9 @@ def _x_power_matrices(ds, E: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
     mats = E[:, np.array(small, dtype=np.intp)[:, None] + np.arange(m)]
     if not large:
         return mats
-    red = E[:, m:]
-    powers = np.zeros(x.shape[:1] + (len(large), m), dtype=x.dtype)
-    powers[..., 0] = 1
-    top = large[-1].bit_length()
-    for bit in range(top):
-        sel = [k for k, d in enumerate(large) if d >> bit & 1]
-        if sel:
-            powers[:, sel] = _mulmod(powers[:, sel], x[:, None, :], red[:, None], p)
-        if bit + 1 < top:
-            x = _mulmod(x, x, red, p)
+    # one modulus per candidate: row blocks (B, r, m) times rows (B, m)
+    powers = _square_and_multiply(x, large, np.eye(1, m, dtype=x.dtype),
+                                  lambda rows, b: _mulmod(rows, b[:, None], E[:, None, m:], p))
     return np.concatenate([mats, _shifted(powers) @ E[:, None] % p], axis=1)
 
 
@@ -889,13 +900,9 @@ class Field:
         if lut is not None:
             return lut.take(a)
         x = np.arange(self.order) if self._mul is not None else np.asarray(a, dtype=np.int64)
-        out, k = (x != 0).astype(np.int64), e
-        while k:
-            if k & 1:
-                out = self.vmul(out, x)
-            k >>= 1
-            if k:
-                x = self.vmul(x, x)
+        # rows of width 1, starting from 1 at x != 0 and 0 at x = 0
+        out = _square_and_multiply(x[..., None], [e], (x != 0)[..., None, None],
+                                   lambda rows, b: self.vmul(rows, b[..., None, :]))[..., 0, 0]
         if self._mul is None:
             return out
         self._pow_luts[e] = out

@@ -4,8 +4,8 @@ Matrices are 2-D int64 arrays of field encodings.  :func:`rref_batch` is
 the package's one row reduction: it reduces a stack of same-shape matrices
 by Gauss-Jordan by rows, the batch axis innermost, and sorts each matrix's
 rows by pivot column at the end.  :func:`rref` is a stack of one through
-it, and :func:`row_space`, :func:`rank`, :func:`inverse` and :func:`solve`
-read :func:`rref`.  Over a prime field the reduction works in machine
+it, and :func:`row_space`, :func:`rank` and :func:`inverse` read
+:func:`rref`.  Over a prime field the reduction works in machine
 integers reduced mod p lazily, with no tables, wherever the lazy sums of r
 rows fit int64 (r*(p-1)^2 + p < 2^63); over GF(p^m), m > 1, it goes
 through the field's vector operations: Cayley-table gathers up to 2^8
@@ -245,15 +245,3 @@ def inverse(f: Field, A: np.ndarray) -> np.ndarray | None:
         return None
     return R[:, n:]
 
-
-def solve(f: Field, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution x of A x = b, or None when inconsistent."""
-    A = np.asarray(A, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64).reshape(-1, 1)
-    R, pivots = rref(f, np.concatenate([A, b], axis=1))
-    ncols = A.shape[1]
-    if ncols in pivots:
-        return None
-    x = np.zeros(ncols, dtype=np.int64)
-    x[pivots] = R[:len(pivots), ncols]
-    return x

@@ -65,16 +65,11 @@ class CyclicRing:
     def pow_rows(self, rows: np.ndarray, exponents, identity) -> np.ndarray:
         """Powers rows[a]^k for a stack (N, n) of rows and each k in
         ``exponents``, as an (N, K, n) stack, inside the subring whose
-        multiplicative identity is ``identity``: one square-and-multiply
-        shared by all rows and all exponents, one stacked product per bit
-        (the partial powers that take the bit, and the square of the base)."""
-        base = np.asarray(rows, dtype=np.int64)
-        out = np.tile(np.asarray(identity, dtype=np.int64), (len(base), len(exponents), 1))
-        for bit in range(max(exponents, default=0).bit_length()):
-            sel = [k for k, e in enumerate(exponents) if e >> bit & 1]
-            prod = self.mul_rows(np.concatenate([out[:, sel], base[:, None]], axis=1), base)
-            out[:, sel], base = prod[:, :-1], prod[:, -1]
-        return out
+        multiplicative identity is ``identity``: one
+        :func:`gf._square_and_multiply` over :meth:`mul_rows`, shared by all
+        rows and all exponents."""
+        return gf._square_and_multiply(np.asarray(rows, dtype=np.int64), exponents, identity,
+                                       self.mul_rows)
 
     def from_tokens(self, text: str) -> "GroupAlgebraElement":
         vals = gf.parse_elements(self.field, text)

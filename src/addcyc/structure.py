@@ -189,22 +189,18 @@ class IdealAtlas:
         self.table = build_coset_table(n, q, t)
         self.sd = splitting_data(n, field_qt, paper=paper)
 
-        # irreducible factors over both fields; the coarse factors m_i are
-        # built from the same splitting-field root as the fine factors
-        # M_{i,j}, which keeps the coset <-> factor associations of the two
-        # factorisations mutually consistent (m_i = prod_j M_{i,j} holds by
-        # construction, and the coercion of that product down to F_q checks
-        # it really has F_q coefficients).
-        to_q = gf.subfield_map(field_q, field_qt)
-        self.M_poly: dict[tuple[int, int], Poly] = {}
+        # irreducible factors over both fields, from the same splitting-field
+        # root: the roots of the coarse factor m_i are those of its fine
+        # factors M_{i,j}, which keeps the coset <-> factor associations of
+        # the two factorisations mutually consistent (the tests check
+        # m_i = prod_j M_{i,j}), and the coercion of m_i down to F_q checks
+        # that it really has F_q coefficients.
+        self.M_poly: dict[tuple[int, int], Poly] = {
+            (i, j): minimal_poly(sub, self.sd, field_qt)
+            for i, subs in enumerate(self.table.subcosets) for j, sub in enumerate(subs)}
         self.m_poly: list[Poly] = []
-        for i, subs in enumerate(self.table.subcosets):
-            prod = Poly.one(field_qt)
-            for j, sub in enumerate(subs):
-                M = minimal_poly(sub, self.sd, field_qt)
-                self.M_poly[(i, j)] = M
-                prod = prod * M
-            m_i = Poly(field_q, to_q.retract(np.array(prod.coeffs)))
+        for i, coset in enumerate(self.table.cosets):
+            m_i = minimal_poly(coset, self.sd, field_q)
             assert m_i.degree == self.table.d[i]
             self.m_poly.append(m_i)
         check = Poly.one(field_q)

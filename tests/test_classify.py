@@ -423,6 +423,28 @@ def test_component_rows_built_once_per_choice(n, q, monkeypatch):
     assert keys == oracle_keys and count == len(keys)
 
 
+@pytest.mark.parametrize("n,q", [(7, 4), (13, 3), (15, 2)])
+def test_one_dim_rows_built_once_per_side(n, q, monkeypatch):
+    """pair_options builds each side's 1-dimensional coefficient rows once,
+    for its class rows and its labels alike: two calls per pair."""
+    ctx = context(n, q, 2)
+    calls = []
+    raw_rows = classify._one_dim_rows
+
+    def counted_rows(i, ctx):
+        calls.append(i)
+        return raw_rows(i, ctx)
+
+    monkeypatch.setattr(classify, "_one_dim_rows", counted_rows)
+    assert ctx.table.paired
+    for j in ctx.table.paired:
+        for mode in ("so", "sd"):
+            calls.clear()
+            options = classify.pair_options(j, mode, ctx)
+            assert sorted(calls) == sorted([j, ctx.table.mu[j]])
+            assert options
+
+
 @pytest.mark.parametrize("n,q", [(7, 3), (15, 2), (5, 7), (13, 2), (7, 4)])
 def test_class_rows_match_the_listed_choices(n, q):
     """The oracle's class rows, built from coefficient arrays, are the

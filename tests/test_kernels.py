@@ -21,8 +21,12 @@ of its matrices and their reference ranks, ``linalg.in_row_space`` /
 per-pivot elimination loop, and the prime-field products of ``matmul`` and
 ``Field.vmul`` at the largest p they take against Python integers, with
 their refusal past it, and the digit-kernel ``vmul`` of extension fields at
-its int64 edges.  On two fields between the eager limit and
-``gf.TABLE_LIMIT``, no vector operation builds discrete-log tables.
+its int64 edges.  The package's one square-and-multiply and one power
+doubling (``gf._square_and_multiply``, ``gf._doubling``) are checked against
+one product per factor on the digit rows of one modulus, on stacks with one
+modulus per row, and on group-algebra rows from a non-unit identity.  On two
+fields between the eager limit and ``gf.TABLE_LIMIT``, no vector operation
+builds discrete-log tables.
 """
 
 import itertools
@@ -36,6 +40,7 @@ from addcyc import gf, linalg
 from addcyc.bilinear import DeltaContext
 from addcyc.errors import InvalidParameterError, TooLargeError
 from addcyc.ring import cyclic_ring
+from addcyc.structure import build_atlas
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (3, 4), (5, 4), (2, 8),
           (251, 1), (257, 1), (17, 2)]
@@ -496,6 +501,108 @@ def test_ring_powers_match_repeated_products(p, m, data):
                 want = want * R.element(row.tolist())
             assert got[a, k].tolist() == list(want.coeffs)
             assert R.element(row.tolist()).pow_with_identity(e, identity) == want
+
+
+# unsorted and repeated, with 0 and 1; and the counts of the doubling, 1 included
+POWER_EXPONENTS = [5, 0, 1, 13, 2, 5, 8, 1, 0, 31]
+POWER_COUNTS = [1, 2, 3, 8, 9, 17]
+
+
+def one_by_one(prod, first, base, exponents):
+    """first * base^e for each e in ``exponents``, one product per factor."""
+    out = []
+    for e in exponents:
+        acc = first
+        for _ in range(e):
+            acc = prod(acc, base)
+        out.append(acc)
+    return np.array(out)
+
+
+def check_power_helpers(mul, prod, one, first, base):
+    """gf._square_and_multiply(base, ...) from ``one`` and gf._doubling(first,
+    base, ...), on rows (w,) or on a stack of rows (B, w), against one
+    product per factor: ``prod(x, y, b)`` multiplies one row by one row of
+    stack entry b (of entry 0 without a stack), and ``mul`` is the stacked
+    product that the helpers take."""
+    w, K = base.shape[-1], len(POWER_EXPONENTS)
+    got = gf._square_and_multiply(base, POWER_EXPONENTS, one, mul)
+    assert got.shape == base.shape[:-1] + (K, w)
+    doubled = [gf._doubling(first, base, count, mul) for count in POWER_COUNTS]
+    assert [r.shape for r in doubled] == [first.shape[:-1] + (c, w) for c in POWER_COUNTS]
+    starts = np.broadcast_to(one, base.shape).reshape(-1, w)
+    for b, (x, y) in enumerate(zip(first.reshape(-1, w), base.reshape(-1, w))):
+        def prod_b(u, v, b=b):
+            return prod(u, v, b)
+
+        want = one_by_one(prod_b, starts[b], y, POWER_EXPONENTS)
+        assert got.reshape(-1, K, w)[b].tolist() == want.tolist()
+        for count, rows in zip(POWER_COUNTS, doubled):
+            want = one_by_one(prod_b, x, y, range(count))
+            assert rows.reshape(-1, count, w)[b].tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (7, 1), (2, 5), (3, 4), (17, 2), (1021, 2)])
+def test_power_helpers_on_digit_rows_of_one_modulus(p, m):
+    """Digit rows over one field's modulus, with the product that
+    ``_powmod`` and ``_power_rows`` pass, against one product per factor;
+    ``_powmod`` against ``Field.pow``."""
+    f = gf.field(p, m)
+    red = f._red
+    rng = np.random.default_rng(p * m)
+    a, first = (f._digits(int(v)) for v in rng.integers(1, f.order, 2))
+    one = f._digits(1)
+    check_power_helpers(lambda rows, b: gf._mulmod(rows, b, red, p),
+                        lambda x, y, _: gf._mulmod(x, y, red, p), one, first, a)
+    assert gf._power_rows(a, 9, red, p).tolist() == one_by_one(
+        lambda x, y: gf._mulmod(x, y, red, p), one, a, range(9)).tolist()
+    for e in POWER_EXPONENTS:
+        assert f.encode(gf._powmod(a, e, red, p)) == f.pow(f.encode(a), e)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 6), (3, 4), (5, 3), (13, 2)])
+def test_power_helpers_on_modulus_stacks(p, m):
+    """One monic modulus per row, as in the order test of a batch of
+    candidates: the helpers on row blocks (B, r, m) by rows (B, m), each
+    reduced by its own modulus, against one product per factor by that
+    modulus alone; and the matrices of multiplication by x^d that
+    ``_x_power_matrices`` forms from them, for d below and above m."""
+    rng = np.random.default_rng(10 * p + m)
+    low = rng.integers(0, p, (5, m))
+    red = gf._reductions(low, p)
+    base, first = rng.integers(0, p, (2, 5, m))
+    check_power_helpers(lambda rows, b: gf._mulmod(rows, b[:, None], red[:, None], p),
+                        lambda x, y, b: gf._mulmod(x, y, red[b], p),
+                        np.eye(1, m, dtype=np.int64), first, base)
+    E, x, _, _ = gf._frobenius(low, p)
+    ds = [0, m - 1, m, m + 2, 3 * m + 1, 40]
+    mats = gf._x_power_matrices(ds, E, x, p)
+    for b in range(len(low)):
+        powers = one_by_one(lambda u, v: gf._mulmod(u, v, red[b], p),
+                            np.eye(1, m, dtype=np.int64)[0], x[b], range(ds[-1] + m))
+        assert mats[b].tolist() == [powers[d:d + m].tolist() for d in ds]
+
+
+@pytest.mark.parametrize("n, q, i", [(7, 2, 1), (5, 3, 1), (13, 3, 2)])
+def test_power_helpers_on_group_algebra_rows(n, q, i):
+    """Group-algebra rows through ``CyclicRing.mul_rows``, by one element
+    and by a stack of elements, from the identity e_{i,0} of a minimal
+    ideal, which is not the ring's one: the helpers and ``pow_rows`` against
+    one ring product per factor."""
+    atlas = build_atlas(n, q, 2)
+    R, e = atlas.ring, np.array(atlas.idempotent(i, 0).coeffs)
+    assert e.tolist() != list(R.one().coeffs)
+    rng = np.random.default_rng(n * q)
+    base = R.mul_rows(rng.integers(0, R.field.order, (4, n)), e)
+    first = R.mul_rows(rng.integers(0, R.field.order, (4, n)), e)
+
+    def prod(x, y, _):
+        return np.array((R.element(x.tolist()) * R.element(y.tolist())).coeffs)
+
+    check_power_helpers(R.mul_rows, prod, e, first, base)
+    check_power_helpers(R.mul_rows, prod, e, first[0], base[0])
+    assert (R.pow_rows(base, POWER_EXPONENTS, e)
+            == gf._square_and_multiply(base, POWER_EXPONENTS, e, R.mul_rows)).all()
 
 
 @pytest.mark.parametrize("p, m", [(2, 13), (17, 4)], ids=["GF(2^13)", "GF(17^4)"])
