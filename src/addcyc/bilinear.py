@@ -62,6 +62,9 @@ class DeltaContext:
         self._build_expansion()
         self._build_gram()
         self._atlas = None
+        #: what other layers derive from this context alone, by name, built
+        #: once per context (the oracle's class rows and block tests)
+        self.derived = {}
 
     # -- lazy atlas ---------------------------------------------------------------
 

@@ -18,10 +18,13 @@ brute-force oracle covers every cyclic code, as a direct sum of arbitrary
 K_i-subspaces of the J_i, with a direct orthogonality test; it is the ground
 truth the formulas and the enumeration are compared against.  The oracle's
 Gram matrix of a combination is the block matrix of the pairwise blocks
-[rows_i(a), rows_j(b)] of its components, so it computes each block once: one
-product per ordered class pair i != j (all choices of class i against all of
-class j), and each choice's own block.  A combination is accepted when all of
-its blocks vanish, a broadcast AND over the grid of combinations.
+[rows_i(a), rows_j(b)] of its components, and such a block vanishes wherever
+the block [J_i, J_j] of the whole components does.  So the oracle factorises:
+it reads the interaction graph off one product of the stacked bases of all
+the J_i, tests each choice's own block, and builds a table over the choice
+pairs only for the ordered class pairs whose full block is nonzero.  The
+accepted codes are the product of the accepted choices of each connected
+component (one class or a pair), never a grid over all combinations.
 
 Each mu-fixed class and transposed pair of the enumeration, and each class
 of the oracle, is one group: the reduced rows of all its options stacked in
@@ -49,7 +52,10 @@ from .errors import InvalidParameterError, TooLargeError
 from .ring import GroupAlgebraElement
 from .structure import build_coset_table, check_parameters
 
-#: most cyclic codes :func:`brute_force_oracle` scans
+#: the largest table :func:`brute_force_oracle` builds, the choices of one
+#: class or the choice pairs of two interacting ones, and the most codes it
+#: assembles, all those that pass the block tests (for "sd", before the
+#: dimension filter); both are checked before they are built
 ORACLE_LIMIT = 1_000_000
 
 
@@ -458,57 +464,121 @@ def _block_nonzero(M: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.
     return bad
 
 
+def _full_block_hits(ctx: DeltaContext) -> np.ndarray:
+    """hits[i, j]: the Gram block [J_i, J_j] of the whole components is
+    nonzero, read off one product of the stacked F_q-bases of all the J_i.
+    Where it is zero, so is the block of every pair of their subspaces."""
+    full = [component_stack(i, _full_basis(i, ctx), ctx)[0]
+            for i in range(ctx.table.num_classes)]
+    rows, sizes = np.concatenate(full), np.array([len(f) for f in full])
+    return _block_nonzero(ctx.pair_matrix(rows, rows), sizes, sizes)
+
+
+def _components(hits: np.ndarray) -> list[tuple[int, ...]]:
+    """The classes linked by a nonzero block hits[i, j], i != j, in either
+    order, as connected components: single classes and pairs.  A larger
+    component raises TooLargeError."""
+    linked = (hits | hits.T) & ~np.eye(len(hits), dtype=bool)
+    comps = []
+    for i, row in enumerate(linked):
+        others = np.flatnonzero(row).tolist()
+        if len(others) > 1:
+            raise TooLargeError(f"class {i} interacts with classes {others}; the oracle "
+                                "factorises over single classes and pairs only")
+        if not others or i < others[0]:
+            comps.append((i, *others))
+    return comps
+
+
+def _self_ok(fq: gf.Field, flat: np.ndarray, dims: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """ok[a]: the Gram block of choice a with itself is zero, for the rows
+    ``flat`` of a class's choices, their row counts and their Gram rows; one
+    batched product per row count."""
+    ok, rows_of = np.ones(len(dims), dtype=bool), _row_table(dims)
+    for r in sorted(set(dims.tolist()) - {0}):
+        idx = np.flatnonzero(dims == r)
+        at = rows_of[idx, :r]   # the rows of each choice
+        ok[idx] = ~linalg.matmul(fq, gram[at], flat[at].transpose(0, 2, 1)).any(axis=(1, 2))
+    return ok
+
+
+def _cross_bad(i: int, j: int, fq: gf.Field, groups, gram) -> np.ndarray:
+    """bad[a, b]: the Gram block of choice a of class i with choice b of
+    class j is nonzero, from one product of all class-i Gram rows with all
+    class-j rows."""
+    (_, dims_i), (flat_j, dims_j) = groups[i], groups[j]
+    return _block_nonzero(linalg.matmul(fq, gram[i], flat_j.T), dims_i, dims_j)
+
+
+def _oracle_scan(ctx: DeltaContext):
+    """The class rows of :func:`brute_force_oracle`, (flat, dims) in the
+    field's narrowest dtype, the combinations (N, classes) of choice
+    indices whose Gram blocks all vanish, and the dimension of each; built
+    once per context, in ``ctx.derived``, for both modes."""
+    if "oracle_scan" in ctx.derived:
+        return ctx.derived["oracle_scan"]
+    tab, fq = ctx.table, ctx.field_q
+    hits = _full_block_hits(ctx)
+    comps = _components(hits)
+    sizes = [ctx.q ** d + 3 for d in tab.d]
+    for comp in comps:
+        size = math.prod(sizes[i] for i in comp)
+        if size > ORACLE_LIMIT:
+            raise TooLargeError(f"a table of {size} choices of classes {list(comp)} exceeds "
+                                f"the oracle limit {ORACLE_LIMIT}")
+    groups = [_class_rows(i, ctx) for i in range(tab.num_classes)]
+    gram = [ctx.gram_apply(flat) if hits[i].any() else None
+            for i, (flat, _) in enumerate(groups)]
+    ok = [_self_ok(fq, flat, dims, gram[i]) if hits[i, i] else np.ones(len(dims), dtype=bool)
+          for i, (flat, dims) in enumerate(groups)]
+    accepted = []
+    for comp in comps:
+        table = ok[comp[0]]
+        if len(comp) == 2:
+            i, j = comp
+            table = ok[i][:, None] & ok[j]
+            if hits[i, j]:
+                table &= ~_cross_bad(i, j, fq, groups, gram)
+            if hits[j, i]:
+                table &= ~_cross_bad(j, i, fq, groups, gram).T
+        accepted.append(np.argwhere(table))
+    count = math.prod(len(acc) for acc in accepted)
+    if count > ORACLE_LIMIT:
+        raise TooLargeError(f"{count} codes pass the block tests, over the oracle limit "
+                            f"{ORACLE_LIMIT}")
+    pick = np.indices([len(acc) for acc in accepted]).reshape(len(accepted), -1)
+    combos = np.empty((count, tab.num_classes), dtype=np.intp)
+    for comp, acc, at in zip(comps, accepted, pick):
+        combos[:, list(comp)] = acc[at]
+    code_dim = sum(dims[combos[:, i]] for i, (_, dims) in enumerate(groups))
+    scan = [(flat.astype(fq.vdtype), dims) for flat, dims in groups], combos, code_dim
+    ctx.derived["oracle_scan"] = scan
+    return scan
+
+
 def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = None):
     """Independent check: test ALL cyclic codes for orthogonality directly.
 
     Every cyclic code is a direct sum of arbitrary K_i-subspaces of the J_i,
-    one choice per class.  The Gram matrix of such a combination is the
-    block matrix of the pairwise blocks [rows_i(a), rows_j(b)], so each block
-    is computed once: for every ordered class pair i != j one product of all
-    class-i Gram rows with all class-j rows, reduced to a table over (a, b),
-    and for i = j each choice's own block, batched by row count.  A
-    combination is accepted when all its blocks are zero (for "sd" also when
-    its dimension is t*n/2): a broadcast AND over the grid of combinations.
-    No mu-pairing or case list is used; every class pair is tested.  Every
-    accepted combination is checked to be a direct sum and put in canonical
-    form, its rows gathered by index from one stack of all class rows.
-    Returns (count, set of canonical keys).
+    one choice per class, and its Gram matrix is the block matrix of the
+    pairwise blocks [rows_i(a), rows_j(b)].  Such a block vanishes wherever
+    [J_i, J_j] does, so the interaction graph is read off the full blocks
+    (:func:`_full_block_hits`), never from mu.  Each choice's own block is
+    tested where [J_i, J_i] is nonzero, and a table over the choice pairs
+    (a, b) is built, by one product of all class-i Gram rows with all
+    class-j rows, only for the ordered pairs (i, j) whose full block is
+    nonzero.  The accepted combinations are the product of the accepted
+    choices of each connected component, one class or a pair (a larger one
+    raises TooLargeError); for "sd" those of dimension t*n/2.  Both modes
+    share one scan per context (:func:`_oracle_scan`).  Every accepted
+    combination is checked to be a direct sum and put in canonical form,
+    its rows gathered by index from one stack of all class rows.  Returns
+    (count, set of canonical keys).
     """
     ctx, mode = _checked_context(n, q, mode, ctx)
-    tab = ctx.table
-    sizes = [q ** d + 3 for d in tab.d]
-    if math.prod(sizes) > ORACLE_LIMIT:
-        raise TooLargeError(f"{math.prod(sizes)} cyclic codes exceed the oracle limit {ORACLE_LIMIT}")
-    fq = ctx.field_q
-    k = tab.num_classes
-    groups = [_class_rows(i, ctx) for i in range(k)]
-    flat, dims = zip(*groups)
-    gram = [ctx.gram_apply(rows) for rows in flat]
-
-    def on_axes(table, *axes):
-        shape = [1] * k
-        for ax, size in zip(axes, table.shape):
-            shape[ax] = size
-        return table.reshape(shape)
-
-    ok = np.ones(sizes, dtype=bool)
-    for i in range(k):
-        self_bad, rows_of = np.zeros(sizes[i], dtype=bool), _row_table(dims[i])
-        for r in sorted(set(dims[i].tolist()) - {0}):
-            idx = np.flatnonzero(dims[i] == r)
-            at = rows_of[idx, :r]   # the rows of each choice
-            M = linalg.matmul(fq, gram[i][at], flat[i][at].transpose(0, 2, 1))
-            self_bad[idx] = M.any(axis=(1, 2))
-        ok &= on_axes(~self_bad, i)
-        for j in range(k):
-            if j != i:
-                P = linalg.matmul(fq, gram[i], flat[j].T)
-                bad = _block_nonzero(P, dims[i], dims[j])   # axes (i, j)
-                ok &= on_axes(~bad, i, j) if i < j else on_axes(~bad.T, j, i)
+    groups, combos, code_dim = _oracle_scan(ctx)
     if mode == "sd":
-        total_dim = sum(on_axes(d, i) for i, d in enumerate(dims))
-        ok &= total_dim == n  # t*n/2, with t = 2
-    combos = np.argwhere(ok)
+        combos = combos[code_dim == n]  # t*n/2, with t = 2
     matched = set()
     for _, R in _canonical_stacks(ctx, groups)(combos):
         shape = R.shape[1:]

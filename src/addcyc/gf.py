@@ -378,7 +378,7 @@ FIRST_CHUNK = 4
 _PROVED: set[tuple[int, tuple[int, ...]]] = set()
 
 
-def _frobenius(low: np.ndarray, p: int):
+def _frobenius(low: np.ndarray, p: int, ds=()):
     """For the monic f of degree m with low coefficients ``low`` (B, m):
 
     - the shift table E (B, 2m-1, m), row k the digits of x^k mod f, that is
@@ -387,10 +387,13 @@ def _frobenius(low: np.ndarray, p: int):
     - the digits of x mod f;
     - the Frobenius matrices Q (B, m, m), row i = x^(ip) mod f, so that a row
       z times Q is z^p;
-    - whether x^(p^m) = x mod f, computed as x Q^m.
+    - whether x^(p^m) = x mod f, computed as x Q^m;
+    - the matrices (B, len(ds), m, m) of multiplication by x^d for the
+      increasing ints d >= 0 in ``ds`` (:func:`_x_power_matrices`).
 
     The rows of Q with ip <= 2m - 2 are read from E; each later row is the
-    one before it times the matrix of multiplication by x^p.
+    one before it times the matrix of multiplication by x^p, which comes from
+    the same square-and-multiply as the x^d with d >= m.
     """
     B, m = low.shape
     low = low.astype(_digit_dtype(p, m))
@@ -402,16 +405,18 @@ def _frobenius(low: np.ndarray, p: int):
     else:
         x[:, 0] = (-low[:, 0]) % p
     known = min(m, (2 * m - 2) // p + 1)
+    exps = sorted(set(ds) | ({p} if known < m else set()))
+    mats = _x_power_matrices(exps, E, x, p)
     Q = np.empty_like(eye)
     Q[:, :known] = E[:, : p * known : p]
     if known < m:
-        x_p = _x_power_matrices([p], E, x, p)[:, 0]
+        x_p = mats[:, exps.index(p)]
         for i in range(known, m):
             Q[:, i] = (Q[:, i - 1, None] @ x_p)[:, 0] % p
     y = x
     for _ in range(m):
         y = (y[:, None, :] @ Q)[:, 0] % p
-    return E, x, Q, (y == x).all(axis=1)
+    return E, x, Q, (y == x).all(axis=1), mats[:, [exps.index(d) for d in ds]]
 
 
 def _x_power_matrices(ds, E: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
@@ -448,16 +453,16 @@ def _x_has_full_order(low: np.ndarray, p: int) -> np.ndarray:
     once for each distinct digit d.
     """
     m = low.shape[1]
-    E, x, Q, ok = _frobenius(low, p)
-    ok &= low[:, 0] != 0
     q1 = p ** m - 1
     digits = [[e // p ** i % p for i in range(m)] for e in (q1 // r for r in _order_factors(q1))]
+    ds = sorted({d for row in digits for d in row})
+    _, x, Q, ok, mats = _frobenius(low, p, ds)
+    ok &= low[:, 0] != 0
     rows = np.flatnonzero(ok)
     if rows.size and digits:
-        ds = sorted({d for row in digits for d in row})
         where = {d: k for k, d in enumerate(ds)}
         index = np.array([[where[d] for d in row] for row in digits], dtype=np.intp)
-        steps = Q[rows, None] @ _x_power_matrices(ds, E[rows], x[rows], p) % p
+        steps = Q[rows, None] @ mats[rows] % p
         z = np.zeros((rows.size, len(digits), m), dtype=x.dtype)
         z[..., 0] = 1
         for i in reversed(range(m)):
@@ -481,7 +486,7 @@ def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     """Berlekamp's criterion.  When x^(p^m) = x mod f, f divides x^(p^m) - x
     and is squarefree, and then it has m - rank(Q - I) irreducible factors."""
     m = len(mod) - 1
-    _, _, Q, fixed = _frobenius(np.array([mod[:-1]], dtype=np.int64), p)
+    _, _, Q, fixed, _ = _frobenius(np.array([mod[:-1]], dtype=np.int64), p)
     kernel = (Q[0].astype(np.int64) - np.eye(m, dtype=np.int64)) % p
     return bool(fixed[0]) and linalg.rank(field(p), kernel) == m - 1
 

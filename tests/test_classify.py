@@ -314,10 +314,74 @@ def test_pair_options_structure():
         assert codes.is_self_orthogonal(code)
 
 
-def test_oracle_too_large():
-    ctx = context(13, 3, 2)
-    with pytest.raises(TooLargeError):
-        classify.brute_force_oracle(13, 3, "so", ctx)
+def test_oracle_too_large(monkeypatch):
+    """At (11, 7) the table of the 7^10 + 3 choices of class 1 is past the
+    limit; it is refused before any class rows are built."""
+    ctx = context(11, 7, 2)
+    monkeypatch.setattr(classify, "_class_rows", lambda *args: pytest.fail("rows built"))
+    with pytest.raises(TooLargeError, match="282475252"):
+        classify.brute_force_oracle(11, 7, "so", ctx)
+
+
+def test_oracle_refuses_a_component_of_three_classes():
+    hits = np.eye(4, dtype=bool)
+    hits[0, 1] = hits[2, 1] = True
+    assert classify._components(hits[:2, :2]) == [(0, 1)]
+    with pytest.raises(TooLargeError, match="interacts with classes"):
+        classify._components(hits)
+
+
+@pytest.mark.parametrize("n,q,mode,count", [(13, 3, "so", 22_707), (13, 3, "sd", 1_800),
+                                            (21, 2, "sd", 2_211)])
+def test_oracle_reaches_past_the_grid(n, q, mode, count):
+    """The factorised oracle answers where the grid of all cyclic codes
+    (4.9e6 at (13, 3), 1.9e7 at (21, 2)) is past the limit, and agrees with
+    the complete enumeration and count.  (21, 2) "so" agrees too, but its
+    enumeration takes seconds."""
+    ctx = context(n, q, 2)
+    keys = {c.key() for c in classify.enumerate_codes(n, q, mode, ctx, complete=True)}
+    got, oracle_keys = classify.brute_force_oracle(n, q, mode, ctx)
+    assert oracle_keys == keys
+    assert got == len(keys) == classify.count_codes(n, q, mode, ctx, complete=True) == count
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (7, 4), (7, 3), (13, 3)])
+def test_oracle_tables_only_for_transposed_pairs(n, q, monkeypatch):
+    """The full-J blocks are nonzero off the diagonal exactly at the
+    transposed pairs (j, mu(j)) and (mu(j), j), and the oracle builds a
+    choice-pair table for those ordered pairs only."""
+    ctx = DeltaContext(n, q, 2)
+    tab = ctx.table
+    want = {(j, tab.mu[j]) for j in tab.paired} | {(tab.mu[j], j) for j in tab.paired}
+    hits = classify._full_block_hits(ctx)
+    assert {(int(i), int(j)) for i, j in zip(*np.nonzero(hits)) if i != j} == want
+    built, raw = [], classify._cross_bad
+
+    def counted(i, j, *args):
+        built.append((i, j))
+        return raw(i, j, *args)
+
+    monkeypatch.setattr(classify, "_cross_bad", counted)
+    classify.brute_force_oracle(n, q, "so", ctx)
+    assert sorted(built) == sorted(want)
+
+
+def test_oracle_builds_class_rows_once_for_both_modes(monkeypatch):
+    """The second mode reuses the context's class rows, held in the field's
+    narrow dtype."""
+    ctx = DeltaContext(15, 2, 2)
+    calls, raw = [], classify._class_rows
+
+    def counted(i, ctx, *args):
+        calls.append(i)
+        return raw(i, ctx, *args)
+
+    monkeypatch.setattr(classify, "_class_rows", counted)
+    assert classify.brute_force_oracle(15, 2, "so", ctx)[0] == 2_592
+    classify.brute_force_oracle(15, 2, "sd", ctx)
+    assert calls == list(range(ctx.table.num_classes))
+    groups, _, _ = ctx.derived["oracle_scan"]
+    assert all(flat.dtype == ctx.field_q.vdtype for flat, _ in groups)
 
 
 def test_good_code_report_reference():

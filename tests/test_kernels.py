@@ -566,7 +566,9 @@ def test_power_helpers_on_modulus_stacks(p, m):
     candidates: the helpers on row blocks (B, r, m) by rows (B, m), each
     reduced by its own modulus, against one product per factor by that
     modulus alone; and the matrices of multiplication by x^d that
-    ``_x_power_matrices`` forms from them, for d below and above m."""
+    ``_x_power_matrices`` forms from them, for d below and above m, alone
+    and in the Frobenius pass, which forms x^p in the same square-and-
+    multiply."""
     rng = np.random.default_rng(10 * p + m)
     low = rng.integers(0, p, (5, m))
     red = gf._reductions(low, p)
@@ -574,13 +576,14 @@ def test_power_helpers_on_modulus_stacks(p, m):
     check_power_helpers(lambda rows, b: gf._mulmod(rows, b[:, None], red[:, None], p),
                         lambda x, y, b: gf._mulmod(x, y, red[b], p),
                         np.eye(1, m, dtype=np.int64), first, base)
-    E, x, _, _ = gf._frobenius(low, p)
     ds = [0, m - 1, m, m + 2, 3 * m + 1, 40]
+    E, x, _, _, merged = gf._frobenius(low, p, ds)
     mats = gf._x_power_matrices(ds, E, x, p)
     for b in range(len(low)):
         powers = one_by_one(lambda u, v: gf._mulmod(u, v, red[b], p),
                             np.eye(1, m, dtype=np.int64)[0], x[b], range(ds[-1] + m))
-        assert mats[b].tolist() == [powers[d:d + m].tolist() for d in ds]
+        want = [powers[d:d + m].tolist() for d in ds]
+        assert mats[b].tolist() == merged[b].tolist() == want
 
 
 @pytest.mark.parametrize("n, q, i", [(7, 2, 1), (5, 3, 1), (13, 3, 2)])
