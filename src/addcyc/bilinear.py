@@ -63,7 +63,8 @@ class DeltaContext:
         self._build_gram()
         self._atlas = None
         #: what other layers derive from this context alone, by name, built
-        #: once per context (the oracle's class rows and block tests)
+        #: once per context (the rows spanning each J_i, and the oracle's
+        #: choice rows and block tests)
         self.derived = {}
 
     # -- lazy atlas ---------------------------------------------------------------

@@ -27,13 +27,16 @@ accepted codes are the product of the accepted choices of each connected
 component (one class or a pair), never a grid over all combinations.
 
 Each mu-fixed class and transposed pair of the enumeration, and each class
-of the oracle, is one group: the reduced rows of all its options stacked in
-one matrix, and the row count of each, built by group-algebra products
-(:meth:`ring.CyclicRing.mul_rows`) from coefficient arrays, a class's
-subspaces of one kind in one stack (:func:`component_stack`) reduced by one
-:func:`linalg.rref_batch`.  A code is a vector of option indices, one per
-group; both assemble codes by :func:`_canonical_stacks`.  The SubcodeChoice
-lists of the public option functions label the same rows.
+of the oracle, is one group: rows spanning each of its options stacked in
+one matrix, and the row count of each, built from coefficient arrays, a
+class's subspaces of one kind by one product (:func:`component_stack`).
+The enumeration reduces each kind by one :func:`linalg.rref_batch`, which
+its partner search needs; the oracle keeps the spanning rows (the full J_i
+rows once per context), since whether a Gram block vanishes does not depend
+on the rows that span a choice.  A code is a vector of option indices, one
+per group; both assemble codes by :func:`_canonical_stacks`, which reduces
+each code once.  The SubcodeChoice lists of the public option functions
+label the same rows.
 """
 
 from __future__ import annotations
@@ -110,10 +113,12 @@ def component_rows(choice: SubcodeChoice, ctx: DeltaContext) -> np.ndarray:
 
 def component_stack(i: int, V: np.ndarray, ctx: DeltaContext) -> np.ndarray:
     """F_q-expanded rows of the subspaces of J_i with K_i-bases V (N, r, n):
-    entry a holds kappa * v for the F_q-basis kappa of K_i and the rows v of
-    V[a], by one :meth:`CyclicRing.mul_rows` per kappa."""
-    sym = np.stack([ctx.ring.mul_rows(V.reshape(-1, ctx.n), kappa.coeffs)
-                    for kappa in ctx.atlas.k_basis(i)], axis=1)
+    entry a holds kappa * v for the rows v of V[a] and, within each, the
+    F_q-basis kappa of K_i, from one :func:`linalg.matmul` of all the rows
+    by the circulants of the kappa laid side by side, (n, d_i * n)."""
+    kappa = [k.coeffs for k in ctx.atlas.k_basis(i)]
+    side_by_side = np.concatenate(ctx.ring.circulant(kappa), axis=1)
+    sym = linalg.matmul(ctx.field_qt, V.reshape(-1, ctx.n), side_by_side)
     return ctx.expand(sym.reshape(len(V), -1, ctx.n))
 
 
@@ -124,10 +129,35 @@ def _full_basis(i: int, ctx: DeltaContext) -> np.ndarray:
     return np.array([[ctx.field_qt.vmul(np.int64(x), f_i) for x in ctx.fq_basis]])
 
 
-def _reduced_rows(i: int, V: np.ndarray, ctx: DeltaContext) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced rows (RREF, zero rows dropped) of the subspaces of J_i with
-    K_i-bases V (N, r, n) stacked in one matrix, and the number of each."""
-    R, ranks = linalg.rref_batch(ctx.field_q, component_stack(i, V, ctx))
+def _full_rows(i: int, ctx: DeltaContext) -> np.ndarray:
+    """The F_q-expanded rows (t * d_i, n * t) spanning the whole J_i,
+    unreduced: the :func:`component_stack` of its K_i-basis
+    (:func:`_full_basis`), built once per context, in ``ctx.derived``."""
+    full = ctx.derived.setdefault("full_rows", {})
+    if i not in full:
+        full[i] = component_stack(i, _full_basis(i, ctx), ctx)[0]
+    return full[i]
+
+
+def _choice_rows(i: int, ctx: DeltaContext,
+                 coeffs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows spanning every K_i-subspace of J_i, unreduced, in the order of
+    :func:`all_subspace_choices`, stacked in one matrix, and the number of
+    rows of each: none for zero, the t * d_i rows of :func:`_full_rows`,
+    and d_i for each 1-dimensional one, all of those from their
+    coefficient rows ``coeffs`` (:func:`_one_dim_rows`, built here unless
+    given) by one :func:`component_stack`.  Each choice's rows are
+    independent."""
+    coeffs = _one_dim_rows(i, ctx) if coeffs is None else coeffs
+    full, dim1 = _full_rows(i, ctx), component_stack(i, coeffs[:, None], ctx)
+    dims = np.array([0, len(full)] + [dim1.shape[1]] * len(dim1))
+    return np.concatenate([full, dim1.reshape(-1, full.shape[1])]), dims
+
+
+def _reduced(fq: gf.Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced rows (RREF, zero rows dropped) of the matrices of a stack
+    (N, r, c) stacked in one matrix, and the number of each."""
+    R, ranks = linalg.rref_batch(fq, stack)
     return R[np.arange(R.shape[1]) < ranks[:, None]], ranks
 
 
@@ -135,11 +165,12 @@ def _class_rows(i: int, ctx: DeltaContext,
                 coeffs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The reduced rows of every K_i-subspace of J_i, in the order of
     :func:`all_subspace_choices`, stacked in one matrix, and the number of
-    rows of each; the 1-dimensional ones from their coefficient rows
-    ``coeffs`` (:func:`_one_dim_rows`, built here unless given)."""
-    full, full_dim = _reduced_rows(i, _full_basis(i, ctx), ctx)
-    coeffs = _one_dim_rows(i, ctx) if coeffs is None else coeffs
-    dim1, dim1_dims = _reduced_rows(i, coeffs[:, None], ctx)
+    rows of each: the rows of :func:`_choice_rows` (``coeffs`` forwarded),
+    the full choice and the 1-dimensional ones each reduced by one
+    :func:`linalg.rref_batch`."""
+    flat, dims = _choice_rows(i, ctx, coeffs)
+    full, full_dim = _reduced(ctx.field_q, flat[None, :dims[1]])
+    dim1, dim1_dims = _reduced(ctx.field_q, flat[dims[1]:].reshape(len(dims) - 2, dims[2], -1))
     return np.concatenate([full, dim1]), np.concatenate([[0], full_dim, dim1_dims])
 
 
@@ -331,15 +362,15 @@ def _row_table(dims: np.ndarray, offset: int = 0) -> np.ndarray:
 def _canonical_stacks(ctx: DeltaContext, groups: list[tuple[np.ndarray, np.ndarray]]):
     """Canonical forms of direct sums of options, one option per group.
 
-    Each group is (flat, dims): the reduced rows of all its options stacked
-    in one matrix, and the row count of each.  The groups' rows go into one
-    stack in the field's narrowest dtype, and their index tables
-    (:func:`_row_table`) are built once.  Returns ``stacks(combos)``: for
-    an (N, len(groups)) array of option indices, one code per row, it yields
-    (idx, R) once per code dimension, the codes idx of that dimension
-    gathered by index and reduced by one :func:`linalg.rref_batch`, which
-    bounds its own blocks.  The sum is checked to be direct (rank ==
-    dimension).
+    Each group is (flat, dims): independent rows spanning each of its
+    options, stacked in one matrix, and the row count of each.  The groups'
+    rows go into one stack in the field's narrowest dtype, and their index
+    tables (:func:`_row_table`) are built once.  Returns
+    ``stacks(combos)``: for an (N, len(groups)) array of option indices,
+    one code per row, it yields (idx, R) once per code dimension, the codes
+    idx of that dimension gathered by index and reduced by one
+    :func:`linalg.rref_batch`, which bounds its own blocks.  The sum is
+    checked to be direct (rank == dimension).
     """
     every_row = np.concatenate([flat for flat, _ in groups]).astype(ctx.field_q.vdtype)
     offsets = np.cumsum([0] + [len(flat) for flat, _ in groups])
@@ -378,7 +409,8 @@ def enumerate_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
     groups = []
     singles = [0] + ([tab.i_sharp] if tab.i_sharp is not None else []) + list(tab.fixed)
     for i in sorted(singles):
-        flat, dims = _reduced_rows(i, _fixed_options(i, ctx, complete)[0][:, None], ctx)
+        stack = component_stack(i, _fixed_options(i, ctx, complete)[0][:, None], ctx)
+        flat, dims = _reduced(ctx.field_q, stack)
         groups.append((flat, np.concatenate([[0], dims]) if mode == "so" else dims))
     for j in tab.paired:
         pairs, ((flat_j, dims_j), (flat_mu, dims_mu)), _ = _pairs(j, mode, ctx)
@@ -466,10 +498,10 @@ def _block_nonzero(M: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.
 
 def _full_block_hits(ctx: DeltaContext) -> np.ndarray:
     """hits[i, j]: the Gram block [J_i, J_j] of the whole components is
-    nonzero, read off one product of the stacked F_q-bases of all the J_i.
-    Where it is zero, so is the block of every pair of their subspaces."""
-    full = [component_stack(i, _full_basis(i, ctx), ctx)[0]
-            for i in range(ctx.table.num_classes)]
+    nonzero, read off one product of the stacked F_q-bases of all the J_i
+    (:func:`_full_rows`).  Where it is zero, so is the block of every pair
+    of their subspaces."""
+    full = [_full_rows(i, ctx) for i in range(ctx.table.num_classes)]
     rows, sizes = np.concatenate(full), np.array([len(f) for f in full])
     return _block_nonzero(ctx.pair_matrix(rows, rows), sizes, sizes)
 
@@ -514,7 +546,11 @@ def _oracle_scan(ctx: DeltaContext):
     """The class rows of :func:`brute_force_oracle`, (flat, dims) in the
     field's narrowest dtype, the combinations (N, classes) of choice
     indices whose Gram blocks all vanish, and the dimension of each; built
-    once per context, in ``ctx.derived``, for both modes."""
+    once per context, in ``ctx.derived``, for both modes.  A class's rows
+    are the spanning rows of its choices (:func:`_choice_rows`), never
+    reduced: whether a Gram block vanishes does not depend on the rows
+    that span the choices, and each accepted code is reduced once, when it
+    is assembled."""
     if "oracle_scan" in ctx.derived:
         return ctx.derived["oracle_scan"]
     tab, fq = ctx.table, ctx.field_q
@@ -526,7 +562,7 @@ def _oracle_scan(ctx: DeltaContext):
         if size > ORACLE_LIMIT:
             raise TooLargeError(f"a table of {size} choices of classes {list(comp)} exceeds "
                                 f"the oracle limit {ORACLE_LIMIT}")
-    groups = [_class_rows(i, ctx) for i in range(tab.num_classes)]
+    groups = [_choice_rows(i, ctx) for i in range(tab.num_classes)]
     gram = [ctx.gram_apply(flat) if hits[i].any() else None
             for i, (flat, _) in enumerate(groups)]
     ok = [_self_ok(fq, flat, dims, gram[i]) if hits[i, i] else np.ones(len(dims), dtype=bool)
@@ -570,10 +606,11 @@ def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = Non
     nonzero.  The accepted combinations are the product of the accepted
     choices of each connected component, one class or a pair (a larger one
     raises TooLargeError); for "sd" those of dimension t*n/2.  Both modes
-    share one scan per context (:func:`_oracle_scan`).  Every accepted
-    combination is checked to be a direct sum and put in canonical form,
-    its rows gathered by index from one stack of all class rows.  Returns
-    (count, set of canonical keys).
+    share one scan per context (:func:`_oracle_scan`), which tests the
+    choices' spanning rows as built and reduces none of them.  Every
+    accepted combination is checked to be a direct sum and put in canonical
+    form, its rows gathered by index from one stack of all class rows and
+    reduced once.  Returns (count, set of canonical keys).
     """
     ctx, mode = _checked_context(n, q, mode, ctx)
     groups, combos, code_dim = _oracle_scan(ctx)
@@ -581,9 +618,16 @@ def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = Non
         combos = combos[code_dim == n]  # t*n/2, with t = 2
     matched = set()
     for _, R in _canonical_stacks(ctx, groups)(combos):
-        shape = R.shape[1:]
-        matched.update((shape, R[b].tobytes()) for b in range(R.shape[0]))
+        matched.update(zip(itertools.repeat(R.shape[1:]), _matrix_bytes(R)))
     return len(combos), matched
+
+
+def _matrix_bytes(R: np.ndarray) -> list[bytes]:
+    """The bytes of each matrix of a C-contiguous stack (N, r, c), from one
+    view of each as a single void scalar."""
+    if not R[0].nbytes:
+        return [b""] * len(R)
+    return R.reshape(len(R), -1).view(np.dtype((np.void, R[0].nbytes))).ravel().tolist()
 
 
 def good_code_report(n: int, q: int, ctx: DeltaContext | None = None, *,

@@ -1139,19 +1139,47 @@ class SubfieldMap:
         self._lift = R[:, dst.m:]
 
     def _image_powers(self) -> np.ndarray:
-        """The digit rows of phi(x)^0, ..., phi(x)^(m-1)."""
+        """The digit rows of phi(x)^0, ..., phi(x)^(m-1).
+
+        The candidates g^k, g = dst.generator^ratio, are tested in blocks of
+        consecutive k, from k = 1 (g^0 = 1 lies in F_p, where src.modulus,
+        irreducible of degree m > 1, has no root), each block twice the last.
+        Each term a_j y^j of src.modulus with a_j != 0, j > 0, is the
+        sequence g^(j k), extended by doubling: the block k = 1 is the g^j,
+        and the block 2^l <= k < 2^(l+1) is the rows so far times the
+        multiplication matrix of g^(j 2^l), for all those j by one stacked
+        product, each matrix the square of the last.  The block's values
+        are the terms' sum with a_0, and the first zero is the root."""
         src, dst = self.src, self.dst
         if src.m == 1 or src is dst:
             return np.eye(src.m, dst.m, dtype=np.int64)
-        p, red = dst.p, dst._red
-        step = dst._digits(dst.pow(dst.generator, (dst.order - 1) // (src.order - 1)))
-        modulus = np.array(src.modulus, dtype=red.dtype)
-        cur = dst._digits(1)
-        for _ in range(src.order - 1):
-            powers = _power_rows(cur, src.m + 1, red, p)
-            if not (modulus @ powers % p).any():
-                return powers[:-1].astype(np.int64)
-            cur = _mulmod(cur, step, red, p)
+        p, red, count = dst.p, dst._red, src.order - 1
+        g = dst._digits(dst.pow(dst.generator, (dst.order - 1) // count))
+        coeffs = np.array(src.modulus, dtype=np.int64)
+        terms = np.flatnonzero(coeffs[1:]) + 1
+
+        def mulmod(rows, b):
+            return _mulmod(rows, b, red, p)
+
+        def matmul(rows, b):
+            return linalg.matmul(self._fp, rows, b)
+
+        one = np.eye(1, dst.m, dtype=np.int64)
+        step = _square_and_multiply(g, terms.tolist(), one, mulmod)       # g^j
+        powers, block = one[None].repeat(len(terms), axis=0), step[:, None]  # k < 1, k = 1
+        while block.shape[1]:                        # done <= k < min(2 * done, count)
+            done = powers.shape[1]
+            value = (coeffs[terms] @ block.reshape(len(terms), -1)).reshape(-1, dst.m)
+            value[:, 0] += coeffs[0]
+            roots = np.flatnonzero(~(value % p).any(axis=1))
+            if roots.size:  # g^k itself is the term j = 1 where a_1 != 0
+                k = done + int(roots[0])
+                root = block[0, roots[0]] if terms[0] == 1 else _powmod(g, k, red, p)
+                return _power_rows(root, src.m, red, p)
+            if done == 1:                            # the multiplication matrices of g^j
+                mats = _fold(_shifted(step), red, p)
+            powers, mats = np.concatenate([powers, block], axis=1), matmul(mats, mats)
+            block = matmul(powers[:, :max(count - 2 * done, 0)], mats)
         raise AssertionError("the source modulus has no root in the target")
 
     def embed(self, a):

@@ -134,10 +134,11 @@ def rref_batch(f: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     copied once into an (r, c, N') array with the batch axis innermost
     (:func:`_rref_block`), so that every step of Gauss-Jordan by rows is a
     few operations along N'.  Each row's leading column is fixed at its own
-    step, and one stable sort on it, zero rows last, gives the RREF.  Over a
-    prime field the block is integers reduced mod p lazily, for every p that
-    int64 can hold; over GF(p^m), m > 1, it goes through the field's
-    vector operations, which need no discrete-log tables.
+    step, and one stable sort on it, zero rows last, gives the RREF.  Over F_2
+    the block is 0/1 integers combined by XOR; over any other prime field it
+    is integers reduced mod p lazily, for every p that int64 can hold; over
+    GF(p^m), m > 1, it goes through the field's vector operations, which
+    need no discrete-log tables.
     """
     stack = np.asarray(stack)
     N, r, c = stack.shape
@@ -183,7 +184,9 @@ def _rref_block(f: Field, B: np.ndarray) -> np.ndarray:
     left of its pivot and keeps its leading 1 (the later pivot rows are zero
     in its column), so its leading column is the one found at its step.
 
-    Over a prime field only the pivot row and the coefficient column are
+    Over F_2 every entry stays 0 or 1, a multiple of the pivot row is
+    subtracted by one AND and one XOR, and nothing is reduced.  Over any
+    other prime field only the pivot row and the coefficient column are
     reduced mod p at a step; the other entries take at most r - 1 products
     below p^2 and stay in (-r*(p-1)^2, p), the bound of :func:`_block_dtype`,
     until the one reduction at the end.
@@ -192,11 +195,12 @@ def _rref_block(f: Field, B: np.ndarray) -> np.ndarray:
     batch = np.arange(N)
     lead = np.empty((r, N), dtype=np.intp)
     prod = np.empty_like(B)
-    prime = f.m == 1
-    index = None if prime else np.empty(B.shape, dtype=np.intp)
+    binary = f.order == 2
+    lazy = f.m == 1 and not binary     # a prime field reduced mod p lazily
+    index = None if f.m == 1 else np.empty(B.shape, dtype=np.intp)
     for i in range(r):
         row = B[i]
-        if prime:
+        if lazy:
             _mod_p(row, f.p, prod[i])
         col = (row != 0).argmax(axis=0)
         # the pivot column of each matrix, as positions in a flat (c, N) row;
@@ -204,10 +208,14 @@ def _rref_block(f: Field, B: np.ndarray) -> np.ndarray:
         at = col * N + batch
         value = row.reshape(-1).take(at)
         lead[i] = np.where(value != 0, col, c)
-        if prime:
-            if f.p > 2:               # over F_2 every leading entry is 1 already
-                row *= f.vpow(value, -1).astype(B.dtype)
-                _mod_p(row, f.p, prod[i])
+        if binary:
+            coef = B.reshape(r, -1).take(at, axis=1)
+            coef[i] = 0
+            np.bitwise_and(coef[:, None], row, out=prod)
+            B ^= prod
+        elif lazy:
+            row *= f.vpow(value, -1).astype(B.dtype)
+            _mod_p(row, f.p, prod[i])
             coef = _mod_p(B.reshape(r, -1).take(at, axis=1), f.p)
             coef[i] = 0
             np.multiply(coef[:, None], row, out=prod)
@@ -218,7 +226,7 @@ def _rref_block(f: Field, B: np.ndarray) -> np.ndarray:
             coef[i] = 0
             f.vmul(coef[:, None], row, out=prod, index=index)
             f.vsub(B, prod, out=B, index=index)
-    if prime:
+    if lazy:
         _mod_p(B, f.p, prod)
     return lead
 

@@ -55,12 +55,17 @@ class CyclicRing:
         coeffs[k % self.n] = 1
         return GroupAlgebraElement(self, tuple(coeffs))
 
+    def circulant(self, b) -> np.ndarray:
+        """The circulant B[i, k] = b[(k - i) mod n] of an element b (n,), or
+        of each element of a stack (..., n): row a * B is the product a * b."""
+        return np.asarray(b, dtype=np.int64)[..., self._rot]
+
     def mul_rows(self, rows: np.ndarray, b) -> np.ndarray:
-        """Products by the circulant of b, B[i, k] = b[(k - i) mod n]: a
-        stack (N, n) of coefficient rows times one element b (n,), or a
-        stack (N, r, n) of row blocks times a stack of elements b (N, n),
-        block a by b[a]; ``linalg.matmul(rows, B)`` either way."""
-        return linalg.matmul(self.field, rows, np.asarray(b, dtype=np.int64)[..., self._rot])
+        """Products by the circulant of b (:meth:`circulant`): a stack (N, n)
+        of coefficient rows times one element b (n,), or a stack (N, r, n)
+        of row blocks times a stack of elements b (N, n), block a by b[a];
+        ``linalg.matmul(rows, B)`` either way."""
+        return linalg.matmul(self.field, rows, self.circulant(b))
 
     def pow_rows(self, rows: np.ndarray, exponents, identity) -> np.ndarray:
         """Powers rows[a]^k for a stack (N, n) of rows and each k in

@@ -316,9 +316,9 @@ def test_pair_options_structure():
 
 def test_oracle_too_large(monkeypatch):
     """At (11, 7) the table of the 7^10 + 3 choices of class 1 is past the
-    limit; it is refused before any class rows are built."""
+    limit; it is refused before any choice rows are built."""
     ctx = context(11, 7, 2)
-    monkeypatch.setattr(classify, "_class_rows", lambda *args: pytest.fail("rows built"))
+    monkeypatch.setattr(classify, "_choice_rows", lambda *args: pytest.fail("rows built"))
     with pytest.raises(TooLargeError, match="282475252"):
         classify.brute_force_oracle(11, 7, "so", ctx)
 
@@ -367,16 +367,16 @@ def test_oracle_tables_only_for_transposed_pairs(n, q, monkeypatch):
 
 
 def test_oracle_builds_class_rows_once_for_both_modes(monkeypatch):
-    """The second mode reuses the context's class rows, held in the field's
+    """The second mode reuses the context's choice rows, held in the field's
     narrow dtype."""
     ctx = DeltaContext(15, 2, 2)
-    calls, raw = [], classify._class_rows
+    calls, raw = [], classify._choice_rows
 
     def counted(i, ctx, *args):
         calls.append(i)
         return raw(i, ctx, *args)
 
-    monkeypatch.setattr(classify, "_class_rows", counted)
+    monkeypatch.setattr(classify, "_choice_rows", counted)
     assert classify.brute_force_oracle(15, 2, "so", ctx)[0] == 2_592
     classify.brute_force_oracle(15, 2, "sd", ctx)
     assert calls == list(range(ctx.table.num_classes))
@@ -511,15 +511,86 @@ def test_one_dim_rows_built_once_per_side(n, q, monkeypatch):
 
 @pytest.mark.parametrize("n,q", [(7, 3), (15, 2), (5, 7), (13, 2), (7, 4)])
 def test_class_rows_match_the_listed_choices(n, q):
-    """The oracle's class rows, built from coefficient arrays, are the
-    reduced rows of the listed subspace choices: same rows, row counts and
-    order."""
+    """The enumeration's class rows, built from coefficient arrays, are
+    the reduced rows of the listed subspace choices: same rows, row counts
+    and order."""
     ctx = context(n, q, 2)
     for i in range(ctx.table.num_classes):
         flat, dims = classify._class_rows(i, ctx)
         blocks = reduced_rows(classify.all_subspace_choices(i, ctx), ctx)
         assert dims.tolist() == [b.shape[0] for b in blocks]
         assert flat.dtype == np.int64 and flat.tobytes() == np.concatenate(blocks).tobytes()
+
+
+@pytest.mark.parametrize("n,q", [(7, 3), (15, 2), (5, 7), (7, 4), (13, 2)])
+def test_oracle_choices_span_the_class_rows(n, q):
+    """Each of the oracle's choice rows has full row rank, and its RREF is
+    the matching block of the enumeration's class rows: same order, same
+    row counts."""
+    ctx = context(n, q, 2)
+    groups, _, _ = classify._oracle_scan(ctx)
+    for i, (flat, dims) in enumerate(groups):
+        want, want_dims = classify._class_rows(i, ctx)
+        assert dims.tolist() == want_dims.tolist()
+        starts = np.cumsum(dims) - dims
+        for a, (start, r) in enumerate(zip(starts, dims)):
+            R, pivots = linalg.rref(ctx.field_q, flat[start:start + r])
+            assert len(pivots) == r, (i, a)
+            assert R.tolist() == want[start:start + r].tolist(), (i, a)
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (5, 7)])
+def test_oracle_scan_reduces_no_choice(n, q, monkeypatch):
+    """The scan tests the choices' spanning rows as they are built: it
+    calls no row reduction."""
+    ctx = DeltaContext(n, q, 2)
+    ctx.atlas
+    calls, raw = [], linalg.rref_batch
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return raw(*args)
+
+    monkeypatch.setattr(linalg, "rref_batch", counted)
+    classify._oracle_scan(ctx)
+    assert calls == []
+
+
+def test_full_rows_built_once_per_context(monkeypatch):
+    """Each class's full-J rows are built once per context: the oracle's
+    full choices are the rows that _full_block_hits read."""
+    ctx = DeltaContext(15, 2, 2)
+    built, raw = [], classify.component_stack
+
+    def counted(i, V, ctx):
+        if V.shape == (1, ctx.t, ctx.n):
+            built.append(i)
+        return raw(i, V, ctx)
+
+    monkeypatch.setattr(classify, "component_stack", counted)
+    classify._full_block_hits(ctx)
+    for mode in ("so", "sd"):
+        classify.brute_force_oracle(15, 2, mode, ctx)
+    assert built == list(range(ctx.table.num_classes))
+    groups, _, _ = ctx.derived["oracle_scan"]
+    for i, (flat, dims) in enumerate(groups):
+        assert (flat[:dims[1]] == classify._full_rows(i, ctx)).all()
+
+
+@pytest.mark.parametrize("n,q", [(7, 3), (7, 4), (5, 9), (15, 2)])
+def test_component_stack_equals_the_products_per_kappa(n, q):
+    """The one product by the side-by-side circulants gives, byte for byte,
+    the stack of one ring product per element kappa of the F_q-basis of
+    K_i, for 1-dimensional bases (N, 1, n) and the full basis (1, t, n)."""
+    ctx = context(n, q, 2)
+    for i in range(ctx.table.num_classes):
+        for V in (classify._one_dim_rows(i, ctx)[:, None], classify._full_basis(i, ctx)):
+            sym = np.stack([ctx.ring.mul_rows(V.reshape(-1, n), kappa.coeffs)
+                            for kappa in ctx.atlas.k_basis(i)], axis=1)
+            want = ctx.expand(sym.reshape(len(V), -1, n))
+            got = classify.component_stack(i, V, ctx)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def reference_enumeration(n, q, mode, ctx, complete):

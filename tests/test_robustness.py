@@ -112,6 +112,17 @@ def test_wide_q_atlas_idempotents_split_the_ring():
     assert es[0] + es[1] + es[2] == ring.one()
 
 
+def test_form_over_gf_2_21():
+    """GF(2^21) embeds in GF(2^42) at the 204,717th power of the subfield's
+    generator image, found inside the wall limit.  Every symbol of a and b
+    lies in F_2, gamma = 1 for even q, and Tr(1) = 1 + 1 = 0 from GF(q^2)
+    to GF(q), so (a, b) and every coefficient of [a, b] are 0."""
+    proc = run_cli("form", "-n", "3", "-q", "2097152", "--a", "1,1,1", "--b", "1,0,0", "--json")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    record = json.loads(proc.stdout)
+    assert record == {"form": "0,0,0", "inner": "0"}
+
+
 def test_out_of_range_work_is_refused_with_a_typed_error():
     proc = run_cli("mindist", "-n", "3", "-q", "2147483647", "--gen", "1,1,1")
     assert proc.returncode == 2, proc.stderr[-2000:]
