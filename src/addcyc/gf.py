@@ -360,7 +360,10 @@ def _order_factors(q_minus_1: int) -> tuple[int, ...]:
 # field: f is irreducible and primitive.  The test and Berlekamp's criterion
 # both start from the Frobenius matrix Q of f (row i: x^(ip) mod f); z -> z^p
 # is F_p-linear, so the test forms every power by products with Q (von zur
-# Gathen and Gerhard, Modern Computer Algebra, ch. 14).
+# Gathen and Gerhard, Modern Computer Algebra, ch. 14).  The search runs it
+# only on candidates that nothing cheaper rules out: the norm of x,
+# (-1)^m f(0), must be a primitive root mod p, and f must have no small
+# irreducible factor.
 # ---------------------------------------------------------------------------
 
 #: the sieve divides by the irreducibles of degree d0 at most, p^d0 <= this
@@ -513,20 +516,24 @@ def _small_irreducibles(p: int, d: int) -> np.ndarray:
 def _sieve_matrix(p: int, m: int, d0: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     """The digits of x^i mod g, i = 0..m, for every monic irreducible g of
     degree 1..d0: an (m+1, sum k*d) matrix, d columns per g, grouped by
-    degree, with the (k, d) of each group."""
-    cols, groups = [], []
-    for d in range(1, d0 + 1):
-        gs = _small_irreducibles(p, d)
-        powers = np.zeros((m + 1, len(gs), d), dtype=np.int64)
-        cur = np.zeros((len(gs), d), dtype=np.int64)
-        cur[:, 0] = 1
-        for i in range(m + 1):
-            powers[i] = cur
-            top = cur[:, -1:]
-            cur = (np.concatenate([np.zeros_like(top), cur[:, :-1]], axis=1) - top * gs) % p
-        cols.append(powers.reshape(m + 1, -1))
-        groups.append((len(gs), d))
-    return np.concatenate(cols, axis=1), tuple(groups)
+    degree, with the (k, d) of each group.
+
+    The powers of every g come from one pass over i: each g is stored as
+    d0 + 1 digits with its leading 1, so that x * cur - top * g, top the
+    digit of cur at the degree of g, is one step for all degrees."""
+    gs = [_small_irreducibles(p, d) for d in range(1, d0 + 1)]
+    deg = np.repeat(np.arange(1, d0 + 1), [len(g) for g in gs])
+    rows = np.arange(len(deg))
+    used = np.arange(d0 + 1) < deg[:, None]
+    g = np.zeros((len(deg), d0 + 1), dtype=np.int64)
+    g[used] = np.concatenate([g_d.ravel() for g_d in gs])
+    g[rows, deg] = 1
+    powers = np.zeros((m + 1, len(deg), d0 + 1), dtype=np.int64)
+    powers[0, :, 0] = 1
+    for i in range(m):
+        powers[i + 1, :, 1:] = powers[i, :, :-1]
+        powers[i + 1] = (powers[i + 1] - powers[i + 1, rows, deg, None] * g) % p
+    return powers[:, used], tuple((len(g_d), d) for d, g_d in enumerate(gs, 1))
 
 
 def _has_small_factor(low: np.ndarray, p: int, d0: int) -> np.ndarray:
@@ -551,37 +558,66 @@ def _divisible(zero: np.ndarray, groups) -> np.ndarray:
     return out
 
 
+def _admissible_norms(p: int, m: int, a0: np.ndarray) -> np.ndarray:
+    """Whether (-1)^m a_0 is a primitive root mod p, for each constant
+    coefficient a_0 in ``a0`` of a monic f of degree m.
+
+    It is the norm x^((p^m-1)/(p-1)) of x mod f, the product of the roots of
+    f; when f is primitive, x generates GF(p^m)^* and the norm, a surjective
+    homomorphism onto F_p^*, takes it to a generator (Lidl and Niederreiter,
+    Finite Fields, ch. 3)."""
+    rs = _order_factors(p - 1)
+    norms = ((-a0 if m % 2 else a0) % p).tolist()
+    return np.array([c != 0 and all(pow(c, (p - 1) // r, p) != 1 for r in rs)
+                     for c in norms], dtype=bool)
+
+
 def _sieved_candidates(p: int, m: int):
     """The candidates of :func:`least_primitive_modulus` in order, as blocks
-    of digit rows, less those with a monic irreducible factor g of degree d0
-    or less (p^d0 <= SIEVE_LIMIT, d0 <= m/2) and, for m = 2, less x^2 + a_0,
-    the integers below p.  None of those is primitive: x^2 = -a_0 lies in
-    F_p, so the order of x divides 2(p - 1) < p^2 - 1.
+    of at most SIEVE_BLOCK digit rows, less three kinds that are never
+    primitive:
 
-    A block holds candidates that share their high digits: the p^j that
-    differ in their low j digits when p^j <= SIEVE_BLOCK, and otherwise (j =
-    1) at most SIEVE_BLOCK consecutive values of a_0.  A candidate is its
-    low j digits plus its high part, so g divides it when their remainders
-    mod g are opposite: the low remainders are formed once, and a block
-    compares them with one row.
+    - those whose norm (-1)^m a_0 is not a primitive root mod p
+      (:func:`_admissible_norms`); at p = 3 and even m only a_0 = 2 is left;
+    - those with a monic irreducible factor g of degree d0 or less
+      (p^d0 <= SIEVE_LIMIT, d0 <= m/2);
+    - for m = 2, x^2 + a_0, the integers below p: x^2 = -a_0 lies in F_p,
+      so the order of x divides 2(p - 1) < p^2 - 1.
+
+    A block holds candidates that share their high digits and differ in
+    their low j digits, p^j <= SIEVE_BLOCK or j = 1.  For p <= SIEVE_LIMIT
+    the low digit rows with an admissible a_0 are picked once, before their
+    remainders are formed, and a block is SIEVE_BLOCK of them at most.  A
+    candidate is its low j digits plus its high part, so g divides it when
+    their remainders mod g are opposite: the low remainders are formed
+    once, and a block compares them with one row.  Above SIEVE_LIMIT there
+    is no sieve: a block is SIEVE_BLOCK consecutive values of a_0, less
+    those whose norm fails ``pow``'s test.
     """
     d0 = max(d for d in range(m // 2 + 1) if p ** d <= SIEVE_LIMIT)
     j = max(i for i in range(1, m + 1) if i == 1 or p ** i <= SIEVE_BLOCK)
     size = p ** j
     start = p if m == 2 else 0
-    if d0:
+    if d0:  # p <= SIEVE_LIMIT, so the p^j low rows are few
+        low = _low_digits(p, j)
+        low = low[_admissible_norms(p, m, low[:, 0])]
+        position = low @ p ** np.arange(j, dtype=np.int64)
         R, groups = _sieve_matrix(p, m, d0)
-        low_rem = (_low_digits(p, j) @ R[:j] % p).astype(np.uint8)  # p <= SIEVE_LIMIT
+        low_rem = (low @ R[:j] % p).astype(np.uint8)
     for high in range(start // size, p ** (m - j)):
         top = np.array([(high // p ** i) % p for i in range(m - j)], dtype=np.int64)
+        first = max(start - high * size, 0)
         if d0:
             opposite = (-(top @ R[j:m] + R[m]) % p).astype(np.uint8)
-        for lo in range(max(start - high * size, 0), size, SIEVE_BLOCK):
-            hi = min(lo + SIEVE_BLOCK, size)
-            block = np.concatenate([_low_digits(p, j, lo, hi), np.tile(top, (hi - lo, 1))], axis=1)
-            if d0:
-                block = block[~_divisible(low_rem[lo:hi] == opposite, groups)]
-            yield block
+            for lo in range(np.searchsorted(position, first), len(low), SIEVE_BLOCK):
+                rows = slice(lo, lo + SIEVE_BLOCK)
+                kept = ~_divisible(low_rem[rows] == opposite, groups)
+                yield np.concatenate([low[rows], np.tile(top, (len(kept), 1))], axis=1)[kept]
+        else:
+            for lo in range(first, size, SIEVE_BLOCK):
+                low = _low_digits(p, j, lo, min(lo + SIEVE_BLOCK, size))
+                low = low[_admissible_norms(p, m, low[:, 0])]
+                yield np.concatenate([low, np.tile(top, (len(low), 1))], axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -590,10 +626,12 @@ def least_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
 
     Candidates x^m + a_{m-1} x^{m-1} + ... + a_0 are ordered by the integer
     sum(a_i p^i); for m = 1 this yields x - g with g the least primitive root.
-    The survivors of the sieve (:func:`_sieved_candidates`) go, in order,
-    through batched order tests of FIRST_CHUNK, then twice as many, and so
-    on.  The first that passes is the modulus.  For m = 2 the candidates
-    x^2 + a_0 are never tested: none of them is primitive.
+    The candidates that the norm filter and the sieve leave
+    (:func:`_sieved_candidates`: (-1)^m a_0 a primitive root mod p, no small
+    irreducible factor, and for m = 2 not x^2 + a_0) go, in order, through
+    batched order tests of FIRST_CHUNK, then twice as many, and so on.  The
+    first that passes is the modulus.  Only candidates that are not
+    primitive are dropped, so the least one is the same as without them.
     """
     if m == 1:
         # the least g with g^((p-1)/r) != 1 for every prime r | p - 1: the

@@ -8,9 +8,10 @@ factors together with the coset associated to each, which is the association
 everything downstream keys on, and the same root gives the idempotent of each
 coset by an inverse discrete Fourier transform.  The splitting field and the
 root are pinned deterministically (default or reference modulus,
-generator^((Q^ord-1)/n)), so factor labels are reproducible.  Division with
-remainder, sums and products of polynomials remain for checks: the factors
-multiply back to X^n - 1.
+generator^((Q^ord-1)/n)), so factor labels are reproducible.  Products of
+polynomials form a factor over a subfield from its factors over the larger
+field (the atlas's m_i from its M_{i,j}) and check that the factors
+multiply back to X^n - 1; division with remainder and sums remain for checks.
 """
 
 from __future__ import annotations

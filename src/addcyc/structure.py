@@ -190,19 +190,21 @@ class IdealAtlas:
         self.sd = splitting_data(n, field_qt, paper=paper)
 
         # irreducible factors over both fields, from the same splitting-field
-        # root: the roots of the coarse factor m_i are those of its fine
-        # factors M_{i,j}, which keeps the coset <-> factor associations of
-        # the two factorisations mutually consistent (the tests check
-        # m_i = prod_j M_{i,j}), and the coercion of m_i down to F_q checks
-        # that it really has F_q coefficients.
+        # root: the fine factors M_{i,j} are minimal polynomials over F_{q^t},
+        # and the coarse factor m_i, whose roots are theirs, is their product
+        # (M_{i,0} when s_i = 1), which keeps the coset <-> factor
+        # associations of the two factorisations mutually consistent; its
+        # retraction to F_q raises if a coefficient is not in F_q.
         self.M_poly: dict[tuple[int, int], Poly] = {
             (i, j): minimal_poly(sub, self.sd, field_qt)
             for i, subs in enumerate(self.table.subcosets) for j, sub in enumerate(subs)}
+        to_q = gf.subfield_map(field_q, field_qt)
         self.m_poly: list[Poly] = []
-        for i, coset in enumerate(self.table.cosets):
-            m_i = minimal_poly(coset, self.sd, field_q)
-            assert m_i.degree == self.table.d[i]
-            self.m_poly.append(m_i)
+        for i, subs in enumerate(self.table.subcosets):
+            m_i = math.prod((self.M_poly[(i, j)] for j in range(len(subs))),
+                            start=Poly.one(field_qt))
+            self.m_poly.append(Poly(field_q, to_q.retract(np.array(m_i.coeffs))))
+            assert self.m_poly[i].degree == self.table.d[i]
         check = Poly.one(field_q)
         for p_i in self.m_poly:
             check = check * p_i

@@ -410,30 +410,55 @@ def test_sieve_against_rabin(p, m):
             assert rej == (least <= d0), (digits, d0)
 
 
+def _norm_admissible(a0, p, m):
+    """Whether the norm (-1)^m a_0 of x mod a monic f of degree m generates
+    F_p^*, by sympy's multiplicative order."""
+    c = (-1) ** m * int(a0) % p
+    return c != 0 and sympy.n_order(c, p) == p - 1
+
+
 @pytest.mark.parametrize("block", [gf.SIEVE_BLOCK, 4])
 @pytest.mark.parametrize("p,m", [(2, 9), (2, 12), (3, 6), (3, 7), (5, 4), (17, 3), (257, 2)])
 def test_block_sieve_keeps_what_the_sieve_keeps(p, m, block, monkeypatch):
-    """The search's sieve, by the low digits' remainders and one row per
-    block, keeps exactly the candidates that the direct sieve keeps, in
-    order; for m = 2 these start at x^2 + x, past the x^2 + a_0 that are
-    never primitive."""
+    """The search's candidates, by the low digits' remainders and one row per
+    block, are exactly, in order, those with no monic factor of degree <= d0
+    and an admissible norm (-1)^m a_0; for m = 2 they start at x^2 + x, past
+    the x^2 + a_0 that are never primitive."""
     monkeypatch.setattr(gf, "SIEVE_BLOCK", block)
     d0 = max(d for d in range(m // 2 + 1) if p ** d <= gf.SIEVE_LIMIT)
     cands = gf._low_digits(p, m)[p if m == 2 else 0:]
-    kept = np.concatenate(list(gf._sieved_candidates(p, m)))
+    cands = cands[[_norm_admissible(a0, p, m) for a0 in cands[:, 0]]]
+    blocks = list(gf._sieved_candidates(p, m))
+    assert max(len(b) for b in blocks) <= block
+    kept = np.concatenate(blocks)
     assert kept.tolist() == cands[~gf._has_small_factor(cands, p, d0)].tolist()
 
 
 @pytest.mark.parametrize("p, m", [(4099, 2), (65537, 2), (4099, 3)])
 def test_sieve_blocks_stay_within_the_block_bound(p, m):
-    """Above SIEVE_BLOCK, the p candidates that differ only in a_0 come in
-    blocks of at most SIEVE_BLOCK, in order: x^2 + x + a_0 first at m = 2,
-    x^3 + a_0 at m = 3."""
+    """Above SIEVE_LIMIT, the candidates that differ only in a_0 come in
+    blocks of at most SIEVE_BLOCK, in order, each of SIEVE_BLOCK
+    consecutive values of a_0 less those whose norm is not a primitive root:
+    x^2 + x + a_0 first at m = 2, x^3 + a_0 at m = 3."""
     blocks = list(itertools.islice(gf._sieved_candidates(p, m), 200))
-    assert max(len(b) for b in blocks) == gf.SIEVE_BLOCK
+    assert max(len(b) for b in blocks) <= gf.SIEVE_BLOCK
     start = p if m == 2 else 0
-    values = np.concatenate(blocks) @ p ** np.arange(m)
-    assert values.tolist() == list(range(start, start + len(values)))
+    values = (np.concatenate(blocks) @ p ** np.arange(m)).tolist()
+    assert values[-1] - start > 100 * gf.SIEVE_BLOCK
+    assert values == [v for v in range(start, values[-1] + 1) if _norm_admissible(v % p, p, m)]
+
+
+@pytest.mark.parametrize("p,m", [(2, m) for m in range(2, 9)] + [(3, m) for m in range(2, 6)]
+                         + [(5, 2), (5, 3), (7, 2), (7, 3), (13, 2)])
+def test_norm_filter_keeps_every_primitive_candidate(p, m):
+    """Every monic f of degree m in which x has order p^m - 1 (the order test
+    on all of them) has a norm (-1)^m a_0 that the search admits, and so the
+    norm filter never drops a primitive candidate."""
+    low = gf._low_digits(p, m)
+    a0 = low[gf._x_has_full_order(low, p), 0]
+    assert a0.size
+    assert gf._admissible_norms(p, m, a0).all()
+    assert all(_norm_admissible(a, p, m) for a in a0)
 
 
 BIG_PRIME_SEARCH = """
@@ -606,6 +631,25 @@ def test_each_modulus_is_proved_once(monkeypatch):
     gf.Field(3, 2, (2, 2, 1))
     gf.Field(3, 2, (2, 2, 1))
     assert tested[searched:] == [(3, 1)]
+
+
+@pytest.mark.parametrize("m, batches", [(28, [4, 8, 16]), (18, [4, 8])])
+def test_modulus_search_batches(m, batches, monkeypatch):
+    """The uncached GF(3^m) searches for the splitting fields of (29, 3) and
+    (19, 3) run order tests on these many rows: the norm filter leaves only
+    a_0 = 2 at p = 3 and even m, so the sieve survivors reach the modulus
+    sooner."""
+    tested = []
+    order_test = gf._x_has_full_order
+
+    def counting(low, p):
+        tested.append(len(low))
+        return order_test(low, p)
+
+    monkeypatch.setattr(gf, "_PROVED", set())
+    monkeypatch.setattr(gf, "_x_has_full_order", counting)
+    assert gf.least_primitive_modulus.__wrapped__(3, m) == RECORDED_MODULI[(3, m)]
+    assert tested == batches
 
 
 def test_linear_factor_product_against_scalar_products():

@@ -113,16 +113,14 @@ def test_fine_factor_count_matches_coset_split():
 
 
 def test_refinement_property_via_atlas():
-    # each coarse factor equals the product of its fine factors
+    # the atlas forms each coarse factor as the product of its fine factors;
+    # it must be the minimal polynomial over F_q of the whole q-coset
     from addcyc.structure import build_atlas
-    for n, q, paper in [(7, 3, True), (7, 3, False), (5, 2, False), (5, 3, False)]:
+    for n, q, paper in [(7, 3, True), (7, 3, False), (5, 2, False), (5, 3, False),
+                        (29, 3, False), (19, 3, False)]:
         atlas = build_atlas(n, q, 2, paper=paper)
-        emb = gf.subfield_map(atlas.field_q, atlas.field_qt).embed
-        for i in range(atlas.table.num_classes):
-            prod = Poly.one(atlas.field_qt)
-            for j in range(atlas.table.s[i]):
-                prod = prod * atlas.M_poly[(i, j)]
-            assert prod == Poly(atlas.field_qt, [emb(c) for c in atlas.m_poly[i].coeffs])
+        for i, coset in enumerate(atlas.table.cosets):
+            assert atlas.m_poly[i] == polyring.minimal_poly(coset, atlas.sd, atlas.field_q)
 
 
 def test_poly_tokens_roundtrip():
