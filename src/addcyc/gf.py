@@ -30,7 +30,8 @@ stacks of digit rows: it runs the order test on many candidate moduli at
 once, builds the discrete-log tables and multiplies out the factors of
 X^n - 1.  Those tables, eager up to 2^12 elements and built by
 :meth:`Field.dlog` up to 2^20, serve only the scalar products and powers,
-the Cayley tables and dlog; no vector operation reads them.
+the Cayley tables, dlog and the order test :meth:`Field.has_order`; no
+vector operation reads them, and only dlog builds them above 2^12.
 """
 
 from __future__ import annotations
@@ -78,6 +79,10 @@ CAYLEY_LIMIT = 1 << 8
 #: fields at most this big build their discrete-log tables eagerly at
 #: construction; larger ones only when dlog asks for them.
 EAGER_TABLE_LIMIT = 1 << 12
+
+#: rows of the largest block of consecutive powers that the log tables and
+#: the subfield maps form at a time
+POWER_BLOCK = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -807,6 +812,26 @@ class Field:
                 o //= r
         return o
 
+    def has_order(self, digits, order: int) -> np.ndarray:
+        """For digit rows (..., m) of elements whose order divides ``order``:
+        whether each has order exactly ``order``; False at zero.
+
+        With discrete-log tables, g^l has order (p^m - 1)/gcd(l, p^m - 1).
+        Without them (none are built), the powers to the exponents order/r,
+        r a prime of ``order``, come from one square-and-multiply, and none
+        may be 1."""
+        digits = np.asarray(digits, dtype=self._red.dtype)
+        nonzero = digits.any(axis=-1)
+        if self._exp is not None:
+            q1 = self.order - 1
+            logs = self._log[self.vencode(digits)]
+            return nonzero & (np.gcd(logs, q1) == q1 // order)
+        one = np.eye(1, self.m, dtype=digits.dtype)
+        powers = _square_and_multiply(
+            digits, [order // r for r in _order_factors(order)], one,
+            lambda rows, b: _mulmod(rows, b[..., None, :], self._red, self.p))
+        return nonzero & ~(powers == one).all(axis=-1).any(axis=-1)
+
     # -- tables and vector operations -----------------------------------------
 
     def _build_tables(self):
@@ -817,10 +842,10 @@ class Field:
                 f"field of order {self.order} exceeds the {TABLE_LIMIT} table limit")
         q1 = self.order - 1
         p, red = self.p, self._red
-        # a block of g^0..g^(k-1), k <= 4096, by doubling; then each block is
-        # the previous one times g^k
+        # a block of g^0..g^(k-1), k <= POWER_BLOCK, by doubling; then each
+        # block is the previous one times g^k
         g = self._digits(self.generator)
-        block = _power_rows(g, min(q1, 1 << 12), red, p)
+        block = _power_rows(g, min(q1, POWER_BLOCK), red, p)
         step = _mulmod(block[-1], g, red, p)
         parts = [self.vencode(block)]
         for _ in range(1, -(-q1 // len(block))):
@@ -1186,8 +1211,11 @@ class SubfieldMap:
         sequence g^(j k), extended by doubling: the block k = 1 is the g^j,
         and the block 2^l <= k < 2^(l+1) is the rows so far times the
         multiplication matrix of g^(j 2^l), for all those j by one stacked
-        product, each matrix the square of the last.  The block's values
-        are the terms' sum with a_0, and the first zero is the root."""
+        product, each matrix the square of the last.  From k = POWER_BLOCK
+        on, each block is the last one times the fixed matrices of
+        g^(j POWER_BLOCK), so no more than two blocks of POWER_BLOCK rows
+        are held.  The block's values are the terms' sum with a_0, and the
+        first zero is the root."""
         src, dst = self.src, self.dst
         if src.m == 1 or src is dst:
             return np.eye(src.m, dst.m, dtype=np.int64)
@@ -1205,8 +1233,8 @@ class SubfieldMap:
         one = np.eye(1, dst.m, dtype=np.int64)
         step = _square_and_multiply(g, terms.tolist(), one, mulmod)       # g^j
         powers, block = one[None].repeat(len(terms), axis=0), step[:, None]  # k < 1, k = 1
-        while block.shape[1]:                        # done <= k < min(2 * done, count)
-            done = powers.shape[1]
+        done = 1                                     # the block holds done <= k < next
+        while block.shape[1]:
             value = (coeffs[terms] @ block.reshape(len(terms), -1)).reshape(-1, dst.m)
             value[:, 0] += coeffs[0]
             roots = np.flatnonzero(~(value % p).any(axis=1))
@@ -1216,8 +1244,11 @@ class SubfieldMap:
                 return _power_rows(root, src.m, red, p)
             if done == 1:                            # the multiplication matrices of g^j
                 mats = _fold(_shifted(step), red, p)
-            powers, mats = np.concatenate([powers, block], axis=1), matmul(mats, mats)
-            block = matmul(powers[:, :max(count - 2 * done, 0)], mats)
+            done += block.shape[1]
+            if done <= POWER_BLOCK:                  # the rows k < done times g^(j done)
+                powers, mats = np.concatenate([powers, block], axis=1), matmul(mats, mats)
+                block = powers
+            block = matmul(block[:, :max(count - done, 0)], mats)
         raise AssertionError("the source modulus has no root in the target")
 
     def embed(self, a):

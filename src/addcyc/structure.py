@@ -18,9 +18,11 @@ F_q[X]/(m_i) with f_i as its 1, spanned by X^k * f_i, k < d_i.
 
 Each minimal ideal I_{i,j} of the big algebra is a finite field of
 q^(t*D_i) elements: it is GF(q^t)[Y]/(M_{i,j}) through Y -> X * e_{i,j}.
-The designated primitive element rho_{i,0} is found inside the ideal, as
-the first h(X) * e_{i,0} (deg h < D_i, in a fixed order) that passes the
-order test in the ring; the splitting field is not consulted.  Primitive
+The designated primitive element rho_{i,0} is the first h(X) * e_{i,0}
+(deg h < D_i, in a fixed order) of order q^(t*D_i) - 1.  Its order is tested
+on the value h(eta'^u), u in the subcoset (i, 0), in the splitting field:
+evaluation there is an injective ring map of I_{i,0}, so it keeps orders.
+Only the candidate that passes is multiplied out in the ring.  Primitive
 elements of the sibling ideals are derived through tau so that
 tau_{q^j,1}(rho_{i,0}) = rho_{i,j}.
 """
@@ -302,31 +304,43 @@ class IdealAtlas:
         """Designated primitive element of I_{i,j} (order q^(t*D_i) - 1).
 
         rho_{i,0} is the first h(X) * e_{i,0}, deg h < D_i, whose order in
-        I_{i,0} = GF(q^t)[Y]/(M_{i,0}) (Y -> X * e_{i,0}) is q1 = q^(t*D_i) - 1,
+        I_{i,0} = GF(q^t)[Y]/(M_{i,0}) (Y -> X * e_{i,0}) is q^(t*D_i) - 1,
         the h taken in the order of their coefficients read as a base-q^t
-        integer.  A nonzero element has order q1 when its (q1/r)-th power is
-        not e_{i,0} for any prime r | q1.  Constants have order dividing
-        q^t - 1, so the search starts at h = Y when D_i > 1, and otherwise at
-        h = p: a constant of F_p has order dividing p - 1 < q1.  Candidates
-        are tested a block at a time by one shared square-and-multiply, each
-        block twice the last.  rho_{i,j} is tau_{q^j,1}(rho_{i,0}).
+        integer.  Constants have order dividing q^t - 1, so the search starts
+        at h = Y when D_i > 1, and otherwise at h = p: a constant of F_p has
+        order dividing p - 1.
+
+        The order is tested in the splitting field: evaluation at eta'^u, u
+        in the subcoset (i, 0), is an injective ring map of I_{i,0} into it
+        that takes h(X) * e_{i,0} to h(eta'^u), so it keeps orders.  The
+        value is F_p-linear in h's digits: block k of the map is the
+        embedding of GF(q^t) times eta'^(u*k).  Candidates are evaluated and
+        tested (:meth:`gf.Field.has_order`) a block at a time, each block
+        twice the last, and only the first to pass is multiplied out by
+        e_{i,0}.  rho_{i,j} is tau_{q^j,1}(rho_{i,0}).
         """
         self._check_index(i, j)
         if (i, j) not in self._rho:
-            Q, Di = self.field_qt.order, self.table.D[i]
-            q1 = Q ** Di - 1
-            exps = [q1 // r for r in gf._order_factors(q1)]
-            e = np.array(self.idempotents[(i, 0)].coeffs)
-            start, size = (Q if Di > 1 else self.field_qt.p), RHO_BLOCK
+            fqt, split = self.field_qt, self.sd.splitting_field
+            Q, Di, p = fqt.order, self.table.D[i], split.p
+            # L (Di*m, M): row k*m + a holds the digits of phi(x)^a * eta'^(u*k),
+            # phi the embedding of GF(q^t).  L takes the splitting field's
+            # dtype, whose sums stay exact below 2M(p-1)^2, and Di*m <= M
+            u = self.table.subcosets[i][0][0]
+            step = gf._powmod(split._digits(self.sd.eta_prime), u, split._red, p)
+            powers = gf._power_rows(step, Di, split._red, p)
+            L = gf._mulmod(gf.subfield_map(fqt, split).matrix, powers[:, None, :],
+                           split._red, p).reshape(Di * fqt.m, split.m)
+            start, size = (Q if Di > 1 else fqt.p), RHO_BLOCK
             passed = np.zeros(0, dtype=bool)
             while not passed.any():
-                h = np.zeros((size, self.n), dtype=np.int64)
-                h[:, :Di] = [[c // Q ** k % Q for k in range(Di)]
-                             for c in range(start, start + size)]
-                cand = self.ring.mul_rows(h, e)
-                passed = ~(self.ring.pow_rows(cand, exps, e) == e).all(axis=2).any(axis=1)
+                h = np.array([[c // Q ** k % Q for k in range(Di)]
+                              for c in range(start, start + size)], dtype=np.int64)
+                values = fqt.vdigits(h).reshape(size, -1) @ L % p
+                passed = split.has_order(values, Q ** Di - 1)
                 start, size = start + size, 2 * size
-            base = self.ring.element(cand[passed.argmax()])
+            h = list(h[passed.argmax()]) + [0] * (self.n - Di)
+            base = self.ring.element(h) * self.idempotents[(i, 0)]
             for jj in range(self.table.s[i]):
                 self._rho[(i, jj)] = base.tau(self.q ** jj, 1)
         return self._rho[(i, j)]

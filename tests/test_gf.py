@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,34 @@ def test_subfield_map_equals_the_element_loop(paper_src, paper_dst):
             assert sm.retract(int(image[-1])) == src.order - 1
 
 
+def test_subfield_map_memory_stays_bounded_past_the_doubling_blocks():
+    """GF(2^21) -> GF(2^42) finds phi(x) = g^204717, g = dst.generator^ratio,
+    far past the last doubling block: its construction peaks below 64 MB
+    under tracemalloc (315 MB when every power tested was kept), and its
+    rows are the powers of that root, a root of the source modulus."""
+    src, dst = gf.field(2, 21), gf.field(2, 42)
+    tracemalloc.start()
+    try:
+        sm = gf.SubfieldMap(src, dst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    root = dst.pow(dst.pow(dst.generator, (dst.order - 1) // (src.order - 1)), 204717)
+    assert dst.vencode(sm.matrix).tolist() == [dst.pow(root, i) for i in range(21)]
+    assert Poly(dst, src.modulus).eval(root) == 0
+
+
+@pytest.mark.parametrize("p, m, M", [(3, 4, 8), (7, 3, 6), (2, 12, 24), (257, 2, 4)])
+def test_subfield_map_blocks_do_not_change_the_map(p, m, M, monkeypatch):
+    """The roots lie at k = 41, 79, 397 and 21559: the map is the same when
+    the blocks stop doubling at 8 rows as at POWER_BLOCK."""
+    src, dst = gf.field(p, m), gf.field(p, M)
+    matrix = gf.SubfieldMap(src, dst).matrix
+    monkeypatch.setattr(gf, "POWER_BLOCK", 8)
+    assert (gf.SubfieldMap(src, dst).matrix == matrix).all()
+
+
 def test_array_retract_refuses_elements_off_the_image():
     f36 = gf.field(3, 6, paper=True)
     sm = gf.subfield_map(F9, f36)
@@ -597,6 +626,34 @@ def test_order_test_against_square_and_multiply(p, m):
     assert gf._x_has_full_order(np.array(rows, dtype=np.int64), p).tolist() == want.tolist()
     assert want.any()
     assert (~nonzero).any() and (nonzero & ~fixed).any() and (nonzero & fixed & ~full).any()
+
+
+@pytest.mark.parametrize("p, m, tables", [(3, 6, True), (3, 6, False), (5, 6, False)])
+def test_has_order_against_element_order(p, m, tables, monkeypatch):
+    """Field.has_order through GF(3^6)'s discrete-log tables, and on digit
+    rows: GF(3^6) with its tables hidden, and GF(5^6), above
+    EAGER_TABLE_LIMIT.  For every divisor T of p^m - 1 it is given the
+    inputs whose order divides T, random elements and elements of every
+    proper subfield, and must be True exactly at those of order T, by
+    element_order; at zero it is False."""
+    f = gf.field(p, m)
+    assert (f._exp is not None) == (f.order <= gf.EAGER_TABLE_LIMIT)
+    if not tables:
+        monkeypatch.setattr(f, "_exp", None)
+        monkeypatch.setattr(f, "_log", None)
+    q1, rng = f.order - 1, random.Random(p * 100 + m)
+    elems = [rng.randrange(1, f.order) for _ in range(24)] + [1, f.generator]
+    for d in sympy.divisors(m)[:-1]:
+        sub = f.pow(f.generator, q1 // (p ** d - 1))
+        elems += [f.pow(sub, k) for k in (1, 2, rng.randrange(p ** d))]
+    rows = np.array([f.decode(a) for a in elems] + [[0] * m])
+    orders = np.array([f.element_order(a) for a in elems] + [0])
+    assert len(set(orders.tolist())) > 6
+    for T in sympy.divisors(q1):
+        inputs = T % np.maximum(orders, 1) == 0  # zero always
+        got = f.has_order(rows[inputs], T)
+        assert got.tolist() == (orders[inputs] == T).tolist(), T
+    assert tables or f._exp is None  # the digit route built no tables
 
 
 def test_field_from_modulus_in_which_x_is_not_primitive():

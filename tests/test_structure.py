@@ -1,5 +1,6 @@
 """Cosets, the negation involution, tau automorphisms and the ideal atlas."""
 
+import itertools
 import random
 
 import numpy as np
@@ -141,6 +142,58 @@ def test_rho_orders_and_tau_compat():
                 for r in sympy.primefactors(order):
                     assert rho.pow_with_identity(order // r, e) != e
                 assert atlas.rho(i, 0).tau(tab.q ** j, 1) == rho
+
+
+def _first_rho_by_ring_powers(atlas, i):
+    """rho_{i,0} by its definition, in the ring alone: the first h * e_{i,0},
+    h's coefficients read as a base-q^t integer counting up, whose order in
+    I_{i,0}, by pow_with_identity, is q^(t D_i) - 1.  The count starts at
+    h = 1, or at h = p when D_i = 1, where the elements of F_p (order
+    dividing p - 1) are skipped, as the test below shows harmless."""
+    Q, Di, n = atlas.field_qt.order, atlas.table.D[i], atlas.n
+    order = Q ** Di - 1
+    e = atlas.idempotent(i, 0)
+    for c in itertools.count(atlas.field_qt.p if Di == 1 else 1):
+        h = atlas.ring.element([c // Q ** k % Q for k in range(Di)] + [0] * (n - Di))
+        cand = h * e
+        if (all(cand.pow_with_identity(order // r, e) != e for r in sympy.primefactors(order))
+                and cand.pow_with_identity(order, e) == e):
+            return cand
+
+
+@pytest.mark.parametrize("n, q, t, paper", [
+    (7, 3, 2, True), (13, 2, 2, True), (15, 2, 2, False),      # splitting field with log tables
+    (7, 5, 2, False), (23, 2, 2, False), (11, 5, 2, False),    # and without
+    (41, 2, 2, False), (3, 65537, 2, False), (7, 2, 4, False)])
+def test_rho_is_the_first_candidate_of_full_order_in_the_ring(n, q, t, paper):
+    """Every rho_{i,j} equals its definition taken in the ring, and
+    rho_{i,j} = tau_{q^j,1}(rho_{i,0}); so option labels and the order of
+    enumeration do not depend on where the order is tested."""
+    atlas = build_atlas(n, q, t, paper=paper)
+    tab = atlas.table
+    for i in range(tab.num_classes):
+        ref = _first_rho_by_ring_powers(atlas, i)
+        for j in range(tab.s[i]):
+            assert atlas.rho(i, j) == ref.tau(q ** j, 1), (i, j)
+
+
+@pytest.mark.parametrize("n, q", [(7, 5), (41, 2)])
+def test_rho_builds_no_discrete_log_table(n, q, monkeypatch):
+    """Above EAGER_TABLE_LIMIT the order test runs on digit rows: computing
+    every rho builds no table of the splitting field."""
+    atlas = build_atlas(n, q)
+    split = atlas.sd.splitting_field
+    assert split.order > gf.EAGER_TABLE_LIMIT
+    monkeypatch.setattr(split, "_exp", None)
+    monkeypatch.setattr(split, "_log", None)
+
+    def refuse(self):
+        raise AssertionError(f"{self} built its discrete-log tables")
+
+    monkeypatch.setattr(gf.Field, "_build_tables", refuse)
+    for ij in atlas.idempotents:
+        atlas.rho(*ij)
+    assert split._exp is None
 
 
 @pytest.mark.parametrize("paper", [False, True])
