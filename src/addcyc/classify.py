@@ -28,8 +28,15 @@ component (one class or a pair), never a grid over all combinations.
 
 Each mu-fixed class and transposed pair of the enumeration, and each class
 of the oracle, is one group: rows spanning each of its options stacked in
-one matrix, and the row count of each, built from coefficient arrays, a
-class's subspaces of one kind by one product (:func:`component_stack`).
+one matrix, and the row count of each.  The F_q-basis of K_i is X^l * f_i,
+l < d_i, so the K_i-span of a vector v of J_i is spanned over F_q by its
+cyclic shifts X^l * v: component rows are shifts, never ring products
+(:func:`component_stack`).  The enumeration lists its subspaces by powers
+of the designated primitive elements rho, which give its labels and its
+order.  The oracle lists them independently of rho: J_i is a free
+K_i-module of rank 2 with basis {f_i, g * f_i}, so its lines are the
+q^d_i + 1 points of P^1(K_i), K_i * f_i and K_i * (g * f_i + c) for c in
+K_i, each spanned by the column rolls of one vector (:func:`_choice_rows`).
 The enumeration reduces each kind by one :func:`linalg.rref_batch`, which
 its partner search needs; the oracle keeps the spanning rows (the full J_i
 rows once per context), since whether a Gram block vanishes does not depend
@@ -55,11 +62,12 @@ from .errors import InvalidParameterError, TooLargeError
 from .ring import GroupAlgebraElement
 from .structure import build_coset_table, check_parameters
 
-#: the largest table :func:`brute_force_oracle` builds, the choices of one
+#: the longest option list of one group the enumeration builds rows for,
+#: and in :func:`brute_force_oracle` the largest table, the choices of one
 #: class or the choice pairs of two interacting ones, and the most codes it
 #: assembles, all those that pass the block tests (for "sd", before the
-#: dimension filter); both are checked before they are built
-ORACLE_LIMIT = 1_000_000
+#: dimension filter); each is checked before it is built
+CHOICE_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,23 @@ def _checked_context(n: int, q: int, mode: str,
     return ctx, _check_mode(ctx.t, mode)
 
 
+def _check_list_lengths(ctx: DeltaContext, mode: str, classes: list[int]):
+    """Refuse with TooLargeError, before any row is built, a group whose
+    list is longer than :data:`CHOICE_LIMIT`, its length read off the coset
+    table: q^(d_i/2) + 2 ("so") or + 1 ("sd") options of a mu-fixed class
+    i, and the q^d_j + 3 subspaces on each side of a transposed pair j,
+    which the partner search builds rows for."""
+    tab = ctx.table
+    for i in classes:
+        fixed = tab.mu[i] == i
+        size = (ctx.q ** (tab.d[i] // 2) + (2 if mode == "so" else 1) if fixed
+                else ctx.q ** tab.d[i] + 3)
+        if size > CHOICE_LIMIT:
+            what = "options" if fixed else "subspaces on each side of its pair"
+            raise TooLargeError(f"class {i} lists {size} {what}, over the choice limit "
+                                f"{CHOICE_LIMIT}")
+
+
 # ---------------------------------------------------------------------------
 # component subspaces as row blocks
 # ---------------------------------------------------------------------------
@@ -112,14 +137,15 @@ def component_rows(choice: SubcodeChoice, ctx: DeltaContext) -> np.ndarray:
 
 
 def component_stack(i: int, V: np.ndarray, ctx: DeltaContext) -> np.ndarray:
-    """F_q-expanded rows of the subspaces of J_i with K_i-bases V (N, r, n):
-    entry a holds kappa * v for the rows v of V[a] and, within each, the
-    F_q-basis kappa of K_i, from one :func:`linalg.matmul` of all the rows
-    by the circulants of the kappa laid side by side, (n, d_i * n)."""
-    kappa = [k.coeffs for k in ctx.atlas.k_basis(i)]
-    side_by_side = np.concatenate(ctx.ring.circulant(kappa), axis=1)
-    sym = linalg.matmul(ctx.field_qt, V.reshape(-1, ctx.n), side_by_side)
-    return ctx.expand(sym.reshape(len(V), -1, ctx.n))
+    """F_q-expanded rows of the subspaces of J_i with K_i-bases V (N, r, n),
+    whose rows must lie in J_i: entry a holds X^l * v for the rows v of V[a]
+    and, within each, l < d_i.  These are the products kappa_l * v by the
+    F_q-basis kappa_l = X^l * f_i of K_i (:meth:`IdealAtlas.k_basis`), as
+    f_i * v = v in J_i, so they are cyclic shifts, taken by one index gather
+    before :meth:`DeltaContext.expand`."""
+    shift = (np.arange(ctx.n) - np.arange(ctx.table.d[i])[:, None]) % ctx.n
+    rows = np.asarray(V, dtype=np.int64)[..., shift]   # (N, r, d_i, n)
+    return ctx.expand(rows.reshape(len(rows), -1, ctx.n))
 
 
 def _full_basis(i: int, ctx: DeltaContext) -> np.ndarray:
@@ -139,19 +165,54 @@ def _full_rows(i: int, ctx: DeltaContext) -> np.ndarray:
     return full[i]
 
 
-def _choice_rows(i: int, ctx: DeltaContext,
-                 coeffs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Rows spanning every K_i-subspace of J_i, unreduced, in the order of
-    :func:`all_subspace_choices`, stacked in one matrix, and the number of
-    rows of each: none for zero, the t * d_i rows of :func:`_full_rows`,
-    and d_i for each 1-dimensional one, all of those from their
-    coefficient rows ``coeffs`` (:func:`_one_dim_rows`, built here unless
-    given) by one :func:`component_stack`.  Each choice's rows are
-    independent."""
-    coeffs = _one_dim_rows(i, ctx) if coeffs is None else coeffs
-    full, dim1 = _full_rows(i, ctx), component_stack(i, coeffs[:, None], ctx)
-    dims = np.array([0, len(full)] + [dim1.shape[1]] * len(dim1))
-    return np.concatenate([full, dim1.reshape(-1, full.shape[1])]), dims
+def _choice_rows(i: int, ctx: DeltaContext) -> tuple[np.ndarray, np.ndarray]:
+    """Rows spanning every K_i-subspace of J_i, unreduced, stacked in one
+    matrix in the field's narrowest dtype, and the number of rows of each:
+    none for zero, the t * d_i rows of :func:`_full_rows` for J_i, and d_i
+    for each line, the q^d_i + 1 points of P^1(K_i).
+
+    J_i is a free K_i-module with basis {f_i, g * f_i}, g the generator of
+    GF(q^t) (:func:`_full_basis`), so its lines are K_i * f_i and
+    K_i * (g * f_i + c) for c = sum_l c_l X^l f_i in K_i, c over F_q^d_i in
+    the order of ``np.indices``.  Their vectors come from one
+    :func:`linalg.matmul` of their coordinates (1, 0, ..., 0 | 0) and
+    (c | 1) by the expanded X^l * f_i, l < d_i, and g * f_i, the first d_i
+    + 1 rows of :func:`_full_rows`; each line is spanned by the d_i shifts
+    X^l * v of its vector v, column rolls by l * t of the expansion.  No
+    primitive element and no group-algebra product is used."""
+    q, t, d = ctx.q, ctx.t, ctx.table.d[i]
+    full = _full_rows(i, ctx)
+    coords = np.zeros((q ** d + 1, d + 1), dtype=np.int64)
+    coords[0, 0] = 1
+    coords[1:, :d] = np.indices((q,) * d).reshape(d, -1).T
+    coords[1:, d] = 1
+    lines = linalg.matmul(ctx.field_q, coords, full[:d + 1])
+    flat = np.empty((len(full) + len(lines) * d, full.shape[1]), dtype=ctx.field_q.vdtype)
+    flat[:len(full)] = full
+    _roll_into(flat[len(full):], lines, d, t)
+    return flat, np.array([0, len(full)] + [d] * len(lines))
+
+
+def _roll_into(out: np.ndarray, vectors: np.ndarray, d: int, t: int):
+    """Write the column rolls by l * t, l < d, of each row of ``vectors``
+    (N, c) into ``out`` (N * d, c), d consecutive rows per vector: the
+    expansions of X^l * v."""
+    width = vectors.shape[1]
+    out = out.reshape(len(vectors), d, width)
+    for l in range(d):
+        out[:, l, l * t:] = vectors[:, :width - l * t]
+        out[:, l, :l * t] = vectors[:, width - l * t:]
+
+
+def _choice_gram(ctx: DeltaContext, flat: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """``ctx.gram_apply(flat)`` for the rows of :func:`_choice_rows`, those
+    of each line rolled from the Gram row of its vector: the Gram matrix
+    acts position by position, so it commutes with the shifts."""
+    full, d = dims[1], dims[2]
+    gram = np.empty(flat.shape, dtype=np.int64)
+    gram[:full] = ctx.gram_apply(flat[:full])
+    _roll_into(gram[full:], ctx.gram_apply(flat[full::d]), d, ctx.t)
+    return gram
 
 
 def _reduced(fq: gf.Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,12 +226,14 @@ def _class_rows(i: int, ctx: DeltaContext,
                 coeffs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The reduced rows of every K_i-subspace of J_i, in the order of
     :func:`all_subspace_choices`, stacked in one matrix, and the number of
-    rows of each: the rows of :func:`_choice_rows` (``coeffs`` forwarded),
-    the full choice and the 1-dimensional ones each reduced by one
+    rows of each: the rows of :func:`_full_rows`, and those of the
+    1-dimensional ones from their coefficient rows ``coeffs``
+    (:func:`_one_dim_rows`, built here unless given) by one
+    :func:`component_stack`, each kind reduced by one
     :func:`linalg.rref_batch`."""
-    flat, dims = _choice_rows(i, ctx, coeffs)
-    full, full_dim = _reduced(ctx.field_q, flat[None, :dims[1]])
-    dim1, dim1_dims = _reduced(ctx.field_q, flat[dims[1]:].reshape(len(dims) - 2, dims[2], -1))
+    coeffs = _one_dim_rows(i, ctx) if coeffs is None else coeffs
+    full, full_dim = _reduced(ctx.field_q, _full_rows(i, ctx)[None])
+    dim1, dim1_dims = _reduced(ctx.field_q, component_stack(i, coeffs[:, None], ctx))
     return np.concatenate([full, dim1]), np.concatenate([[0], full_dim, dim1_dims])
 
 
@@ -237,6 +300,7 @@ def subcode_options(i: int, mode: str, ctx: DeltaContext,
     :func:`_fixed_options`.
     """
     mode = _check_mode(ctx.t, mode)
+    _check_list_lengths(ctx, mode, [i])
     rows, labels = _fixed_options(i, ctx, complete)
     zero = [SubcodeChoice(i, "zero", None, "0")] if mode == "so" else []
     return zero + _dim1_choices(i, ctx, rows, labels)
@@ -305,7 +369,9 @@ def pair_options(j: int, mode: str, ctx: DeltaContext):
     :func:`_pairs`, labelled as in :func:`all_subspace_choices` from the
     coefficient rows that :func:`_pairs` built for each side.
     """
-    pairs, _, rows = _pairs(j, _check_mode(ctx.t, mode), ctx)
+    mode = _check_mode(ctx.t, mode)
+    _check_list_lengths(ctx, mode, [j])
+    pairs, _, rows = _pairs(j, mode, ctx)
     side_j, side_mu = (_subspace_choices(i, ctx, r) for i, r in zip((j, ctx.table.mu[j]), rows))
     return [(side_j[a], side_mu[b]) for a, b in pairs]
 
@@ -408,6 +474,7 @@ def enumerate_codes(n: int, q: int, mode: str, ctx: DeltaContext | None = None,
     tab = ctx.table
     groups = []
     singles = [0] + ([tab.i_sharp] if tab.i_sharp is not None else []) + list(tab.fixed)
+    _check_list_lengths(ctx, mode, singles + list(tab.paired))
     for i in sorted(singles):
         stack = component_stack(i, _fixed_options(i, ctx, complete)[0][:, None], ctx)
         flat, dims = _reduced(ctx.field_q, stack)
@@ -547,10 +614,14 @@ def _oracle_scan(ctx: DeltaContext):
     field's narrowest dtype, the combinations (N, classes) of choice
     indices whose Gram blocks all vanish, and the dimension of each; built
     once per context, in ``ctx.derived``, for both modes.  A class's rows
-    are the spanning rows of its choices (:func:`_choice_rows`), never
-    reduced: whether a Gram block vanishes does not depend on the rows
-    that span the choices, and each accepted code is reduced once, when it
-    is assembled."""
+    are the spanning rows of its choices (:func:`_choice_rows`): zero, J_i
+    and the lines of P^1(K_i) over the basis {f_i, g * f_i}, each line
+    spanned by the shifts of one vector, with no primitive element and no
+    group-algebra product.  They are never reduced: whether a Gram block
+    vanishes does not depend on the rows that span the choices, and each
+    accepted code is reduced once, when it is assembled.  Their Gram rows
+    are rolled from those of the lines' vectors (:func:`_choice_gram`), and
+    every block test is a direct product of Gram rows by rows."""
     if "oracle_scan" in ctx.derived:
         return ctx.derived["oracle_scan"]
     tab, fq = ctx.table, ctx.field_q
@@ -559,12 +630,12 @@ def _oracle_scan(ctx: DeltaContext):
     sizes = [ctx.q ** d + 3 for d in tab.d]
     for comp in comps:
         size = math.prod(sizes[i] for i in comp)
-        if size > ORACLE_LIMIT:
+        if size > CHOICE_LIMIT:
             raise TooLargeError(f"a table of {size} choices of classes {list(comp)} exceeds "
-                                f"the oracle limit {ORACLE_LIMIT}")
+                                f"the choice limit {CHOICE_LIMIT}")
     groups = [_choice_rows(i, ctx) for i in range(tab.num_classes)]
-    gram = [ctx.gram_apply(flat) if hits[i].any() else None
-            for i, (flat, _) in enumerate(groups)]
+    gram = [_choice_gram(ctx, flat, dims) if hits[i].any() else None
+            for i, (flat, dims) in enumerate(groups)]
     ok = [_self_ok(fq, flat, dims, gram[i]) if hits[i, i] else np.ones(len(dims), dtype=bool)
           for i, (flat, dims) in enumerate(groups)]
     accepted = []
@@ -579,15 +650,15 @@ def _oracle_scan(ctx: DeltaContext):
                 table &= ~_cross_bad(j, i, fq, groups, gram).T
         accepted.append(np.argwhere(table))
     count = math.prod(len(acc) for acc in accepted)
-    if count > ORACLE_LIMIT:
-        raise TooLargeError(f"{count} codes pass the block tests, over the oracle limit "
-                            f"{ORACLE_LIMIT}")
+    if count > CHOICE_LIMIT:
+        raise TooLargeError(f"{count} codes pass the block tests, over the choice limit "
+                            f"{CHOICE_LIMIT}")
     pick = np.indices([len(acc) for acc in accepted]).reshape(len(accepted), -1)
     combos = np.empty((count, tab.num_classes), dtype=np.intp)
     for comp, acc, at in zip(comps, accepted, pick):
         combos[:, list(comp)] = acc[at]
     code_dim = sum(dims[combos[:, i]] for i, (_, dims) in enumerate(groups))
-    scan = [(flat.astype(fq.vdtype), dims) for flat, dims in groups], combos, code_dim
+    scan = groups, combos, code_dim
     ctx.derived["oracle_scan"] = scan
     return scan
 
@@ -597,9 +668,12 @@ def brute_force_oracle(n: int, q: int, mode: str, ctx: DeltaContext | None = Non
 
     Every cyclic code is a direct sum of arbitrary K_i-subspaces of the J_i,
     one choice per class, and its Gram matrix is the block matrix of the
-    pairwise blocks [rows_i(a), rows_j(b)].  Such a block vanishes wherever
-    [J_i, J_j] does, so the interaction graph is read off the full blocks
-    (:func:`_full_block_hits`), never from mu.  Each choice's own block is
+    pairwise blocks [rows_i(a), rows_j(b)].  The subspaces are listed from
+    the K_i-basis {f_i, g * f_i} of J_i and spanned by cyclic shifts, with
+    no primitive element, no power of one and no ring product, so the
+    oracle does not share the enumeration's listing.  A block vanishes
+    wherever [J_i, J_j] does, so the interaction graph is read off the full
+    blocks (:func:`_full_block_hits`), never from mu.  Each choice's own block is
     tested where [J_i, J_i] is nonzero, and a table over the choice pairs
     (a, b) is built, by one product of all class-i Gram rows with all
     class-j rows, only for the ordered pairs (i, j) whose full block is

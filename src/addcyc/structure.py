@@ -347,7 +347,9 @@ class IdealAtlas:
 
     def k_basis(self, i: int) -> list[GroupAlgebraElement]:
         """An F_q-basis of K_i, lifted into the big algebra: X^k * f_i,
-        k < d_i, as K_i = F_q[X]/(m_i) with the J_i identity f_i as its 1."""
+        k < d_i, as K_i = F_q[X]/(m_i) with the J_i identity f_i as its 1.
+        The classification spans K_i * v by the shifts X^k * v instead; its
+        tests take the products by these elements as the reference route."""
         f_i = self.j_idempotent(i)
         return [f_i.shift(k) for k in range(self.table.d[i])]
 

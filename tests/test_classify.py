@@ -6,10 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from addcyc import bilinear, classify, codes, linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from addcyc import bilinear, classify, codes, gf, linalg
 from addcyc.bilinear import DeltaContext, context
 from addcyc.cli import main
 from addcyc.errors import InvalidParameterError, TooLargeError
+from addcyc.ring import CyclicRing
+from addcyc.structure import IdealAtlas
 from test_kernels import reference_rref
 
 
@@ -323,6 +328,27 @@ def test_oracle_too_large(monkeypatch):
         classify.brute_force_oracle(11, 7, "so", ctx)
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("refused call")
+
+
+@pytest.mark.parametrize("n,q,i,mode,size", [(47, 3, 1, "so", 3 ** 23 + 3),
+                                             (83, 2, 1, "sd", 2 ** 41 + 1)])
+def test_option_lists_past_the_limit_are_refused_before_any_row(n, q, i, mode, size,
+                                                                monkeypatch):
+    """Class 1 is a transposed pair at (47, 3) and mu-fixed at (83, 2); its
+    list length comes from the coset table, and the public option list and
+    the enumeration refuse it before a row is built."""
+    ctx = context(n, q, 2)
+    monkeypatch.setattr(classify, "_fixed_options", refuse)
+    monkeypatch.setattr(classify, "_pairs", refuse)
+    options = classify.subcode_options if ctx.table.mu[i] == i else classify.pair_options
+    with pytest.raises(TooLargeError, match=f"class {i} lists {size} "):
+        options(i, mode, ctx)
+    with pytest.raises(TooLargeError, match=f"class {i} lists {size} "):
+        next(classify.enumerate_codes(n, q, mode, ctx))
+
+
 def test_oracle_refuses_a_component_of_three_classes():
     hits = np.eye(4, dtype=bool)
     hits[0, 1] = hits[2, 1] = True
@@ -382,6 +408,25 @@ def test_oracle_builds_class_rows_once_for_both_modes(monkeypatch):
     assert calls == list(range(ctx.table.num_classes))
     groups, _, _ = ctx.derived["oracle_scan"]
     assert all(flat.dtype == ctx.field_q.vdtype for flat, _ in groups)
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (7, 4), (9, 4)])
+def test_oracle_needs_no_primitive_element(n, q, monkeypatch):
+    """The oracle lists every K_i-subspace from the basis {f_i, g * f_i}
+    and spans it by shifts: in either mode it takes no rho, no rho powers
+    and no group-algebra product, and it finds the enumeration's codes."""
+    want = {mode: {c.key() for c in classify.enumerate_codes(n, q, mode, DeltaContext(n, q, 2),
+                                                             complete=True)}
+            for mode in ("so", "sd")}
+    ctx = DeltaContext(n, q, 2)
+    ctx.atlas   # the atlas checks its idempotents by ring products
+    monkeypatch.setattr(IdealAtlas, "rho", refuse)
+    monkeypatch.setattr(classify, "_one_dim_rows", refuse)
+    monkeypatch.setattr(CyclicRing, "mul_rows", refuse)
+    monkeypatch.setattr(gf, "_doubling", refuse)
+    for mode in ("so", "sd"):
+        count, keys = classify.brute_force_oracle(n, q, mode, ctx)
+        assert count == len(want[mode]) and keys == want[mode], mode
 
 
 def test_good_code_report_reference():
@@ -522,21 +567,30 @@ def test_class_rows_match_the_listed_choices(n, q):
         assert flat.dtype == np.int64 and flat.tobytes() == np.concatenate(blocks).tobytes()
 
 
-@pytest.mark.parametrize("n,q", [(7, 3), (15, 2), (5, 7), (7, 4), (13, 2)])
+@pytest.mark.parametrize("n,q", [(7, 3), (15, 2), (5, 7), (7, 4), (13, 2), (9, 4)])
 def test_oracle_choices_span_the_class_rows(n, q):
-    """Each of the oracle's choice rows has full row rank, and its RREF is
-    the matching block of the enumeration's class rows: same order, same
-    row counts."""
+    """The oracle lists the K_i-subspaces of J_i in its own order, from the
+    basis {f_i, g * f_i}: each choice's rows have full row rank, no two
+    choices span the same subspace, and their reduced row spaces are, as a
+    set, the blocks of the enumeration's class rows.  The Gram rows rolled
+    from those of the lines' vectors are those of all the rows."""
     ctx = context(n, q, 2)
     groups, _, _ = classify._oracle_scan(ctx)
     for i, (flat, dims) in enumerate(groups):
+        assert (classify._choice_gram(ctx, flat, dims) == ctx.gram_apply(flat)).all(), i
+        starts, got = np.cumsum(dims) - dims, []
+        for r in sorted(set(dims.tolist())):
+            idx = np.flatnonzero(dims == r)
+            if r == 0:
+                got += [(0, b"")] * len(idx)
+                continue
+            R, ranks = linalg.rref_batch(ctx.field_q, flat[starts[idx, None] + np.arange(r)])
+            assert (ranks == r).all(), (i, r)
+            got += [(r, Ra.tobytes()) for Ra in R]
+        assert len(set(got)) == len(got) == len(dims), i
         want, want_dims = classify._class_rows(i, ctx)
-        assert dims.tolist() == want_dims.tolist()
-        starts = np.cumsum(dims) - dims
-        for a, (start, r) in enumerate(zip(starts, dims)):
-            R, pivots = linalg.rref(ctx.field_q, flat[start:start + r])
-            assert len(pivots) == r, (i, a)
-            assert R.tolist() == want[start:start + r].tolist(), (i, a)
+        blocks = np.split(want, np.cumsum(want_dims)[:-1])
+        assert set(got) == {(len(b), b.tobytes()) for b in blocks}, i
 
 
 @pytest.mark.parametrize("n,q", [(15, 2), (5, 7)])
@@ -579,8 +633,8 @@ def test_full_rows_built_once_per_context(monkeypatch):
 
 @pytest.mark.parametrize("n,q", [(7, 3), (7, 4), (5, 9), (15, 2)])
 def test_component_stack_equals_the_products_per_kappa(n, q):
-    """The one product by the side-by-side circulants gives, byte for byte,
-    the stack of one ring product per element kappa of the F_q-basis of
+    """The cyclic shifts X^l * v, l < d_i, give, byte for byte, the stack of
+    one ring product per element kappa_l = X^l * f_i of the F_q-basis of
     K_i, for 1-dimensional bases (N, 1, n) and the full basis (1, t, n)."""
     ctx = context(n, q, 2)
     for i in range(ctx.table.num_classes):
@@ -591,6 +645,24 @@ def test_component_stack_equals_the_products_per_kappa(n, q):
             got = classify.component_stack(i, V, ctx)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,q", [(7, 3), (7, 4), (5, 9), (15, 2), (9, 4)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_shifts_of_a_component_are_its_kappa_products(n, q, data):
+    """For a random a in R_n over GF(q^t) and every class i, the shifts of
+    v = a * f_i in J_i equal its products by the kappa_l, byte for byte."""
+    ctx = context(n, q, 2)
+    a = np.array(data.draw(st.lists(st.integers(0, ctx.field_qt.order - 1),
+                                    min_size=n, max_size=n)), dtype=np.int64)
+    for i in range(ctx.table.num_classes):
+        v = ctx.ring.mul_rows(a[None], ctx.atlas.j_idempotent(i).coeffs)
+        sym = np.stack([ctx.ring.mul_rows(v, kappa.coeffs) for kappa in ctx.atlas.k_basis(i)],
+                       axis=1)
+        want, got = ctx.expand(sym), classify.component_stack(i, v[None], ctx)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), i
 
 
 def reference_enumeration(n, q, mode, ctx, complete):

@@ -13,12 +13,13 @@ import pathlib
 import resource
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import addcyc
-from addcyc import codes, gf
+from addcyc import classify, codes, gf
 from addcyc.bilinear import DeltaContext, delta_inner
 
 MEMORY_CAP = 2 << 30
@@ -140,3 +141,22 @@ def test_a_field_past_int64_is_refused_with_a_typed_error(args):
     proc = run_cli(*args)
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("n, q, mode", [(47, 3, "so"), (83, 2, "sd"), (101, 2, "so"),
+                                        (31, 16, "so")])
+def test_an_option_list_past_the_limit_is_refused_before_it_is_built(n, q, mode):
+    """Each of these has a class whose option list, read off the coset
+    table, is past classify.CHOICE_LIMIT: 3^23 + 3 subspaces on each side of
+    a pair at (47, 3), 2^41 + 1 self-dual options at (83, 2), 2^50 + 2 at
+    (101, 2) and 16^5 + 3 at (31, 16).  enumerate refuses before it builds a
+    row, and count still answers."""
+    args = ("-n", str(n), "-q", str(q), "--mode", mode)
+    start = time.monotonic()
+    proc = run_cli("enumerate", *args, "--limit", "3")
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: class ") and "choice limit" in proc.stderr, proc.stderr
+    proc = run_cli("count", *args)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout) == classify.count_codes(n, q, mode)
