@@ -25,8 +25,9 @@ for i in (0, 1):
     print(f"\nclass {i}: {len(opts)} published options:",
           ", ".join(o.label for o in opts[:6]) + (" ..." if len(opts) > 6 else ""))
 
-# Enumerate, then cross-check against an oracle that scans ALL 4392 cyclic
-# codes and tests orthogonality directly (no classification theory).
+# Enumerate, then cross-check against an oracle that covers ALL 4392 cyclic
+# codes through its block tests and tests orthogonality directly (no
+# classification theory).
 published = {c.key() for c in classify.enumerate_codes(7, 3, "so", ctx)}
 complete = {c.key() for c in classify.enumerate_codes(7, 3, "so", ctx, complete=True)}
 oracle_count, oracle_keys = classify.brute_force_oracle(7, 3, "so", ctx)

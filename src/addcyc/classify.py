@@ -114,13 +114,18 @@ def _check_list_lengths(ctx: DeltaContext, mode: str, classes: list[int]):
     which the partner search builds rows for."""
     tab = ctx.table
     for i in classes:
-        fixed = tab.mu[i] == i
-        size = (ctx.q ** (tab.d[i] // 2) + (2 if mode == "so" else 1) if fixed
-                else ctx.q ** tab.d[i] + 3)
-        if size > CHOICE_LIMIT:
-            what = "options" if fixed else "subspaces on each side of its pair"
-            raise TooLargeError(f"class {i} lists {size} {what}, over the choice limit "
-                                f"{CHOICE_LIMIT}")
+        if tab.mu[i] == i:
+            _check_length(i, ctx.q ** (tab.d[i] // 2) + (2 if mode == "so" else 1), "options")
+        else:
+            _check_length(i, ctx.q ** tab.d[i] + 3, "subspaces on each side of its pair")
+
+
+def _check_length(i: int, size: int, what: str):
+    """Refuse with TooLargeError a list of class i longer than
+    :data:`CHOICE_LIMIT`."""
+    if size > CHOICE_LIMIT:
+        raise TooLargeError(f"class {i} lists {size} {what}, over the choice limit "
+                            f"{CHOICE_LIMIT}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +272,14 @@ def one_dim_subspaces(i: int, ctx: DeltaContext):
     0 <= k <= q^(d_i) - 2.  The powers are formed by doubling
     (:func:`gf._doubling`).
     """
-    return _subspace_choices(i, ctx, _one_dim_rows(i, ctx))[2:]
+    return all_subspace_choices(i, ctx)[2:]
 
 
 def all_subspace_choices(i: int, ctx: DeltaContext):
-    """Every K_i-subspace of J_i: zero, full, and the 1-dimensional ones."""
+    """Every K_i-subspace of J_i: zero, full, and the 1-dimensional ones.
+    A list longer than :data:`CHOICE_LIMIT`, q^(d_i) + 3 subspaces, is
+    refused with TooLargeError before any row is built."""
+    _check_length(i, ctx.q ** ctx.table.d[i] + 3, "subspaces")
     return _subspace_choices(i, ctx, _one_dim_rows(i, ctx))
 
 

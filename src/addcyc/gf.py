@@ -28,10 +28,13 @@ field) as one convolution of the digit rows, folded below degree m by a
 matrix of the reductions of x^m, ..., x^(2m-2).  The same kernel works on
 stacks of digit rows: it runs the order test on many candidate moduli at
 once, builds the discrete-log tables and multiplies out the factors of
-X^n - 1.  Those tables, eager up to 2^12 elements and built by
-:meth:`Field.dlog` up to 2^20, serve only the scalar products and powers,
-the Cayley tables, dlog and the order test :meth:`Field.has_order`; no
-vector operation reads them, and only dlog builds them above 2^12.
+X^n - 1.  A scalar operation's route is fixed by the field's order.  Fields
+with at most 2^12 elements build exp and log tables at construction, and
+these serve the scalar products, powers and inverses, the Cayley tables,
+dlog and the order test :meth:`Field.has_order`.  Above 2^12 the products,
+powers, inverses and order test run on digit rows, and up to 2^20
+:meth:`Field.dlog` builds a log table of its own on first use, which no
+other method reads.  No vector operation reads a log table.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ PAPER_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (19, 2): (2, 18, 1),              # x^2 + 18x + 2
 }
 
-#: largest field that gets discrete-log tables, for scalar mul, pow and inv
-#: and for dlog; vector operations above CAYLEY_LIMIT use the digit kernel.
+#: largest field in which :meth:`Field.dlog` answers, so that elements
+#: print as w^k; above EAGER_TABLE_LIMIT it reads a log table that it alone
+#: builds and reads.
 TABLE_LIMIT = 1 << 20
 
 #: fields at most this big, prime fields included, also get Q x Q Cayley
@@ -76,11 +80,12 @@ TABLE_LIMIT = 1 << 20
 #: gather; their entries fit in one byte.
 CAYLEY_LIMIT = 1 << 8
 
-#: fields at most this big build their discrete-log tables eagerly at
-#: construction; larger ones only when dlog asks for them.
+#: fields at most this big build exp and log tables at construction, the
+#: route of their scalar mul, inv, pow, has_order and dlog; larger ones
+#: compute mul, inv, pow and has_order on digit rows.
 EAGER_TABLE_LIMIT = 1 << 12
 
-#: rows of the largest block of consecutive powers that the log tables and
+#: rows of the largest block of consecutive powers that dlog's log table and
 #: the subfield maps form at a time
 POWER_BLOCK = 1 << 12
 
@@ -692,6 +697,7 @@ class Field:
         self._red = _reduction_matrix(modulus, p)
         self._weights = np.array([p ** i for i in range(m)],
                                  dtype=np.int64 if self.order <= 2 ** 63 else object)
+        # tables up to EAGER_TABLE_LIMIT; above it only dlog sets _log, never _exp
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._pow_luts: dict[int, np.ndarray] = {}
@@ -730,33 +736,26 @@ class Field:
 
     # -- scalar arithmetic ----------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
+    def _digitwise(self, a, b, sign: int):
+        """a + sign*b digit by digit mod p: on ints, or on int64 arrays."""
         p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
+        if self.m == 1:
+            return (a + sign * b) % p
+        out, mult = 0, 1
+        for _ in range(self.m):
+            out += (a + sign * b) % p * mult
+            a, b = a // p, b // p
             mult *= p
         return out
 
-    def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+    def add(self, a: int, b: int) -> int:
+        return self._digitwise(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._digitwise(a, b, -1)
+
+    def neg(self, a: int) -> int:
+        return self._digitwise(0, a, -1)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -769,10 +768,7 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
-        if self._exp is not None:
-            q1 = self.order - 1
-            return int(self._exp[(-int(self._log[a])) % q1])
-        return self.pow(a, self.order - 2)
+        return self.pow(a, -1)
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -799,7 +795,8 @@ class Field:
     def dlog(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("discrete log of zero")
-        self._build_tables()
+        if self._log is None:
+            self._log = self._log_table()
         return int(self._log[a])
 
     def element_order(self, a: int) -> int:
@@ -816,10 +813,10 @@ class Field:
         """For digit rows (..., m) of elements whose order divides ``order``:
         whether each has order exactly ``order``; False at zero.
 
-        With discrete-log tables, g^l has order (p^m - 1)/gcd(l, p^m - 1).
-        Without them (none are built), the powers to the exponents order/r,
-        r a prime of ``order``, come from one square-and-multiply, and none
-        may be 1."""
+        With the construction-time tables, g^l has order
+        (p^m - 1)/gcd(l, p^m - 1).  Above EAGER_TABLE_LIMIT the powers to
+        the exponents order/r, r a prime of ``order``, come from one
+        square-and-multiply on digit rows, and none may be 1."""
         digits = np.asarray(digits, dtype=self._red.dtype)
         nonzero = digits.any(axis=-1)
         if self._exp is not None:
@@ -835,23 +832,11 @@ class Field:
     # -- tables and vector operations -----------------------------------------
 
     def _build_tables(self):
-        if self._exp is not None:
-            return
-        if self.order > TABLE_LIMIT:
-            raise TooLargeError(
-                f"field of order {self.order} exceeds the {TABLE_LIMIT} table limit")
+        """At construction, below EAGER_TABLE_LIMIT: the exp and log tables
+        of the scalar route, from one block of powers g^0..g^(q-2), and the
+        Cayley tables."""
         q1 = self.order - 1
-        p, red = self.p, self._red
-        # a block of g^0..g^(k-1), k <= POWER_BLOCK, by doubling; then each
-        # block is the previous one times g^k
-        g = self._digits(self.generator)
-        block = _power_rows(g, min(q1, POWER_BLOCK), red, p)
-        step = _mulmod(block[-1], g, red, p)
-        parts = [self.vencode(block)]
-        for _ in range(1, -(-q1 // len(block))):
-            block = _mulmod(block, step, red, p)
-            parts.append(self.vencode(block))
-        exp = np.concatenate(parts)[:q1]
+        exp = self.vencode(_power_rows(self._digits(self.generator), q1, self._red, self.p))
         log = np.full(self.order, -1, dtype=np.int64)
         log[exp] = np.arange(q1)
         self._exp = exp
@@ -863,6 +848,25 @@ class Field:
             tables = self._digit_sum_table(1), self._digit_sum_table(-1), mul
             self._add, self._sub, self._mul = (t.astype(np.uint8).ravel() for t in tables)
 
+    def _log_table(self) -> np.ndarray:
+        """dlog's table above EAGER_TABLE_LIMIT, read by no other method:
+        each block of POWER_BLOCK generator powers, the previous one times
+        g^POWER_BLOCK, is written straight into it."""
+        if self.order > TABLE_LIMIT:
+            raise TooLargeError(
+                f"field of order {self.order} exceeds the {TABLE_LIMIT} table limit")
+        q1 = self.order - 1
+        p, red = self.p, self._red
+        g = self._digits(self.generator)
+        block = _power_rows(g, POWER_BLOCK, red, p)
+        step = _mulmod(block[-1], g, red, p)
+        log = np.full(self.order, -1, dtype=np.int64)
+        for start in range(0, q1, POWER_BLOCK):
+            if start:
+                block = _mulmod(block, step, red, p)
+            log[self.vencode(block[:q1 - start])] = np.arange(start, min(q1, start + POWER_BLOCK))
+        return log
+
     def _digit_sum_table(self, sign: int) -> np.ndarray:
         """The Q x Q table of a + sign*b from the p x p table of F_p, one low
         digit more per step (a Kronecker sum, no division)."""
@@ -870,21 +874,6 @@ class Field:
         base, out = np.add.outer(e, sign * e) % p, np.zeros((1, 1), dtype=np.int64)
         for _ in range(self.m):
             out = (p * out[:, None, :, None] + base[:, None]).reshape(len(out) * p, -1)
-        return out
-
-    def _digitwise(self, a, b, sign: int) -> np.ndarray:
-        """a + sign*b in one pass over the m base-p digits."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        p = self.p
-        if self.m == 1:
-            return (a + sign * b) % p
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        mult = 1
-        for _ in range(self.m):
-            out += ((a + sign * b) % p) * mult
-            a, b = a // p, b // p
-            mult *= p
         return out
 
     def vdigits(self, a) -> np.ndarray:
@@ -921,12 +910,14 @@ class Field:
         """a + b; see :meth:`vmul` for ``out`` and ``index``."""
         if self._add is not None:
             return self._gather(self._add, a, b, out, index)
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         return self._into(out, self._digitwise(a, b, 1))
 
     def vsub(self, a, b, out=None, index=None) -> np.ndarray:
         """a - b; see :meth:`vmul` for ``out`` and ``index``."""
         if self._sub is not None:
             return self._gather(self._sub, a, b, out, index)
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         return self._into(out, self._digitwise(a, b, -1))
 
     def vneg(self, a) -> np.ndarray:

@@ -187,7 +187,6 @@ class IdealAtlas:
         self.field_q = field_q = gf.field(p, e, paper=paper)
         self.field_qt = field_qt = gf.field(p, e * t, paper=paper)
         self.ring = cyclic_ring(field_qt, n)
-        self.ring_q = cyclic_ring(field_q, n)
         self.table = build_coset_table(n, q, t)
         self.sd = splitting_data(n, field_qt, paper=paper)
 

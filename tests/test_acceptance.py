@@ -6,8 +6,8 @@ within its time bound.  The registry checks the factorisation and
 idempotents of the worked q = 3, n = 7 example, both of its counts, the
 showcase code, every good-code row and a cross-check at (3, 2).  The worked
 example's published case list gives 58 self-orthogonal / 28 self-dual codes;
-the complete count is 87 / 56, which the brute-force oracle, scanning all
-4392 cyclic codes, must reach with exactly the codes of
+the complete count is 87 / 56, which the brute-force oracle, covering all
+4392 cyclic codes through its block tests, must reach with exactly the codes of
 `enumerate_codes(complete=True)`.  The 29 / 28 extra codes are checked
 isotropic through the defining trace sum (`delta_inner`), not through the
 Gram matrix the oracle uses.  The property suites run separately below.

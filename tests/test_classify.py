@@ -349,6 +349,18 @@ def test_option_lists_past_the_limit_are_refused_before_any_row(n, q, i, mode, s
         next(classify.enumerate_codes(n, q, mode, ctx))
 
 
+@pytest.mark.parametrize("listing", [classify.all_subspace_choices,
+                                     classify.one_dim_subspaces])
+def test_subspace_listings_past_the_limit_are_refused_before_any_row(listing, monkeypatch):
+    """Class 1 at (47, 3) has 3^23 + 3 K_1-subspaces; both public listings
+    refuse it from the coset table, before its rows or the atlas are built."""
+    ctx = context(47, 3, 2)
+    monkeypatch.setattr(classify, "_one_dim_rows", refuse)
+    with pytest.raises(TooLargeError, match=f"class 1 lists {3 ** 23 + 3} subspaces"):
+        listing(1, ctx)
+    assert ctx._atlas is None
+
+
 def test_oracle_refuses_a_component_of_three_classes():
     hits = np.eye(4, dtype=bool)
     hits[0, 1] = hits[2, 1] = True

@@ -653,7 +653,48 @@ def test_has_order_against_element_order(p, m, tables, monkeypatch):
         inputs = T % np.maximum(orders, 1) == 0  # zero always
         got = f.has_order(rows[inputs], T)
         assert got.tolist() == (orders[inputs] == T).tolist(), T
-    assert tables or f._exp is None  # the digit route built no tables
+    assert tables or (f._exp is None and f._log is None)  # the digit route built no tables
+
+
+@pytest.mark.parametrize("p, m", [(2, 13), (1021, 2)], ids=["GF(2^13)", "GF(1021^2)"])
+def test_dlog_leaves_the_scalar_route_alone(p, m):
+    """Between EAGER_TABLE_LIMIT and TABLE_LIMIT a scalar's route depends
+    only on the field's order: dlog, on powers on both sides of POWER_BLOCK,
+    builds a log table that no other method reads, and afterwards mul, inv,
+    pow and has_order agree with a field that never ran dlog."""
+    modulus = gf.field(p, m).modulus
+    f, fresh = gf.Field(p, m, modulus), gf.Field(p, m, modulus)
+    assert gf.EAGER_TABLE_LIMIT < f.order <= gf.TABLE_LIMIT
+    q1, g, block = f.order - 1, f.generator, gf.POWER_BLOCK
+    ks = [1, 2, block - 1, block, block + 1, (q1 + block) // 2, q1 - 1]
+    assert [f.dlog(f.pow(g, k)) for k in ks] == ks
+    assert f._exp is None and f._log is not None
+    rng = random.Random(p * 100 + m)
+    elems = [rng.randrange(1, f.order) for _ in range(40)] + [1, g, f.order - 1]
+    for a, b in zip(elems, elems[1:] + elems[:1]):
+        e = rng.randrange(-q1, 2 * q1)
+        assert f.mul(a, b) == fresh.mul(a, b)
+        assert f.inv(a) == fresh.inv(a)
+        assert f.pow(a, e) == fresh.pow(a, e)
+    for r in [1] + sympy.primefactors(q1):
+        rows = np.array([f.decode(f.pow(a, r)) for a in elems])
+        assert f.has_order(rows, q1 // r).tolist() == fresh.has_order(rows, q1 // r).tolist()
+    assert f._exp is None and fresh._exp is None and fresh._log is None
+
+
+def test_printing_one_token_builds_only_the_log_table():
+    """format_element in a fresh GF(1021^2) prints w^k from dlog's log table
+    alone: 8 MiB of int64, with no exp table beside it (31.9 MiB of peak
+    before)."""
+    f = gf.Field(1021, 2, gf.field(1021, 2).modulus)
+    tracemalloc.start()
+    try:
+        token = gf.format_element(f, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert token == "w^131835" and gf.parse_element(f, token) == 5000
+    assert peak < 12 << 20
 
 
 def test_field_from_modulus_in_which_x_is_not_primitive():

@@ -615,7 +615,8 @@ def test_vector_ops_build_no_discrete_log_tables(p, m):
     ``linalg.matmul``, ``rref_batch`` and a ring product agree with the
     scalar references and leave the field without those tables."""
     f = gf.Field(p, m, gf.field(p, m).modulus)  # a fresh object: no earlier test built tables
-    assert gf.EAGER_TABLE_LIMIT < f.order <= gf.TABLE_LIMIT and f._exp is None
+    assert gf.EAGER_TABLE_LIMIT < f.order <= gf.TABLE_LIMIT
+    assert f._exp is None and f._log is None
     rng = np.random.default_rng(7)
     A, B = rng.integers(0, f.order, size=(3, 4)), rng.integers(0, f.order, size=(4, 5))
     A[0, 0] = B[1, 2] = 0
@@ -630,4 +631,4 @@ def test_vector_ops_build_no_discrete_log_tables(p, m):
     assert list((a * b).coeffs) == [
         scalar_sum(f, (f.mul(int(A[1, i]), int(B[(k - i) % 4, 0])) for i in range(4)))
         for k in range(4)]
-    assert f._exp is None
+    assert f._exp is None and f._log is None

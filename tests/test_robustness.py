@@ -63,6 +63,22 @@ def test_wide_q_dual_pairs_to_zero_with_the_code():
     assert not ctx.pair_matrix(D, C.basis_exp).any()
 
 
+def test_mid_size_field_prints_generator_powers():
+    """GF(1021^2) lies between EAGER_TABLE_LIMIT and TABLE_LIMIT: the basis
+    rows print as w^k tokens through dlog's own log table, and parse back to
+    the code's and the dual's basis symbols."""
+    proc = run_cli("dual", "-n", "3", "-q", "1021", "--gen", "w,1,0", "--json")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    record = json.loads(proc.stdout)
+    ctx = DeltaContext(3, 1021)
+    assert gf.EAGER_TABLE_LIMIT < ctx.field_qt.order <= gf.TABLE_LIMIT
+    C = codes.cyclic_span("w,1,0", ctx)
+    for code, rec in [(C, record["code"]), (codes.dual_delta(C), record["dual"])]:
+        rows = [gf.parse_elements(ctx.field_qt, ",".join(row)) for row in rec["basis"]]
+        assert rows == code.basis_symbols().tolist()
+    assert any(tok.startswith("w^") for row in record["dual"]["basis"] for tok in row)
+
+
 @pytest.mark.parametrize("mode", ["so", "sd"])
 def test_wide_q_enumeration_lists_isotropic_cyclic_codes(mode):
     """Each listed code, rebuilt from its printed basis, is cyclic and pairs

@@ -193,7 +193,7 @@ def test_rho_builds_no_discrete_log_table(n, q, monkeypatch):
     monkeypatch.setattr(gf.Field, "_build_tables", refuse)
     for ij in atlas.idempotents:
         atlas.rho(*ij)
-    assert split._exp is None
+    assert split._exp is None and split._log is None
 
 
 @pytest.mark.parametrize("paper", [False, True])
